@@ -58,24 +58,19 @@ def generate_arrival(clock, scenario: Scenario, streams: RngStreams, user_id):
     """Draw the next arrival: its time, home operator, profile and contracted price."""
     gap = streams.interarrival.expovariate(1.0 / scenario.mean_interarrival_s)
     home = scenario.operators[streams.home_assignment.randrange(len(scenario.operators))]
-    profile = _draw_profile(scenario, streams.profile.random())
+    u = streams.profile.random()
+    # Without a break the loop leaves the last profile bound: the rounding fallback.
+    for cumulative, service_class, prefs in scenario.arrival_profiles:
+        if u < cumulative:
+            break
     request = ServiceRequest(
         user_id=user_id,
         home_op=home.id,
-        service_class=scenario.service_class(profile.service),
-        prefs=profile.prefs,
+        service_class=service_class,
+        prefs=prefs,
         price_paid=home.sp,
     )
     return clock + gap, request
-
-
-def _draw_profile(scenario, u):
-    acc = 0.0
-    for profile in scenario.profile_mix:
-        acc += profile.probability
-        if u < acc:
-            return profile
-    return scenario.profile_mix[-1]
 
 
 def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None

@@ -9,8 +9,10 @@ files can be edited by hand and replayed deterministically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -129,7 +131,8 @@ class DemandTable:
     rates: Mapping[tuple[ServiceKind, Technology], float]
 
     def rate(self, kind, technology):
-        return self.rates[(ServiceKind(kind), Technology(technology))]
+        # Both enums are str-valued, so a member and its value find the same key.
+        return self.rates[(kind, technology)]
 
 
 DEFAULT_DEMAND = DemandTable(rates={
@@ -177,12 +180,6 @@ class Scenario:
     cooperation: bool = True
     billing: str = "volume"  # "volume" (price x kBytes) or "per_session" (flat price)
 
-    def operator(self, op_id) -> OperatorNetwork:
-        for net in self.operators:
-            if net.id == op_id:
-                return net
-        raise KeyError(f"unknown operator id {op_id}")
-
     def sp_max(self):
         return max(net.sp for net in self.operators)
 
@@ -190,16 +187,19 @@ class Scenario:
         kind = ServiceKind(kind)
         return ServiceClass(kind=kind, qos_weights=tuple(self.qos_weights[kind]))
 
-    def requirements_for(self, kind, technology) -> QoSRequirements:
-        """Resolve the full requirement vector for a class on a given technology."""
-        kind = ServiceKind(kind)
-        bounds = self.requirements[kind]
-        return QoSRequirements(
-            bw_req=self.demand.rate(kind, technology),
-            jitter_req=bounds.jitter_req,
-            delay_req=bounds.delay_req,
-            ber_req=bounds.ber_req,
-        )
+    @cached_property
+    def arrival_profiles(self) -> tuple[tuple[float, ServiceClass, UserPreferences], ...]:
+        """(cumulative probability, service class, prefs) per profile, built once per scenario.
+
+        An arrival takes the first entry whose cumulative probability exceeds its
+        uniform draw, or the last entry when rounding leaves the draw above all.
+        """
+        table = []
+        acc = 0.0
+        for profile in self.profile_mix:
+            acc += profile.probability
+            table.append((acc, self.service_class(profile.service), profile.prefs))
+        return tuple(table)
 
 
 @dataclass
@@ -276,9 +276,34 @@ def _check_weight_sum(violations, label, values):
         violations.append(f"weight-sum violation: {label} sums to {total!r}, expected 1")
 
 
+def _numeric_fields(scenario: Scenario):
+    """Yield (label, value) for every real-valued field of a scenario."""
+    for i, net in enumerate(scenario.operators):
+        for name in ("capacity_kbps", "used_kbps", "jitter_ms", "delay_ms", "ber",
+                     "sp", "cs", "w_u", "w_op"):
+            yield f"operators[{i}].{name}", getattr(net, name)
+    for (kind, tech), rate in scenario.demand.rates.items():
+        yield f"demand[{kind}][{tech}]", rate
+    for kind, weights in scenario.qos_weights.items():
+        for j, weight in enumerate(weights):
+            yield f"qos_weights[{kind}][{j}]", weight
+    for kind, bounds in scenario.requirements.items():
+        for name in ("jitter_req", "delay_req", "ber_req"):
+            yield f"requirements[{kind}].{name}", getattr(bounds, name)
+    for i, profile in enumerate(scenario.profile_mix):
+        yield f"profile_mix[{i}].w_qos", profile.prefs.w_qos
+        yield f"profile_mix[{i}].w_price", profile.prefs.w_price
+        yield f"profile_mix[{i}].probability", profile.probability
+    for name in ("mean_interarrival_s", "mean_service_s", "duration_s"):
+        yield name, getattr(scenario, name)
+
+
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Check every model invariant and return all violations found (empty list = valid)."""
-    v: list[str] = []
+    # NaN fails no comparison below, so finiteness is checked on its own.
+    v: list[str] = [f"non-finite number: {label} = {value!r}"
+                    for label, value in _numeric_fields(scenario)
+                    if not math.isfinite(value)]
 
     if not scenario.operators:
         v.append("operators: list is empty, at least one operator is required")
@@ -462,6 +487,22 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+def _strict_int(raw) -> int:
+    """An integral JSON number; unlike int(), refuses 2.7, "2" and booleans."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise TypeError(f"expected an integer, got {raw!r}")
+    if isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return int(raw)
+
+
+def _strict_bool(raw) -> bool:
+    """A JSON boolean; unlike bool(), refuses "false", 0 and null."""
+    if not isinstance(raw, bool):
+        raise TypeError(f"expected true or false, got {raw!r}")
+    return raw
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document; structural problems raise ScenarioError."""
     problems: list[str] = []
@@ -540,8 +581,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     defaults = Scenario(operators=(), demand=DemandTable({}), qos_weights={},
                         requirements={}, profile_mix=())
     for name, cast in (("mean_interarrival_s", float), ("mean_service_s", float),
-                       ("duration_s", float), ("replications", int),
-                       ("base_seed", int), ("cooperation", bool), ("billing", str)):
+                       ("duration_s", float), ("replications", _strict_int),
+                       ("base_seed", _strict_int), ("cooperation", _strict_bool),
+                       ("billing", str)):
         raw = doc.get(name, getattr(defaults, name))
         try:
             scalars[name] = cast(raw)

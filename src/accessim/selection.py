@@ -50,8 +50,13 @@ class AdmissionDecision:
         return self.outcome is not Outcome.BLOCKED
 
 
-def feasible(net: OperatorNetwork, req: QoSRequirements, rate_kbps: float) -> bool:
-    """Hard gate on all four axes; remaining bandwidth exactly equal to the rate admits."""
+def feasible(net: OperatorNetwork, req: ClassRequirements | QoSRequirements,
+             rate_kbps: float) -> bool:
+    """Hard gate on all four axes; remaining bandwidth exactly equal to the rate admits.
+
+    Only the jitter, delay and BER bounds of ``req`` are read, so the per-class
+    requirements serve as they are; bandwidth comes in as ``rate_kbps``.
+    """
     return (net.jitter_ms <= req.jitter_req
             and net.delay_ms <= req.delay_req
             and net.ber <= req.ber_req
@@ -64,14 +69,6 @@ def transfer_objective(home: OperatorNetwork, s_u: float, s_t: float,
     return home.w_u * abs(s_u - s_t) - home.w_op * (p_norm - cs_norm)
 
 
-def _resolve(requirements, kind, demand, technology) -> tuple[QoSRequirements, float]:
-    bounds: ClassRequirements = requirements[kind]
-    rate = demand.rate(kind, technology)
-    req = QoSRequirements(bw_req=rate, jitter_req=bounds.jitter_req,
-                          delay_req=bounds.delay_req, ber_req=bounds.ber_req)
-    return req, rate
-
-
 def select_serving_operator(request: ServiceRequest,
                             networks: Sequence[OperatorNetwork],
                             demand: DemandTable,
@@ -80,6 +77,7 @@ def select_serving_operator(request: ServiceRequest,
     """Pick the best cooperating operator (home excluded), or block if none is feasible."""
     home = _by_id(networks, request.home_op)
     kind = request.service_class.kind
+    bounds = requirements[kind]
     sp_max = max(net.sp for net in networks)
     s_u, s_qos, p_norm = user_score(request.prefs, request.price_paid, sp_max)
 
@@ -89,10 +87,12 @@ def select_serving_operator(request: ServiceRequest,
     best_id = None
     best_obj = 0.0
     for cand in sorted((n for n in networks if n.id != home.id), key=lambda n: n.id):
-        req, rate = _resolve(requirements, kind, demand, cand.technology)
-        if not feasible(cand, req, rate):
+        rate = demand.rate(kind, cand.technology)
+        if not feasible(cand, bounds, rate):
             infeasible.append(cand.id)
             continue
+        req = QoSRequirements(bw_req=rate, jitter_req=bounds.jitter_req,
+                              delay_req=bounds.delay_req, ber_req=bounds.ber_req)
         s_t, s_tqos, sp_norm = candidate_score(cand, request.service_class,
                                                request.prefs, req, sp_max)
         cs_norm = cand.cs / sp_max
@@ -117,8 +117,8 @@ def admit(request: ServiceRequest,
           cooperation: bool) -> AdmissionDecision:
     """Home-first admission; never mutates network state, the engine applies the outcome."""
     home = _by_id(networks, request.home_op)
-    req, rate = _resolve(requirements, request.service_class.kind, demand, home.technology)
-    if feasible(home, req, rate):
+    kind = request.service_class.kind
+    if feasible(home, requirements[kind], demand.rate(kind, home.technology)):
         return AdmissionDecision(Outcome.SERVED_HOME, serving_op=home.id)
     if not cooperation:
         return AdmissionDecision(Outcome.BLOCKED)

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -76,6 +77,29 @@ def test_demand_rate_missing_pair_raises():
     table = DemandTable({(ServiceKind.CONVERSATIONAL, Technology.UMTS): 256.0})
     with pytest.raises(KeyError):
         table.rate(ServiceKind.INTERACTIVE, Technology.WLAN)
+
+
+def test_demand_rate_accepts_string_values_of_the_enums():
+    table = default_scenario().demand
+    assert (table.rate("interactive", "WLAN")
+            == table.rate(ServiceKind.INTERACTIVE, Technology.WLAN) == 1024.0)
+    assert table.rate(ServiceKind.CONVERSATIONAL, "UMTS") == 256.0
+    sparse = DemandTable({(ServiceKind.CONVERSATIONAL, Technology.UMTS): 256.0})
+    with pytest.raises(KeyError):
+        sparse.rate("interactive", "WLAN")
+
+
+def test_arrival_profiles_accumulate_in_mix_order():
+    s = default_scenario()
+    table = s.arrival_profiles
+    assert table is s.arrival_profiles
+    acc = 0.0
+    for (cumulative, service_class, prefs), profile in zip(table, s.profile_mix, strict=True):
+        acc += profile.probability
+        assert cumulative == acc
+        assert service_class == s.service_class(profile.service)
+        assert prefs is profile.prefs
+    assert table[-1][0] == pytest.approx(1.0)
 
 
 def _with_operator(scenario, index, **changes):
@@ -201,6 +225,59 @@ def test_scalar_defaults_applied_when_absent():
     assert s.replications == 20
     assert s.cooperation is True
     assert s.billing == "volume"
+
+
+@pytest.mark.parametrize("raw", ["false", "true", 0, 1, None])
+def test_cooperation_must_be_a_json_boolean(raw):
+    doc = scenario_to_dict(default_scenario())
+    doc["cooperation"] = raw
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert any("bad field cooperation" in v for v in err.value.violations)
+
+
+@pytest.mark.parametrize("name", ["replications", "base_seed"])
+@pytest.mark.parametrize("raw", [2.7, "3", True, float("inf")])
+def test_counts_and_seeds_must_be_integral(name, raw):
+    doc = scenario_to_dict(default_scenario())
+    doc[name] = raw
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert any(f"bad field {name}" in v for v in err.value.violations)
+
+
+def test_integral_float_count_and_seed_are_accepted():
+    doc = scenario_to_dict(default_scenario())
+    doc["replications"], doc["base_seed"] = 3.0, 7.0
+    s = scenario_from_dict(doc)
+    assert (s.replications, s.base_seed) == (3, 7)
+    assert type(s.replications) is int and type(s.base_seed) is int
+
+
+def test_non_finite_numbers_are_all_reported():
+    s = _with_operator(default_scenario(), 0, sp=math.nan, w_u=math.nan)
+    s = _with_operator(s, 2, capacity_kbps=math.inf)
+    s = replace(s, mean_interarrival_s=math.inf,
+                qos_weights={**s.qos_weights,
+                             ServiceKind.INTERACTIVE: (math.nan, 0.04, 0.16, 0.64)})
+    violations = validate_scenario(s)
+    for label in ("operators[0].sp", "operators[0].w_u", "operators[2].capacity_kbps",
+                  "mean_interarrival_s", "qos_weights[interactive][0]"):
+        assert any(v.startswith(f"non-finite number: {label} =") for v in violations), label
+    with pytest.raises(ScenarioError):
+        ensure_valid(s)
+
+
+def test_non_finite_numbers_in_json_are_rejected(tmp_path):
+    doc = scenario_to_dict(default_scenario())
+    doc["profile_mix"][0]["w_qos"] = math.nan
+    doc["duration_s"] = -math.inf
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # json writes NaN/-Infinity, and reads them back
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert any("profile_mix[0].w_qos" in v for v in err.value.violations)
+    assert any("non-finite number: duration_s" in v for v in err.value.violations)
 
 
 def test_unknown_billing_mode_reported():
