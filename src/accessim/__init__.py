@@ -28,6 +28,7 @@ from .model import (
 from .scoring import NormalizedQoS, ScoreBreakdown, candidate_score, normalize_offer, user_score
 from .selection import (
     AdmissionDecision,
+    AdmissionTable,
     Outcome,
     admit,
     feasible,

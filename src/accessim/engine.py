@@ -22,7 +22,7 @@ from .model import (
     ServiceRequest,
     Session,
 )
-from .selection import Outcome, admit
+from .selection import AdmissionTable, Outcome, admit
 
 # Heap tie-break: departures before arrivals at the same instant, so capacity
 # freed at t is available to an arrival at t.
@@ -31,7 +31,7 @@ ARRIVAL = 1
 
 
 class CapacityAccountingError(RuntimeError):
-    """A release would drive used_kbps negative: an engine bug, not bad input."""
+    """Occupancy went negative, past capacity or off its background load: an engine bug."""
 
 
 @dataclass
@@ -78,11 +78,14 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
     """Simulate one replication and return its raw counts, exchange and ledgers.
 
     Arrivals stop at the horizon; departures keep draining afterwards so the
-    system always empties, but session volume is truncated at the horizon.
+    system always returns to its starting occupancy, but session volume is
+    truncated at the horizon.  A network's scenario ``used_kbps`` is background
+    load: it takes capacity for the whole run and is never released.
     """
     streams = streams if streams is not None else RngStreams.from_seed(seed)
     world = [replace(net) for net in scenario.operators]
     by_id = {net.id: net for net in world}
+    table = AdmissionTable(world, scenario.demand, scenario.requirements)
     horizon = scenario.duration_s
 
     op_ids = [net.id for net in world]
@@ -129,8 +132,7 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
             result.interarrival_sum += nt - t
             seq += 1
 
-        decision = admit(request, world, scenario.demand, scenario.requirements,
-                         scenario.cooperation)
+        decision = admit(request, table, scenario.cooperation)
         if not decision.served:
             result.blocked += 1
             result.blocked_by_home[request.home_op] += 1
@@ -158,10 +160,11 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
             key = (request.home_op, serving.id, request.service_class.kind)
             result.exchange[key] = result.exchange.get(key, 0) + 1
 
-    for net in world:
-        if abs(net.used_kbps) > 1e-9:
+    for net, start in zip(world, scenario.operators):
+        if abs(net.used_kbps - start.used_kbps) > 1e-9:
             raise CapacityAccountingError(
-                f"operator {net.id} did not drain to zero: {net.used_kbps}")
+                f"operator {net.id} did not drain to its background load "
+                f"{start.used_kbps}: {net.used_kbps}")
     return result
 
 

@@ -180,9 +180,6 @@ class Scenario:
     cooperation: bool = True
     billing: str = "volume"  # "volume" (price x kBytes) or "per_session" (flat price)
 
-    def sp_max(self):
-        return max(net.sp for net in self.operators)
-
     def service_class(self, kind) -> ServiceClass:
         kind = ServiceKind(kind)
         return ServiceClass(kind=kind, qos_weights=tuple(self.qos_weights[kind]))
@@ -313,6 +310,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if net.id in seen_ids:
             v.append(f"duplicate operator id: {where}.id = {net.id}")
         seen_ids.add(net.id)
+        if net.id <= 0:
+            v.append(f"non-positive operator id: {where}.id = {net.id}")
         if net.capacity_kbps <= 0:
             v.append(f"non-positive capacity: {where}.capacity_kbps = {net.capacity_kbps!r}")
         if not 0 <= net.used_kbps <= net.capacity_kbps:

@@ -12,19 +12,21 @@ networks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import OperatorNetwork, QoSRequirements, ServiceClass, UserPreferences
 
 
-@dataclass(frozen=True)
-class NormalizedQoS:
+class NormalizedQoS(NamedTuple):
+    """Offered over required QoS, in the criteria order (bandwidth, jitter, delay, BER)."""
+
     n_bw: float
     n_jitter: float
     n_delay: float
     n_ber: float
 
     def as_vector(self):
-        return (self.n_bw, self.n_jitter, self.n_delay, self.n_ber)
+        return tuple(self)
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ def candidate_score(net: OperatorNetwork, service_class: ServiceClass,
     if sp_max <= 0:
         raise ValueError("sp_max must be positive")
     offered = normalize_offer(net, req)
-    s_tqos = sum(w * n for w, n in zip(service_class.qos_weights, offered.as_vector()))
+    s_tqos = sum(w * n for w, n in zip(service_class.qos_weights, offered))
     sp_norm = net.sp / sp_max
     s_t = prefs.w_qos * s_tqos + prefs.w_price * sp_norm
     return s_t, s_tqos, sp_norm

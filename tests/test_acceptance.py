@@ -28,7 +28,7 @@ from accessim.model import (
     default_scenario,
     load_scenario,
 )
-from accessim.selection import Outcome, admit
+from accessim.selection import AdmissionTable, Outcome, admit
 
 from oracles import oracle_admit, random_instance
 from test_cli import run_cli
@@ -91,7 +91,8 @@ def test_criterion_3_reference_transfer_picks_op3():
         user_id=1, home_op=1,
         service_class=scenario.service_class(ServiceKind.CONVERSATIONAL),
         prefs=UserPreferences(0.7, 0.3), price_paid=networks[0].sp)
-    decision = admit(request, networks, scenario.demand, scenario.requirements,
+    decision = admit(request,
+                     AdmissionTable(networks, scenario.demand, scenario.requirements),
                      cooperation=True)
     oracle_outcome, oracle_serving = oracle_admit(
         request, networks, scenario.demand, scenario.requirements, True)
@@ -176,15 +177,16 @@ def test_criterion_7_selection_is_scale_invariant_and_matches_oracle():
     mismatches = scale_flips = transfers = 0
     for _ in range(1000):
         request, networks, demand, requirements = random_instance(rng)
-        decision = admit(request, networks, demand, requirements, cooperation=True)
+        decision = admit(request, AdmissionTable(networks, demand, requirements),
+                         cooperation=True)
         outcome, serving = oracle_admit(request, networks, demand, requirements, True)
         if decision.outcome.value != outcome or decision.serving_op != serving:
             mismatches += 1
         k = 10.0 ** rng.uniform(-2.0, 2.0)
         scaled = admit(request,
-                       [replace(net, w_u=net.w_u * k, w_op=net.w_op * k)
-                        for net in networks],
-                       demand, requirements, cooperation=True)
+                       AdmissionTable([replace(net, w_u=net.w_u * k, w_op=net.w_op * k)
+                                       for net in networks], demand, requirements),
+                       cooperation=True)
         if scaled.serving_op != decision.serving_op or scaled.outcome != decision.outcome:
             scale_flips += 1
         if decision.outcome is Outcome.SERVED_TRANSFER:

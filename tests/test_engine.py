@@ -276,6 +276,26 @@ def test_session_log_replay_confirms_capacity_accounting():
         assert any(value > 0.0 for value in peak.values())
 
 
+def test_initial_load_is_background_the_run_drains_back_to():
+    scenario = default_scenario()
+    ops = list(scenario.operators)
+    ops[1] = replace(ops[1], used_kbps=500.0)
+    ops[2] = replace(ops[2], used_kbps=ops[2].capacity_kbps)
+    loaded = ensure_valid(replace(scenario, operators=tuple(ops), duration_s=600.0,
+                                  replications=3))
+    served_on_op2 = 0
+    for r in run_experiment(loaded).results:
+        assert r.arrivals == r.blocked + r.served_home + r.served_transferred
+        # A network whose background load fills it serves no one, home or guest.
+        assert r.served_home_by_op[3] == 0
+        assert all(s.serving_op != 3 for s in r.sessions)
+        _, peak = replay_capacity(loaded, r)
+        assert peak[2] <= ops[1].capacity_kbps - 500.0
+        served_on_op2 += sum(s.serving_op == 2 for s in r.sessions)
+    assert served_on_op2 > 0
+    assert loaded.operators[1].used_kbps == 500.0
+
+
 def test_capacity_below_every_rate_blocks_all_arrivals():
     scenario = default_scenario()
     starved = replace(scenario, duration_s=300.0, operators=tuple(

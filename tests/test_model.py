@@ -142,6 +142,15 @@ def test_duplicate_ids_and_bad_prices_reported():
     assert any("non-positive price" in v for v in violations)
 
 
+def test_non_positive_operator_ids_are_all_reported():
+    s = _with_operator(default_scenario(), 0, id=0)
+    s = _with_operator(s, 2, id=-2)
+    assert [v for v in validate_scenario(s) if "operator id" in v] == [
+        "non-positive operator id: operators[0].id = 0",
+        "non-positive operator id: operators[2].id = -2",
+    ]
+
+
 def test_used_above_capacity_reported():
     s = _with_operator(default_scenario(), 0, used_kbps=2000.0)
     assert any("load out of range" in v for v in validate_scenario(s))

@@ -11,6 +11,7 @@ from accessim.model import (
     default_scenario,
 )
 from accessim.selection import (
+    AdmissionTable,
     Outcome,
     admit,
     feasible,
@@ -31,6 +32,11 @@ def _scenario():
 def _ops(scenario=None):
     scenario = scenario or _scenario()
     return {net.id: net for net in scenario.operators}
+
+
+def _table(networks):
+    scenario = _scenario()
+    return AdmissionTable(networks, scenario.demand, scenario.requirements)
 
 
 def _request(home, kind=ServiceKind.CONVERSATIONAL, prefs=(0.7, 0.3), price=None):
@@ -75,8 +81,7 @@ def test_transfer_objective_components():
 
 def test_reference_transfer_picks_op3():
     scenario = _scenario()
-    decision = select_serving_operator(_request(home=1), scenario.operators,
-                                       scenario.demand, scenario.requirements)
+    decision = select_serving_operator(_request(home=1), _table(scenario.operators))
     assert decision.outcome is Outcome.SERVED_TRANSFER
     assert decision.serving_op == 3
     assert decision.objectives[2] == pytest.approx(0.3133506944444445)
@@ -87,8 +92,7 @@ def test_reference_transfer_picks_op3():
 
 def test_home_first_skips_scoring():
     scenario = _scenario()
-    decision = admit(_request(home=2), scenario.operators, scenario.demand,
-                     scenario.requirements, cooperation=True)
+    decision = admit(_request(home=2), _table(scenario.operators), cooperation=True)
     assert decision.outcome is Outcome.SERVED_HOME
     assert decision.serving_op == 2
     assert decision.breakdowns == {}
@@ -97,8 +101,7 @@ def test_home_first_skips_scoring():
 def test_no_cooperation_blocks_when_home_fails():
     scenario = _scenario()
     request = _request(home=1, kind=ServiceKind.INTERACTIVE)
-    decision = admit(request, scenario.operators, scenario.demand,
-                     scenario.requirements, cooperation=False)
+    decision = admit(request, _table(scenario.operators), cooperation=False)
     assert decision.outcome is Outcome.BLOCKED
     assert decision.serving_op is None
 
@@ -108,16 +111,16 @@ def test_forced_route_between_wlans_for_loss_sensitive_class():
     ops = list(scenario.operators)
     # Saturate Op2 so its own non-real-time client must be exchanged.
     ops[1] = replace(ops[1], used_kbps=ops[1].capacity_kbps)
-    decision = admit(_request(home=2, kind=ServiceKind.INTERACTIVE), ops,
-                     scenario.demand, scenario.requirements, cooperation=True)
+    decision = admit(_request(home=2, kind=ServiceKind.INTERACTIVE), _table(ops),
+                     cooperation=True)
     assert decision.outcome is Outcome.SERVED_TRANSFER
     assert decision.serving_op == 3
     assert decision.infeasible == (1,)
 
     ops = list(scenario.operators)
     ops[2] = replace(ops[2], used_kbps=ops[2].capacity_kbps)
-    decision = admit(_request(home=3, kind=ServiceKind.INTERACTIVE), ops,
-                     scenario.demand, scenario.requirements, cooperation=True)
+    decision = admit(_request(home=3, kind=ServiceKind.INTERACTIVE), _table(ops),
+                     cooperation=True)
     assert decision.outcome is Outcome.SERVED_TRANSFER
     assert decision.serving_op == 2
     assert decision.infeasible == (1,)
@@ -126,8 +129,7 @@ def test_forced_route_between_wlans_for_loss_sensitive_class():
 def test_blocked_when_no_candidate_is_feasible():
     scenario = _scenario()
     ops = [replace(net, used_kbps=net.capacity_kbps) for net in scenario.operators]
-    decision = admit(_request(home=1), ops, scenario.demand,
-                     scenario.requirements, cooperation=True)
+    decision = admit(_request(home=1), _table(ops), cooperation=True)
     assert decision.outcome is Outcome.BLOCKED
     assert set(decision.infeasible) == {2, 3}
 
@@ -137,8 +139,7 @@ def test_exact_tie_resolves_to_lowest_id():
     ops = list(scenario.operators)
     # Make Op3 a clone of Op2: identical offers, identical objectives.
     ops[2] = replace(ops[1], id=3, name="Op3")
-    decision = select_serving_operator(_request(home=1), ops, scenario.demand,
-                                       scenario.requirements)
+    decision = select_serving_operator(_request(home=1), _table(ops))
     assert decision.objectives[2] == decision.objectives[3]
     assert decision.serving_op == 2
 
@@ -146,10 +147,8 @@ def test_exact_tie_resolves_to_lowest_id():
 def test_decision_ignores_listing_order():
     scenario = _scenario()
     request = _request(home=1)
-    forward = select_serving_operator(request, scenario.operators,
-                                      scenario.demand, scenario.requirements)
-    backward = select_serving_operator(request, tuple(reversed(scenario.operators)),
-                                       scenario.demand, scenario.requirements)
+    forward = select_serving_operator(request, _table(scenario.operators))
+    backward = select_serving_operator(request, _table(tuple(reversed(scenario.operators))))
     assert forward.serving_op == backward.serving_op
     assert forward.objectives == backward.objectives
 
@@ -158,7 +157,7 @@ def test_unknown_home_operator_raises():
     scenario = _scenario()
     stray = replace(_request(home=1), home_op=9)
     with pytest.raises(KeyError):
-        admit(stray, scenario.operators, scenario.demand, scenario.requirements, True)
+        admit(stray, _table(scenario.operators), True)
 
 
 def test_weight_rescaling_never_changes_the_winner():
@@ -166,11 +165,13 @@ def test_weight_rescaling_never_changes_the_winner():
     checked = 0
     for _ in range(200):
         request, networks, demand, requirements = random_instance(rng)
-        base = admit(request, networks, demand, requirements, cooperation=True)
+        base = admit(request, AdmissionTable(networks, demand, requirements),
+                     cooperation=True)
         k = 10.0 ** rng.uniform(-2.0, 2.0)
         scaled_nets = [replace(net, w_u=net.w_u * k, w_op=net.w_op * k)
                        for net in networks]
-        scaled = admit(request, scaled_nets, demand, requirements, cooperation=True)
+        scaled = admit(request, AdmissionTable(scaled_nets, demand, requirements),
+                       cooperation=True)
         assert scaled.outcome == base.outcome
         assert scaled.serving_op == base.serving_op
         if base.outcome is Outcome.SERVED_TRANSFER:
@@ -184,10 +185,46 @@ def test_matches_brute_force_oracle():
     for _ in range(500):
         request, networks, demand, requirements = random_instance(rng)
         cooperation = rng.random() < 0.8
-        decision = admit(request, networks, demand, requirements, cooperation)
+        decision = admit(request, AdmissionTable(networks, demand, requirements),
+                         cooperation)
         outcome, serving = oracle_admit(request, networks, demand,
                                         requirements, cooperation)
         assert decision.outcome.value == outcome
         assert decision.serving_op == serving
         outcomes.add(outcome)
     assert outcomes == {"served_home", "served_transfer", "blocked"}
+
+
+def test_one_table_follows_live_occupancy():
+    # The table caches everything but used_kbps, so occupancy changed in place
+    # between decisions must give what a fresh brute-force evaluation gives.
+    rng = random.Random(31337)
+    outcomes = set()
+    for _ in range(300):
+        request, networks, demand, requirements = random_instance(rng)
+        table = AdmissionTable(networks, demand, requirements)
+        for _ in range(4):
+            for net in networks:
+                net.used_kbps = rng.choice((0.0, net.capacity_kbps,
+                                            rng.uniform(0.0, net.capacity_kbps)))
+            cooperation = rng.random() < 0.8
+            decision = admit(request, table, cooperation)
+            outcome, serving = oracle_admit(request, networks, demand,
+                                            requirements, cooperation)
+            assert decision.outcome.value == outcome
+            assert decision.serving_op == serving
+            outcomes.add(outcome)
+    assert outcomes == {"served_home", "served_transfer", "blocked"}
+
+
+def test_shared_decisions_are_read_only():
+    table = _table(_scenario().operators)
+    home = admit(_request(home=2), table, cooperation=True)
+    assert admit(_request(home=2), table, cooperation=True) is home
+    blocked = admit(_request(home=1, kind=ServiceKind.INTERACTIVE), table,
+                    cooperation=False)
+    for decision in (home, blocked):
+        with pytest.raises(TypeError):
+            decision.breakdowns[1] = None
+        with pytest.raises(TypeError):
+            decision.objectives[1] = 0.0
