@@ -44,15 +44,21 @@ from .engine import (
 )
 from .analytics import (
     BlockingStats,
-    ComparisonEntry,
-    CooperationComparison,
     ExchangeMatrix,
     accrue,
     blocking_stats,
-    compare_cooperation,
     exchange_matrix,
     profit_stats,
     session_volume_kbytes,
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # Loaded on first use: importing accessim.cli here would make
+    # `python -m accessim.cli` warn that the module was imported twice.
+    if name == "run_grid":
+        from .cli import run_grid
+        return run_grid
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

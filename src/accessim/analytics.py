@@ -1,9 +1,9 @@
-"""Ledger accrual, blocking statistics, exchange direction and cooperation comparison."""
+"""Ledger accrual, blocking and profit statistics, and exchange direction."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .model import (
@@ -11,7 +11,6 @@ from .model import (
     OperatorLedger,
     OperatorNetwork,
     ReplicationResult,
-    Scenario,
     ServiceKind,
     Session,
 )
@@ -165,52 +164,3 @@ def ledger_means(report: MetricsReport) -> dict[int, OperatorLedger]:
 def arrivals_mean(report: MetricsReport):
     return sum(r.arrivals for r in report.results) / len(report.results)
 
-
-# --------------------------------------------------------------------------
-# cooperation comparison
-
-@dataclass
-class ComparisonEntry:
-    """Paired cooperation-on / cooperation-off experiments for one arrival rate."""
-
-    mean_interarrival_s: float
-    on: MetricsReport
-    off: MetricsReport
-
-    @property
-    def blocking_delta(self):
-        """Mean off-minus-on global blocking: positive when cooperation helps."""
-        return (blocking_stats(self.off).overall.mean
-                - blocking_stats(self.on).overall.mean)
-
-    def profit_delta(self, op_id):
-        on = profit_stats(self.on)[op_id].mean
-        off = profit_stats(self.off)[op_id].mean
-        return on - off
-
-
-@dataclass
-class CooperationComparison:
-    scenario: Scenario
-    entries: list[ComparisonEntry]
-
-
-def compare_cooperation(scenario: Scenario, sweep=None, workers: int = 1
-                        ) -> CooperationComparison:
-    """Run cooperation on and off under common random numbers, per arrival rate.
-
-    Both runs share the scenario's base seed, so the only difference between
-    them is the admission policy branch.
-    """
-    from .engine import run_experiment  # local import, engine depends on this module
-
-    lambdas = list(sweep) if sweep is not None else [scenario.mean_interarrival_s]
-    entries = []
-    for mean_interarrival in lambdas:
-        on = run_experiment(replace(scenario, mean_interarrival_s=mean_interarrival,
-                                    cooperation=True), workers=workers)
-        off = run_experiment(replace(scenario, mean_interarrival_s=mean_interarrival,
-                                     cooperation=False), workers=workers)
-        entries.append(ComparisonEntry(mean_interarrival_s=mean_interarrival,
-                                       on=on, off=off))
-    return CooperationComparison(scenario=scenario, entries=entries)

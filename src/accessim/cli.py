@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +20,7 @@ from . import analytics
 from .charts import Series, line_chart
 from .engine import run_experiment
 from .model import (
+    MetricsReport,
     Scenario,
     ScenarioError,
     ServiceKind,
@@ -155,54 +157,58 @@ def cmd_run(scenario: Scenario, args) -> int:
     return 0
 
 
+def run_grid(scenario: Scenario, sweep, modes) -> dict[tuple[float, bool], MetricsReport]:
+    """One experiment per (mean interarrival, cooperation) cell, rates outer, modes inner.
+
+    Every cell keeps the scenario's base seed, so the modes of one rate see the
+    same arrivals (common random numbers).  A rate given twice is run once.
+    Experiments go through this module's ``run_experiment``, so wrapping that
+    one name sees every replication of the grid.
+    """
+    return {(mean_interarrival, cooperation):
+            run_experiment(replace(scenario, mean_interarrival_s=mean_interarrival,
+                                   cooperation=cooperation))
+            for mean_interarrival in dict.fromkeys(sweep) for cooperation in modes}
+
+
 def cmd_sweep(scenario: Scenario, args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    modes = _modes(args.cooperation)
-    reports = {}
-    rows = []
-    for mean_interarrival in args.sweep:
-        for cooperation in modes:
-            report = run_experiment(replace(scenario,
-                                            mean_interarrival_s=mean_interarrival,
-                                            cooperation=cooperation))
-            reports[(mean_interarrival, cooperation)] = report
-            for index, result in enumerate(report.results):
-                rows.append((mean_interarrival, _mode_name(cooperation), index,
-                             result.seed, result.arrivals, result.blocked,
-                             result.blocking_probability,
-                             *(result.ledgers[net.id].profit
-                               for net in scenario.operators)))
+    grid = run_grid(scenario, args.sweep, _modes(args.cooperation))
+    rows = [(mean_interarrival, _mode_name(cooperation), index, result.seed,
+             result.arrivals, result.blocked, result.blocking_probability,
+             *(result.ledgers[net.id].profit for net in scenario.operators))
+            for (mean_interarrival, cooperation), report in grid.items()
+            for index, result in enumerate(report.results)]
     _write_csv(out / "sweep.csv", sweep_header(scenario), rows)
     if args.svg:
-        _write_sweep_charts(out, scenario, args.sweep, modes, reports)
+        _write_sweep_charts(out, scenario, grid)
     return 0
 
 
-def _write_sweep_charts(out: Path, scenario: Scenario, sweep, modes, reports) -> None:
-    blocking_series = []
-    for cooperation in modes:
-        points = []
-        for mean_interarrival in sweep:
-            report = reports[(mean_interarrival, cooperation)]
-            points.append((analytics.arrivals_mean(report),
-                           analytics.blocking_stats(report).overall.mean))
-        blocking_series.append(Series(f"cooperation {_mode_name(cooperation)}",
-                                      tuple(points), dashed=not cooperation))
+def _write_sweep_charts(out: Path, scenario: Scenario, grid) -> None:
+    by_mode: dict[bool, list[MetricsReport]] = {}  # reports in sweep order per mode
+    for (_, cooperation), report in grid.items():
+        by_mode.setdefault(cooperation, []).append(report)
+
+    blocking_series = [
+        Series(f"cooperation {_mode_name(cooperation)}",
+               tuple((analytics.arrivals_mean(report),
+                      analytics.blocking_stats(report).overall.mean)
+                     for report in reports),
+               dashed=not cooperation)
+        for cooperation, reports in by_mode.items()]
     (out / "blocking.svg").write_text(line_chart(
         "Global blocking vs offered arrivals", "mean arrivals per replication",
         "blocking probability", blocking_series))
 
-    profit_series = []
-    for net in scenario.operators:
-        for cooperation in modes:
-            points = []
-            for mean_interarrival in sweep:
-                report = reports[(mean_interarrival, cooperation)]
-                points.append((analytics.arrivals_mean(report),
-                               analytics.profit_stats(report)[net.id].mean))
-            profit_series.append(Series(f"{net.name} {_mode_name(cooperation)}",
-                                        tuple(points), dashed=not cooperation))
+    profit_series = [
+        Series(f"{net.name} {_mode_name(cooperation)}",
+               tuple((analytics.arrivals_mean(report),
+                      analytics.profit_stats(report)[net.id].mean)
+                     for report in reports),
+               dashed=not cooperation)
+        for net in scenario.operators for cooperation, reports in by_mode.items()]
     (out / "profits.svg").write_text(line_chart(
         "Operator profit vs offered arrivals", "mean arrivals per replication",
         "mean profit", profit_series))
@@ -211,26 +217,20 @@ def _write_sweep_charts(out: Path, scenario: Scenario, sweep, modes, reports) ->
 def cmd_compare(scenario: Scenario, args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    modes = _modes(args.cooperation)
+    grid = run_grid(scenario, args.sweep, _modes(args.cooperation))
     rows = []
-    exchange_results = []
-    for mean_interarrival in args.sweep:
-        for cooperation in modes:
-            report = run_experiment(replace(scenario,
-                                            mean_interarrival_s=mean_interarrival,
-                                            cooperation=cooperation))
-            blocking = analytics.blocking_stats(report)
-            profits = analytics.profit_stats(report)
-            rows.append((mean_interarrival, _mode_name(cooperation),
-                         analytics.arrivals_mean(report), blocking.overall.mean,
-                         blocking.overall.stddev, blocking.overall.ci95_halfwidth,
-                         *(blocking.per_operator[net.id].mean
-                           for net in scenario.operators),
-                         *(profits[net.id].mean for net in scenario.operators)))
-            if cooperation:
-                exchange_results.extend(report.results)
+    for (mean_interarrival, cooperation), report in grid.items():
+        blocking = analytics.blocking_stats(report)
+        profits = analytics.profit_stats(report)
+        rows.append((mean_interarrival, _mode_name(cooperation),
+                     analytics.arrivals_mean(report), blocking.overall.mean,
+                     blocking.overall.stddev, blocking.overall.ci95_halfwidth,
+                     *(blocking.per_operator[net.id].mean for net in scenario.operators),
+                     *(profits[net.id].mean for net in scenario.operators)))
     _write_csv(out / "compare.csv", compare_header(scenario), rows)
-    write_exchange_csv(out / "exchange.csv", scenario, exchange_results)
+    write_exchange_csv(out / "exchange.csv", scenario,
+                       [result for (_, cooperation), report in grid.items() if cooperation
+                        for result in report.results])
     return 0
 
 
@@ -242,8 +242,8 @@ def _sweep_list(text: str):
         values = tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad sweep list {text!r}: {exc}")
-    if not values or any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError("sweep values must be positive seconds")
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise argparse.ArgumentTypeError("sweep values must be positive finite seconds")
     return values
 
 
@@ -264,6 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--replications", type=int, metavar="N",
                        help="override the scenario's replication count")
 
+    def grid(p: argparse.ArgumentParser) -> None:
+        common(p)
+        p.add_argument("--sweep", type=_sweep_list, default=DEFAULT_SWEEP,
+                       metavar="S1,S2,...",
+                       help="mean interarrival values in seconds "
+                            "(default: 2.5,25/9,10/3,5)")
+        p.add_argument("--cooperation", choices=("on", "off", "both"),
+                       default="both", help="which admission modes to run")
+
     run_p = sub.add_parser("run", help="one experiment; writes metrics.csv and summary.csv")
     common(run_p)
     run_p.add_argument("--cooperation", choices=("on", "off"),
@@ -272,13 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser(
         "sweep", help="one experiment per arrival rate; writes sweep.csv and charts")
-    common(sweep_p)
-    sweep_p.add_argument("--sweep", type=_sweep_list, default=DEFAULT_SWEEP,
-                         metavar="S1,S2,...",
-                         help="mean interarrival values in seconds "
-                              "(default: 2.5,25/9,10/3,5)")
-    sweep_p.add_argument("--cooperation", choices=("on", "off", "both"),
-                         default="both", help="which admission modes to sweep")
+    grid(sweep_p)
     sweep_p.add_argument("--no-svg", dest="svg", action="store_false",
                          help="skip blocking.svg and profits.svg")
     sweep_p.set_defaults(func=cmd_sweep)
@@ -286,13 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare_p = sub.add_parser(
         "compare", help="paired cooperation on/off metrics per arrival rate; "
                         "writes compare.csv and exchange.csv")
-    common(compare_p)
-    compare_p.add_argument("--sweep", type=_sweep_list, default=DEFAULT_SWEEP,
-                           metavar="S1,S2,...",
-                           help="mean interarrival values in seconds "
-                                "(default: 2.5,25/9,10/3,5)")
-    compare_p.add_argument("--cooperation", choices=("on", "off", "both"),
-                           default="both", help="which admission modes to run")
+    grid(compare_p)
     compare_p.set_defaults(func=cmd_compare)
     return parser
 

@@ -139,7 +139,7 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
             continue
 
         serving = by_id[decision.serving_op]
-        rate = scenario.demand.rate(request.service_class.kind, serving.technology)
+        rate = decision.rate_kbps
         serving.used_kbps += rate
         if serving.used_kbps > serving.capacity_kbps + 1e-9:
             raise CapacityAccountingError(

@@ -520,7 +520,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         where = f"operators[{i}]."
         try:
             operators.append(OperatorNetwork(
-                id=int(need(entry, "id", where)),
+                id=_strict_int(need(entry, "id", where)),
                 name=str(entry.get("name", f"Op{entry.get('id', i)}")),
                 technology=Technology(need(entry, "technology", where)),
                 capacity_kbps=float(need(entry, "capacity_kbps", where)),

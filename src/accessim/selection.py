@@ -46,6 +46,7 @@ class Outcome(Enum):
 class AdmissionDecision:
     outcome: Outcome
     serving_op: int | None = None
+    rate_kbps: float | None = None  # what the session takes on serving_op
     breakdowns: Mapping[int, ScoreBreakdown] = field(default_factory=dict)
     objectives: Mapping[int, float] = field(default_factory=dict)
     infeasible: tuple[int, ...] = ()
@@ -119,9 +120,6 @@ class AdmissionTable:
         in_id_order = sorted(self.networks, key=lambda net: net.id)
         self.routes: dict[tuple[int, ServiceKind], Route] = {}
         for home in self.networks:
-            served = AdmissionDecision(Outcome.SERVED_HOME, serving_op=home.id,
-                                       breakdowns=_NOTHING_SCORED,
-                                       objectives=_NOTHING_SCORED)
             for kind, bounds in requirements.items():
                 candidates = []
                 for cand in in_id_order:
@@ -132,9 +130,12 @@ class AdmissionTable:
                                           delay_req=bounds.delay_req, ber_req=bounds.ber_req)
                     candidates.append(Candidate(cand, rate, meets_bounds(cand, bounds), req,
                                                 cand.cs / self.sp_max))
+                rate = demand.rate(kind, home.technology)
+                served = AdmissionDecision(Outcome.SERVED_HOME, serving_op=home.id,
+                                           rate_kbps=rate, breakdowns=_NOTHING_SCORED,
+                                           objectives=_NOTHING_SCORED)
                 self.routes[home.id, kind] = Route(
-                    home, demand.rate(kind, home.technology), meets_bounds(home, bounds),
-                    served, tuple(candidates))
+                    home, rate, meets_bounds(home, bounds), served, tuple(candidates))
 
     def __iter__(self):
         return iter(self.networks)
@@ -153,7 +154,7 @@ def select_serving_operator(request: ServiceRequest, table: AdmissionTable
     objectives: dict[int, float] = {}
     infeasible: list[int] = []
     best_id = None
-    best_obj = 0.0
+    best_obj = best_rate = 0.0
     for cand, rate, in_bounds, req, cs_norm in route.candidates:
         if not (in_bounds and cand.remaining_kbps >= rate):
             infeasible.append(cand.id)
@@ -166,12 +167,12 @@ def select_serving_operator(request: ServiceRequest, table: AdmissionTable
         obj = transfer_objective(home, s_u, s_t, p_norm, cs_norm)
         objectives[cand.id] = obj
         if best_id is None or obj < best_obj - TIE_EPS:
-            best_id, best_obj = cand.id, obj
+            best_id, best_obj, best_rate = cand.id, obj, rate
 
     if best_id is None:
         return AdmissionDecision(Outcome.BLOCKED, infeasible=tuple(infeasible))
     return AdmissionDecision(Outcome.SERVED_TRANSFER, serving_op=best_id,
-                             breakdowns=breakdowns, objectives=objectives,
+                             rate_kbps=best_rate, breakdowns=breakdowns, objectives=objectives,
                              infeasible=tuple(infeasible))
 
 

@@ -16,10 +16,10 @@ import pytest
 
 from accessim.analytics import (
     blocking_stats,
-    compare_cooperation,
     exchange_matrix,
     session_volume_kbytes,
 )
+from accessim.cli import run_grid
 from accessim.engine import run_experiment
 from accessim.model import (
     ServiceKind,
@@ -54,7 +54,7 @@ def default_on_reports():
 @pytest.fixture(scope="module")
 def calibrated_comparison():
     scenario = load_scenario(SCENARIO_DIR / "calibrated.json")
-    return compare_cooperation(scenario, sweep=SWEEP)
+    return run_grid(scenario, SWEEP, (True, False))
 
 
 def test_criterion_1_no_loss_sensitive_sessions_on_umts(default_on_reports):
@@ -109,12 +109,13 @@ def test_criterion_3_reference_transfer_picks_op3():
 
 def test_criterion_4_cooperation_never_hurts_and_cuts_blocking(calibrated_comparison):
     dominated = True
-    for entry in calibrated_comparison.entries:
-        for on, off in zip(entry.on.results, entry.off.results):
+    for rate in SWEEP:
+        for on, off in zip(calibrated_comparison[rate, True].results,
+                           calibrated_comparison[rate, False].results):
             if off.blocking_probability < on.blocking_probability - 1e-12:
                 dominated = False
-    top = next(e for e in calibrated_comparison.entries if e.mean_interarrival_s == 2.5)
-    reduction = top.blocking_delta
+    reduction = (blocking_stats(calibrated_comparison[2.5, False]).overall.mean
+                 - blocking_stats(calibrated_comparison[2.5, True]).overall.mean)
     ok = dominated and reduction >= 0.10
     _verdict(ok, 4,
              "cooperation-on blocking <= cooperation-off in every replication at "
@@ -123,9 +124,8 @@ def test_criterion_4_cooperation_never_hurts_and_cuts_blocking(calibrated_compar
 
 
 def test_criterion_5_umts_operator_gains_the_most(calibrated_comparison):
-    top = next(e for e in calibrated_comparison.entries if e.mean_interarrival_s == 2.5)
-    on = blocking_stats(top.on).per_operator
-    off = blocking_stats(top.off).per_operator
+    on = blocking_stats(calibrated_comparison[2.5, True]).per_operator
+    off = blocking_stats(calibrated_comparison[2.5, False]).per_operator
     reductions = {op: off[op].mean - on[op].mean for op in (1, 2, 3)}
     ok = reductions[1] > reductions[2] and reductions[1] > reductions[3]
     _verdict(ok, 5,
@@ -136,8 +136,7 @@ def test_criterion_5_umts_operator_gains_the_most(calibrated_comparison):
 
 def test_criterion_6_conservation_suite(default_on_reports, calibrated_comparison):
     reports = list(default_on_reports.values())
-    for entry in calibrated_comparison.entries:
-        reports.extend((entry.on, entry.off))
+    reports.extend(calibrated_comparison.values())
     counts_ok = payments_ok = capacity_ok = True
     checked = 0
     for report in reports:
@@ -216,8 +215,8 @@ def test_criterion_8_determinism_and_arrival_statistics(tmp_path, default_on_rep
 
 
 def test_criterion_9_calibrated_blocking_stays_under_five_percent(calibrated_comparison):
-    means = {entry.mean_interarrival_s: blocking_stats(entry.on).overall.mean
-             for entry in calibrated_comparison.entries}
+    means = {rate: blocking_stats(report).overall.mean
+             for (rate, cooperation), report in calibrated_comparison.items() if cooperation}
     worst = max(means.values())
     _verdict(worst < 0.05, 9,
              "cooperation-on global blocking on the calibrated scenario: worst "

@@ -4,13 +4,13 @@ from pathlib import Path
 
 import pytest
 
+from accessim import run_grid
 from accessim.analytics import (
     ExchangeMatrix,
     ScopeStats,
     accrue,
     arrivals_mean,
     blocking_stats,
-    compare_cooperation,
     exchange_matrix,
     ledger_means,
     profit_stats,
@@ -222,28 +222,34 @@ def _single_op_scenario():
     ))
 
 
+def _blocking_delta(off, on):
+    """Mean off-minus-on global blocking: positive when cooperation helps."""
+    return blocking_stats(off).overall.mean - blocking_stats(on).overall.mean
+
+
 def test_comparison_is_neutral_when_nothing_can_transfer():
-    comparison = compare_cooperation(_single_op_scenario(), sweep=[2.5, 5.0])
-    assert [e.mean_interarrival_s for e in comparison.entries] == [2.5, 5.0]
-    for entry in comparison.entries:
-        assert entry.on.results == entry.off.results
-        assert entry.blocking_delta == 0.0
-        assert entry.profit_delta(1) == pytest.approx(0.0)
+    grid = run_grid(_single_op_scenario(), [2.5, 5.0], (True, False))
+    assert list(grid) == [(2.5, True), (2.5, False), (5.0, True), (5.0, False)]
+    for rate in (2.5, 5.0):
+        on, off = grid[rate, True], grid[rate, False]
+        assert on.results == off.results
+        assert _blocking_delta(off, on) == 0.0
+        assert profit_stats(on)[1].mean - profit_stats(off)[1].mean == pytest.approx(0.0)
 
 
 def test_comparison_shares_random_draws_between_modes():
     scenario = replace(load_scenario(SCENARIO_DIR / "calibrated.json"),
                        replications=4, duration_s=600.0)
-    comparison = compare_cooperation(scenario, sweep=[2.5])
-    entry = comparison.entries[0]
-    assert [r.arrivals for r in entry.on.results] == [r.arrivals for r in entry.off.results]
-    assert [r.seed for r in entry.on.results] == [r.seed for r in entry.off.results]
-    assert entry.blocking_delta >= 0.0
+    grid = run_grid(scenario, [2.5], (True, False))
+    on, off = grid[2.5, True], grid[2.5, False]
+    assert [r.arrivals for r in on.results] == [r.arrivals for r in off.results]
+    assert [r.seed for r in on.results] == [r.seed for r in off.results]
+    assert _blocking_delta(off, on) >= 0.0
 
 
-def test_default_sweep_is_the_scenario_rate():
-    comparison = compare_cooperation(_single_op_scenario())
-    assert [e.mean_interarrival_s for e in comparison.entries] == [2.5]
+def test_grid_runs_a_repeated_rate_once():
+    grid = run_grid(_single_op_scenario(), [5.0, 2.5, 5.0], (False,))
+    assert list(grid) == [(5.0, False), (2.5, False)]
 
 
 def test_ledgers_reconcile_with_session_log():

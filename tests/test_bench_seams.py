@@ -4,16 +4,23 @@
 caller looks the name up, and `benchmarks/child.py` checks the traced call
 counts against the replications' own counters.  A refactor that renames or
 bypasses one of those seams breaks traced benchmark runs; this runs the
-tracer and the check on a small cooperating experiment instead.
+tracer and the check on a small cooperating experiment instead.  The child
+also counts every replication of a command by wrapping `cli.run_experiment`,
+so the sweep and compare grids must run through that name.
 """
 
+import csv
 from dataclasses import replace
 from pathlib import Path
 
-from accessim import engine
+import pytest
+
+from accessim import analytics, cli, engine
 from accessim.model import default_scenario
 
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARKS = ROOT / "benchmarks"
+CALIBRATED = ROOT / "scenarios" / "calibrated.json"
 
 
 def test_traced_cooperating_experiment_passes_the_trace_check(monkeypatch):
@@ -21,12 +28,45 @@ def test_traced_cooperating_experiment_passes_the_trace_check(monkeypatch):
     import child
     from tracer import Tracer
 
+    scenario = replace(default_scenario(), replications=2, cooperation=True)
     tracer = Tracer().install()
     try:
-        engine.run_experiment(replace(default_scenario(), replications=2, cooperation=True))
+        engine.run_experiment(scenario)
     finally:
         tracer.uninstall()
     summary = tracer.summary()
     assert len(tracer.results) == 2
     assert child.check_trace(tracer, summary) == []
     assert summary["spans"]["scoring.candidate_score"]["calls"] > 0
+    # Bit rates are looked up only while each replication builds its admission
+    # table: one per (home, service kind, operator).
+    table_lookups = len(scenario.operators) ** 2 * len(scenario.requirements)
+    assert summary["spans"]["model.demand_rate"]["calls"] == 2 * table_lookups
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_every_grid_replication_goes_through_cli_run_experiment(command, tmp_path,
+                                                                monkeypatch):
+    # benchmarks/child.py captures the reports exactly this way.
+    reports = []
+    run_experiment = cli.run_experiment
+
+    def captured(*args, **kwargs):
+        report = run_experiment(*args, **kwargs)
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(cli, "run_experiment", captured)
+    assert cli.main([command, "--scenario", str(CALIBRATED), "--out", str(tmp_path),
+                     "--sweep", "2.5,5", "--replications", "2"]) == 0
+    results = [result for report in reports for result in report.results]
+    assert len(results) == 2 * 2 * 2
+    if command == "sweep":
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            written = [int(row["arrivals"]) for row in csv.DictReader(fh)]
+        assert written == [result.arrivals for result in results]
+    else:
+        with open(tmp_path / "compare.csv", newline="") as fh:
+            written = [float(row["arrivals_mean"]) for row in csv.DictReader(fh)]
+        assert written == [pytest.approx(analytics.arrivals_mean(report))
+                           for report in reports]

@@ -96,10 +96,11 @@ def test_unreadable_scenario_exits_1(tmp_path):
 
 
 def test_bad_sweep_list_is_a_usage_error(tmp_path):
-    proc = run_cli("sweep", "--scenario", CALIBRATED, "--out", str(tmp_path / "o"),
-                   "--sweep", "2.5,zero")
-    assert proc.returncode == 2
-    assert not (tmp_path / "o").exists()
+    for sweep in ("2.5,zero", "nan", "inf", "2.5,-1"):
+        proc = run_cli("sweep", "--scenario", CALIBRATED, "--out", str(tmp_path / "o"),
+                       "--sweep", sweep)
+        assert proc.returncode == 2, sweep
+        assert not (tmp_path / "o").exists(), sweep
 
 
 def test_sweep_blocks_and_charts(tmp_path):

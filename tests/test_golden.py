@@ -1,4 +1,4 @@
-"""Golden digests: the CSV reports of both shipped scenarios, byte for byte.
+"""Golden digests: the CSV reports and SVG charts of both shipped scenarios, byte for byte.
 
 A change to any digest means the simulator's output changed.  That is only
 allowed when the change declares it; then re-record the digests below with
@@ -33,6 +33,17 @@ GOLDEN = {
     },
 }
 
+GOLDEN_CHARTS = {
+    "default": {
+        "blocking.svg": "ee25cdd1c24899999c67546b3ad15ba41496e2c15ee16e4541eb3b55c03283ab",
+        "profits.svg": "cca11a254401544ff2fffb75ac7613e2fb2ddff64cd436255a2f5a33afa0057e",
+    },
+    "calibrated": {
+        "blocking.svg": "40d46702b3a041fd9ceb2704aac6b992b5db27e36ad32b72af7e5f9747b200c9",
+        "profits.svg": "0e40761030446a98f9221d018711361b53c52462ca605483f778b94ee594455e",
+    },
+}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_shipped_scenario_reports_match_golden_digests(name, tmp_path):
@@ -46,3 +57,13 @@ def test_shipped_scenario_reports_match_golden_digests(name, tmp_path):
     digests = {csv: hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest()
                for csv in GOLDEN[name]}
     assert digests == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CHARTS))
+def test_shipped_scenario_charts_match_golden_digests(name, tmp_path):
+    scenario = str(SCENARIO_DIR / f"{name}.json")
+    assert main(["sweep", "--scenario", scenario, "--out", str(tmp_path),
+                 *SHORT_SWEEP, *COMMON]) == 0
+    digests = {svg: hashlib.sha256((tmp_path / svg).read_bytes()).hexdigest()
+               for svg in GOLDEN_CHARTS[name]}
+    assert digests == GOLDEN_CHARTS[name]

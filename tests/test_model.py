@@ -245,14 +245,19 @@ def test_cooperation_must_be_a_json_boolean(raw):
     assert any("bad field cooperation" in v for v in err.value.violations)
 
 
-@pytest.mark.parametrize("name", ["replications", "base_seed"])
-@pytest.mark.parametrize("raw", [2.7, "3", True, float("inf")])
+@pytest.mark.parametrize("name", ["replications", "base_seed", "operator_id"])
+@pytest.mark.parametrize("raw", [2.7, 1.5, "3", True, float("inf")])
 def test_counts_and_seeds_must_be_integral(name, raw):
     doc = scenario_to_dict(default_scenario())
-    doc[name] = raw
+    if name == "operator_id":
+        doc["operators"][0]["id"] = raw
+        expected = "bad operator entry operators[0]"
+    else:
+        doc[name] = raw
+        expected = f"bad field {name}"
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(doc)
-    assert any(f"bad field {name}" in v for v in err.value.violations)
+    assert any(expected in v for v in err.value.violations)
 
 
 def test_integral_float_count_and_seed_are_accepted():

@@ -1,0 +1,120 @@
+"""Randomized invariants over valid scenarios (Hypothesis).
+
+Every scenario drawn here passes validation, so each one must run to
+completion; the runs must conserve arrivals and settle to zero across the
+ledgers, and the JSON form must give back the same scenario.
+"""
+
+import json
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from accessim.engine import run_experiment
+from accessim.model import (
+    ClassRequirements,
+    DemandTable,
+    OperatorNetwork,
+    Scenario,
+    ServiceKind,
+    Technology,
+    TrafficProfile,
+    UserPreferences,
+    scenario_from_dict,
+    scenario_to_dict,
+    validate_scenario,
+)
+
+PROPERTY_SETTINGS = settings(deadline=None, database=None, max_examples=60)
+
+positive = st.floats(min_value=0.01, max_value=100.0)
+probability = st.floats(min_value=1e-6, max_value=0.5)
+
+
+def _normalized(values):
+    total = sum(values)
+    return tuple(v / total for v in values)
+
+
+@st.composite
+def weights(draw, n):
+    return _normalized(draw(st.lists(st.integers(0, 10), min_size=n, max_size=n)
+                            .filter(any)))
+
+
+@st.composite
+def operators(draw):
+    ids = draw(st.lists(st.integers(1, 99), min_size=1, max_size=4, unique=True))
+    nets = []
+    for op_id in ids:
+        capacity = draw(st.floats(min_value=100.0, max_value=5000.0))
+        nets.append(OperatorNetwork(
+            id=op_id,
+            name=f"Op{op_id}",
+            technology=draw(st.sampled_from(Technology)),
+            capacity_kbps=capacity,
+            used_kbps=draw(st.sampled_from((0.0, capacity / 4))),
+            jitter_ms=draw(positive),
+            delay_ms=draw(positive),
+            ber=draw(probability),
+            sp=draw(positive),
+            cs=draw(positive),
+            w_u=draw(st.floats(min_value=0.0, max_value=2.0)),
+            w_op=draw(st.floats(min_value=0.0, max_value=2.0)),
+        ))
+    return tuple(nets)
+
+
+@st.composite
+def scenarios(draw):
+    profiles = draw(st.lists(st.tuples(st.sampled_from(ServiceKind), weights(2)),
+                             min_size=1, max_size=4))
+    mix = _normalized(draw(st.lists(st.integers(1, 10), min_size=len(profiles),
+                                    max_size=len(profiles))))
+    scenario = Scenario(
+        operators=draw(operators()),
+        demand=DemandTable({(kind, tech): draw(st.floats(min_value=16.0, max_value=2048.0))
+                            for kind in ServiceKind for tech in Technology}),
+        qos_weights={kind: draw(weights(4)) for kind in ServiceKind},
+        requirements={kind: ClassRequirements(jitter_req=draw(positive),
+                                              delay_req=draw(positive),
+                                              ber_req=draw(probability))
+                      for kind in ServiceKind},
+        profile_mix=tuple(TrafficProfile(service=kind, prefs=UserPreferences(*prefs),
+                                         probability=p)
+                          for (kind, prefs), p in zip(profiles, mix)),
+        mean_interarrival_s=draw(st.floats(min_value=0.2, max_value=10.0)),
+        mean_service_s=draw(st.floats(min_value=1.0, max_value=120.0)),
+        duration_s=draw(st.floats(min_value=1.0, max_value=60.0)),
+        replications=draw(st.integers(1, 2)),
+        base_seed=draw(st.integers(0, 2**31)),
+        cooperation=draw(st.booleans()),
+        billing=draw(st.sampled_from(("volume", "per_session"))),
+    )
+    assert validate_scenario(scenario) == []
+    return scenario
+
+
+@PROPERTY_SETTINGS
+@given(scenarios())
+def test_valid_scenarios_run_and_conserve_arrivals_and_money(scenario):
+    report = run_experiment(scenario)
+    assert len(report.results) == scenario.replications
+    for result in report.results:
+        assert result.arrivals == (result.blocked + result.served_home
+                                   + result.served_transferred)
+        for net in scenario.operators:
+            assert result.arrivals_by_home[net.id] == (
+                result.blocked_by_home[net.id] + result.served_home_by_op[net.id]
+                + result.transferred_by_home[net.id])
+        guests = sum(ledger.income_guests for ledger in result.ledgers.values())
+        paid = sum(ledger.cost_paid for ledger in result.ledgers.values())
+        assert math.isclose(guests, paid, rel_tol=1e-9, abs_tol=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(scenarios())
+def test_json_round_trip_is_exact(scenario):
+    doc = json.loads(json.dumps(scenario_to_dict(scenario)))
+    assert scenario_from_dict(doc) == scenario

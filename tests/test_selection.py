@@ -228,3 +228,22 @@ def test_shared_decisions_are_read_only():
             decision.breakdowns[1] = None
         with pytest.raises(TypeError):
             decision.objectives[1] = 0.0
+
+
+def test_served_decisions_carry_the_serving_rate():
+    # The engine books decision.rate_kbps on the serving network without
+    # asking the demand table again, so it must be that network's rate.
+    rng = random.Random(8675309)
+    outcomes = set()
+    for _ in range(300):
+        request, networks, demand, requirements = random_instance(rng)
+        decision = admit(request, AdmissionTable(networks, demand, requirements),
+                         cooperation=True)
+        if not decision.served:
+            assert decision.rate_kbps is None
+            continue
+        serving = next(net for net in networks if net.id == decision.serving_op)
+        assert decision.rate_kbps == demand.rate(request.service_class.kind,
+                                                 serving.technology)
+        outcomes.add(decision.outcome)
+    assert outcomes == {Outcome.SERVED_HOME, Outcome.SERVED_TRANSFER}
