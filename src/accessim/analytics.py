@@ -78,15 +78,12 @@ class ExchangeMatrix:
 
 def exchange_matrix(report: MetricsReport | Iterable[ReplicationResult],
                     op_ids=None) -> ExchangeMatrix:
+    """Sum a report's exchange counts; plain results need their ``op_ids`` given."""
     if isinstance(report, MetricsReport):
-        results = report.results
         op_ids = tuple(net.id for net in report.scenario.operators)
-    else:
-        results = list(report)
-        if op_ids is None:
-            op_ids = tuple(sorted({i for r in results for i in r.arrivals_by_home}))
+        report = report.results
     counts: dict[tuple[int, int, ServiceKind], int] = {}
-    for result in results:
+    for result in report:
         for key, n in result.exchange.items():
             counts[key] = counts.get(key, 0) + n
     return ExchangeMatrix(op_ids=tuple(op_ids), counts=counts)
@@ -144,21 +141,6 @@ def profit_stats(report: MetricsReport) -> dict[int, ScopeStats]:
         net.id: ScopeStats(tuple(r.ledgers[net.id].profit for r in report.results))
         for net in report.scenario.operators
     }
-
-
-def ledger_means(report: MetricsReport) -> dict[int, OperatorLedger]:
-    """Mean ledger components per operator over replications."""
-    n = len(report.results)
-    out = {}
-    for net in report.scenario.operators:
-        out[net.id] = OperatorLedger(
-            income_own=sum(r.ledgers[net.id].income_own for r in report.results) / n,
-            income_transferred=sum(r.ledgers[net.id].income_transferred
-                                   for r in report.results) / n,
-            income_guests=sum(r.ledgers[net.id].income_guests for r in report.results) / n,
-            cost_paid=sum(r.ledgers[net.id].cost_paid for r in report.results) / n,
-        )
-    return out
 
 
 def arrivals_mean(report: MetricsReport):

@@ -43,9 +43,8 @@ def _fmt(value: float) -> str:
     return f"{value:.4g}"
 
 
-def line_chart(title: str, x_label: str, y_label: str, series) -> str:
+def line_chart(title: str, x_label: str, y_label: str, series: list[Series]) -> str:
     """Render labelled series as an SVG document string."""
-    series = [s if isinstance(s, Series) else Series(s[0], tuple(s[1])) for s in series]
     drawn = [s for s in series if s.points]
     if not drawn:
         raise ValueError("nothing to draw: every series is empty")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -48,10 +48,6 @@ class ServiceClass:
 
     kind: ServiceKind
     qos_weights: tuple[float, float, float, float]
-
-    @classmethod
-    def default(cls, kind):
-        return cls(kind=ServiceKind(kind), qos_weights=DEFAULT_QOS_WEIGHTS[ServiceKind(kind)])
 
 
 @dataclass(frozen=True)
@@ -275,24 +271,20 @@ def _check_weight_sum(violations, label, values):
 
 def _numeric_fields(scenario: Scenario):
     """Yield (label, value) for every real-valued field of a scenario."""
-    for i, net in enumerate(scenario.operators):
-        for name in ("capacity_kbps", "used_kbps", "jitter_ms", "delay_ms", "ber",
-                     "sp", "cs", "w_u", "w_op"):
-            yield f"operators[{i}].{name}", getattr(net, name)
+    records = [(f"operators[{i}].", net) for i, net in enumerate(scenario.operators)]
+    records += [(f"requirements[{kind}].", bounds)
+                for kind, bounds in scenario.requirements.items()]
+    records += [(f"profile_mix[{i}].", profile) for i, profile in enumerate(scenario.profile_mix)]
+    records.append(("", scenario))
+    for where, record in records:
+        for f, value in _flat_fields(record):
+            if f.type == "float":
+                yield where + f.name, value
     for (kind, tech), rate in scenario.demand.rates.items():
         yield f"demand[{kind}][{tech}]", rate
     for kind, weights in scenario.qos_weights.items():
         for j, weight in enumerate(weights):
             yield f"qos_weights[{kind}][{j}]", weight
-    for kind, bounds in scenario.requirements.items():
-        for name in ("jitter_req", "delay_req", "ber_req"):
-            yield f"requirements[{kind}].{name}", getattr(bounds, name)
-    for i, profile in enumerate(scenario.profile_mix):
-        yield f"profile_mix[{i}].w_qos", profile.prefs.w_qos
-        yield f"profile_mix[{i}].w_price", profile.prefs.w_price
-        yield f"profile_mix[{i}].probability", profile.probability
-    for name in ("mean_interarrival_s", "mean_service_s", "duration_s"):
-        yield name, getattr(scenario, name)
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
@@ -428,27 +420,26 @@ def default_scenario() -> Scenario:
 
 
 # --------------------------------------------------------------------------
-# JSON serialization (field names mirror the dataclasses one-to-one)
+# JSON serialization: the dataclass fields are the schema (docs/scenario_schema.md)
+
+def _flat_fields(record):
+    """(field, value) pairs of a record, with a nested record's pairs in its place."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if is_dataclass(value):
+            yield from _flat_fields(value)
+        else:
+            yield f, value
+
+
+def _record_to_dict(record) -> dict:
+    return {f.name: value.value if isinstance(value, Enum) else value
+            for f, value in _flat_fields(record)}
+
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     return {
-        "operators": [
-            {
-                "id": net.id,
-                "name": net.name,
-                "technology": net.technology.value,
-                "capacity_kbps": net.capacity_kbps,
-                "used_kbps": net.used_kbps,
-                "jitter_ms": net.jitter_ms,
-                "delay_ms": net.delay_ms,
-                "ber": net.ber,
-                "sp": net.sp,
-                "cs": net.cs,
-                "w_u": net.w_u,
-                "w_op": net.w_op,
-            }
-            for net in scenario.operators
-        ],
+        "operators": [_record_to_dict(net) for net in scenario.operators],
         "demand": {
             kind.value: {
                 tech.value: scenario.demand.rates[(kind, tech)]
@@ -460,37 +451,26 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             kind.value: list(weights) for kind, weights in scenario.qos_weights.items()
         },
         "requirements": {
-            kind.value: {
-                "jitter_req": bounds.jitter_req,
-                "delay_req": bounds.delay_req,
-                "ber_req": bounds.ber_req,
-            }
-            for kind, bounds in scenario.requirements.items()
+            kind.value: _record_to_dict(bounds) for kind, bounds in scenario.requirements.items()
         },
-        "profile_mix": [
-            {
-                "service": p.service.value,
-                "w_qos": p.prefs.w_qos,
-                "w_price": p.prefs.w_price,
-                "probability": p.probability,
-            }
-            for p in scenario.profile_mix
-        ],
-        "mean_interarrival_s": scenario.mean_interarrival_s,
-        "mean_service_s": scenario.mean_service_s,
-        "duration_s": scenario.duration_s,
-        "replications": scenario.replications,
-        "base_seed": scenario.base_seed,
-        "cooperation": scenario.cooperation,
-        "billing": scenario.billing,
+        "profile_mix": [_record_to_dict(p) for p in scenario.profile_mix],
+        **{f.name: getattr(scenario, f.name) for f in fields(Scenario) if f.default is not MISSING},
     }
+
+
+def _strict_float(raw) -> float:
+    """A JSON number as a float; unlike float(), refuses "0.1", booleans and overflow."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise TypeError(f"expected a number, got {raw!r}")
+    try:
+        return float(raw)
+    except OverflowError:
+        raise ValueError("integer too large") from None
 
 
 def _strict_int(raw) -> int:
     """An integral JSON number; unlike int(), refuses 2.7, "2" and booleans."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise TypeError(f"expected an integer, got {raw!r}")
-    if isinstance(raw, float) and not raw.is_integer():
+    if not _strict_float(raw).is_integer():
         raise ValueError(f"expected an integer, got {raw!r}")
     return int(raw)
 
@@ -502,103 +482,102 @@ def _strict_bool(raw) -> bool:
     return raw
 
 
+def _strict_str(raw) -> str:
+    """A JSON string; unlike str(), refuses 5 and null."""
+    if not isinstance(raw, str):
+        raise TypeError(f"expected a string, got {raw!r}")
+    return raw
+
+
+# Field annotations are strings under `from __future__ import annotations`.
+_CASTS = {"float": _strict_float, "int": _strict_int, "bool": _strict_bool, "str": _strict_str,
+          "Technology": Technology, "ServiceKind": ServiceKind}
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document; structural problems raise ScenarioError."""
     problems: list[str] = []
 
-    def need(mapping, key, where):
-        if key not in mapping:
-            problems.append(f"missing field: {where}{key}")
-            return None
-        return mapping[key]
-
     if not isinstance(doc, dict):
         raise ScenarioError(["scenario document must be a JSON object"])
 
+    def expect(value, kind, label):
+        """``value`` if it is a ``kind`` (dict or list), else a violation and an empty one."""
+        if isinstance(value, kind):
+            return value
+        json_kind = "an object" if kind is dict else "an array"
+        problems.append(f"{label}: expected {json_kind}, got {value!r}")
+        return kind()
+
+    def record(cls, entry, what, where, **given):
+        """Build ``cls`` from the object ``entry``, casting each field by its annotation.
+
+        Fields in ``given`` are used as they are and absent fields take the
+        dataclass default.  A non-object entry or a bad or missing field is
+        recorded as a violation, and then no record is built (None).
+        """
+        if not isinstance(entry, dict):
+            problems.append(f"bad {what} {where[:-1]}: expected an object, got {entry!r}")
+            return None
+        found = len(problems)
+        for f in fields(cls):
+            if f.name in given:
+                continue
+            if f.name in entry:
+                try:
+                    given[f.name] = _CASTS[f.type](entry[f.name])
+                except (TypeError, ValueError) as exc:
+                    problems.append(f"bad {what} {where}{f.name}: {exc}")
+            elif f.default is MISSING:
+                problems.append(f"missing field: {where}{f.name}")
+        return cls(**given) if len(problems) == found else None
+
     operators = []
-    for i, entry in enumerate(doc.get("operators", []) or []):
-        where = f"operators[{i}]."
-        try:
-            operators.append(OperatorNetwork(
-                id=_strict_int(need(entry, "id", where)),
-                name=str(entry.get("name", f"Op{entry.get('id', i)}")),
-                technology=Technology(need(entry, "technology", where)),
-                capacity_kbps=float(need(entry, "capacity_kbps", where)),
-                used_kbps=float(entry.get("used_kbps", 0.0)),
-                jitter_ms=float(need(entry, "jitter_ms", where)),
-                delay_ms=float(need(entry, "delay_ms", where)),
-                ber=float(need(entry, "ber", where)),
-                sp=float(need(entry, "sp", where)),
-                cs=float(need(entry, "cs", where)),
-                w_u=float(entry.get("w_u", 1.0)),
-                w_op=float(entry.get("w_op", 1.0)),
-            ))
-        except (TypeError, ValueError) as exc:
-            problems.append(f"bad operator entry {where[:-1]}: {exc}")
+    for i, entry in enumerate(expect(doc.get("operators", []), list, "bad field operators")):
+        if isinstance(entry, dict) and "name" not in entry:
+            entry = {**entry, "name": f"Op{entry.get('id', i)}"}
+        operators.append(record(OperatorNetwork, entry, "operator entry", f"operators[{i}]."))
 
     rates = {}
-    for kind_name, per_tech in (doc.get("demand") or {}).items():
-        for tech_name, rate in (per_tech or {}).items():
+    for kind_name, per_tech in expect(doc.get("demand", {}), dict, "bad field demand").items():
+        where = f"demand[{kind_name}]"
+        for tech_name, rate in expect(per_tech, dict, f"bad demand entry {where}").items():
             try:
-                rates[(ServiceKind(kind_name), Technology(tech_name))] = float(rate)
+                rates[(ServiceKind(kind_name), Technology(tech_name))] = _strict_float(rate)
             except (TypeError, ValueError) as exc:
-                problems.append(f"bad demand entry demand[{kind_name}][{tech_name}]: {exc}")
+                problems.append(f"bad demand entry {where}[{tech_name}]: {exc}")
 
     qos_weights = {}
-    for kind_name, weights in (doc.get("qos_weights") or {}).items():
+    for kind_name, weights in expect(doc.get("qos_weights", {}), dict,
+                                     "bad field qos_weights").items():
         try:
-            qos_weights[ServiceKind(kind_name)] = tuple(float(w) for w in weights)
+            qos_weights[ServiceKind(kind_name)] = tuple(_strict_float(w) for w in weights)
         except (TypeError, ValueError) as exc:
             problems.append(f"bad qos_weights[{kind_name}]: {exc}")
 
     requirements = {}
-    for kind_name, entry in (doc.get("requirements") or {}).items():
+    for kind_name, entry in expect(doc.get("requirements", {}), dict,
+                                   "bad field requirements").items():
         where = f"requirements[{kind_name}]."
         try:
-            requirements[ServiceKind(kind_name)] = ClassRequirements(
-                jitter_req=float(need(entry, "jitter_req", where)),
-                delay_req=float(need(entry, "delay_req", where)),
-                ber_req=float(need(entry, "ber_req", where)),
-            )
-        except (TypeError, ValueError) as exc:
+            requirements[ServiceKind(kind_name)] = record(
+                ClassRequirements, entry, "requirements entry", where)
+        except ValueError as exc:
             problems.append(f"bad requirements entry {where[:-1]}: {exc}")
 
     profile_mix = []
-    for i, entry in enumerate(doc.get("profile_mix", []) or []):
+    for i, entry in enumerate(expect(doc.get("profile_mix", []), list, "bad field profile_mix")):
         where = f"profile_mix[{i}]."
-        try:
-            profile_mix.append(TrafficProfile(
-                service=ServiceKind(need(entry, "service", where)),
-                prefs=UserPreferences(w_qos=float(need(entry, "w_qos", where)),
-                                      w_price=float(need(entry, "w_price", where))),
-                probability=float(need(entry, "probability", where)),
-            ))
-        except (TypeError, ValueError) as exc:
-            problems.append(f"bad profile entry {where[:-1]}: {exc}")
+        prefs = (record(UserPreferences, entry, "profile entry", where)
+                 if isinstance(entry, dict) else None)
+        profile_mix.append(record(TrafficProfile, entry, "profile entry", where, prefs=prefs))
 
-    scalars = {}
-    defaults = Scenario(operators=(), demand=DemandTable({}), qos_weights={},
-                        requirements={}, profile_mix=())
-    for name, cast in (("mean_interarrival_s", float), ("mean_service_s", float),
-                       ("duration_s", float), ("replications", _strict_int),
-                       ("base_seed", _strict_int), ("cooperation", _strict_bool),
-                       ("billing", str)):
-        raw = doc.get(name, getattr(defaults, name))
-        try:
-            scalars[name] = cast(raw)
-        except (TypeError, ValueError) as exc:
-            problems.append(f"bad field {name}: {exc}")
-
+    scenario = record(Scenario, doc, "field", "", operators=tuple(operators),
+                      demand=DemandTable(rates=rates), qos_weights=qos_weights,
+                      requirements=requirements, profile_mix=tuple(profile_mix))
     if problems:
         raise ScenarioError(problems)
-    return Scenario(
-        operators=tuple(operators),
-        demand=DemandTable(rates=rates),
-        qos_weights=qos_weights,
-        requirements=requirements,
-        profile_mix=tuple(profile_mix),
-        **scalars,
-    )
+    return scenario
 
 
 def load_scenario(path) -> Scenario:

@@ -25,9 +25,6 @@ class NormalizedQoS(NamedTuple):
     n_delay: float
     n_ber: float
 
-    def as_vector(self):
-        return tuple(self)
-
 
 @dataclass(frozen=True)
 class ScoreBreakdown:

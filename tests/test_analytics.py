@@ -12,7 +12,6 @@ from accessim.analytics import (
     arrivals_mean,
     blocking_stats,
     exchange_matrix,
-    ledger_means,
     profit_stats,
     session_volume_kbytes,
 )
@@ -194,10 +193,6 @@ def test_profit_and_ledger_means():
     profits = profit_stats(report)
     assert profits[1].mean == pytest.approx(65.0)
     assert profits[3].mean == pytest.approx(20.0)
-    means = ledger_means(report)
-    assert means[1].income_own == pytest.approx(75.0)
-    assert means[1].cost_paid == pytest.approx(10.0)
-    assert means[3].income_guests == pytest.approx(20.0)
     assert arrivals_mean(report) == pytest.approx(9.0)
 
 

@@ -1,9 +1,16 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import accessim
+
+# The CLI child process imports accessim from where this process found it,
+# so the tests also run from a checkout without an install.
+CHILD_PYTHONPATH = os.pathsep.join(filter(None, (
+    str(Path(accessim.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH"))))
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 CALIBRATED = str(SCENARIO_DIR / "calibrated.json")
 
@@ -23,7 +30,8 @@ EXCHANGE_HEADER = "from_operator,service_class,to_op1,to_op2,to_op3"
 
 def run_cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "accessim.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": CHILD_PYTHONPATH})
 
 
 def _rows(path):
@@ -86,6 +94,20 @@ def test_invalid_scenario_exits_2_without_partial_outputs(tmp_path):
     assert any("weight-sum violation" in line for line in lines)
     assert any("non-positive capacity" in line for line in lines)
     assert not out.exists()
+
+
+def test_non_object_demand_exits_2_without_partial_outputs(tmp_path):
+    for demand in ({"conversational": 5}, [1]):
+        doc = json.loads(Path(CALIBRATED).read_text())
+        doc["demand"] = demand
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "never"
+        proc = run_cli("run", "--scenario", str(bad), "--out", str(out))
+        assert proc.returncode == 2, demand
+        lines = [line for line in proc.stderr.splitlines() if line]
+        assert lines and all("demand" in line for line in lines), proc.stderr
+        assert not out.exists(), demand
 
 
 def test_unreadable_scenario_exits_1(tmp_path):

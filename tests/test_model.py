@@ -268,6 +268,39 @@ def test_integral_float_count_and_seed_are_accepted():
     assert type(s.replications) is int and type(s.base_seed) is int
 
 
+@pytest.mark.parametrize("path, raw, section", [
+    ("operators.0.capacity_kbps", True, "operators[0]"),
+    ("operators.0.sp", "0.1", "operators[0]"),
+    ("operators.0.name", 5, "operators[0]"),
+    pytest.param("operators.2.capacity_kbps", 10 ** 400, "operators[2]",
+                 id="operators.2.capacity_kbps-10**400"),
+    ("mean_service_s", "240", "mean_service_s"),
+    ("demand.interactive.WLAN", True, "demand"),
+    ("qos_weights.conversational.0", "0.05", "qos_weights"),
+    ("requirements.conversational.ber_req", "1e-3", "requirements"),
+    ("profile_mix.0.w_qos", True, "profile_mix[0]"),
+])
+def test_values_must_have_their_json_type(path, raw, section):
+    doc = scenario_to_dict(default_scenario())
+    *parents, key = (int(step) if step.isdigit() else step for step in path.split("."))
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[key] = raw
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert any(section in v for v in err.value.violations), err.value.violations
+
+
+def test_integral_json_number_loads_as_float():
+    doc = scenario_to_dict(default_scenario())
+    doc["operators"][0]["capacity_kbps"] = 1700
+    s = scenario_from_dict(doc)
+    assert type(s.operators[0].capacity_kbps) is float
+    assert s.operators[0].capacity_kbps == 1700.0
+    assert s == default_scenario()
+
+
 def test_non_finite_numbers_are_all_reported():
     s = _with_operator(default_scenario(), 0, sp=math.nan, w_u=math.nan)
     s = _with_operator(s, 2, capacity_kbps=math.inf)

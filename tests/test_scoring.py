@@ -128,7 +128,7 @@ def test_random_offers_stay_finite_and_bounded():
                               delay_req=rng.uniform(5.0, 250.0),
                               ber_req=10.0 ** rng.uniform(-7.0, -2.0))
         offered = normalize_offer(net, req)
-        assert all(math.isfinite(v) for v in offered.as_vector())
+        assert all(math.isfinite(v) for v in offered)
         assert 0.0 < offered.n_jitter <= 1.0
         assert 0.0 < offered.n_delay <= 1.0
         assert 0.0 < offered.n_ber <= 1.0
