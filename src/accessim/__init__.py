@@ -25,13 +25,12 @@ from .model import (
     scenario_to_dict,
     validate_scenario,
 )
-from .scoring import NormalizedQoS, ScoreBreakdown, candidate_score, normalize_offer, user_score
+from .scoring import NormalizedQoS, candidate_score, normalize_offer, user_score
 from .selection import (
     AdmissionDecision,
     AdmissionTable,
     Outcome,
     admit,
-    feasible,
     select_serving_operator,
     transfer_objective,
 )

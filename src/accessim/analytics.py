@@ -76,14 +76,10 @@ class ExchangeMatrix:
         return out
 
 
-def exchange_matrix(report: MetricsReport | Iterable[ReplicationResult],
-                    op_ids=None) -> ExchangeMatrix:
-    """Sum a report's exchange counts; plain results need their ``op_ids`` given."""
-    if isinstance(report, MetricsReport):
-        op_ids = tuple(net.id for net in report.scenario.operators)
-        report = report.results
+def exchange_matrix(results: Iterable[ReplicationResult], op_ids) -> ExchangeMatrix:
+    """Sum the exchange counts of replications whose operators are ``op_ids``."""
     counts: dict[tuple[int, int, ServiceKind], int] = {}
-    for result in report:
+    for result in results:
         for key, n in result.exchange.items():
             counts[key] = counts.get(key, 0) + n
     return ExchangeMatrix(op_ids=tuple(op_ids), counts=counts)

@@ -77,6 +77,9 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
                     ) -> ReplicationResult:
     """Simulate one replication and return its raw counts, exchange and ledgers.
 
+    A served session is booked into the ledgers at its departure and then
+    dropped; the result keeps no per-session record.
+
     Arrivals stop at the horizon; departures keep draining afterwards so the
     system always returns to its starting occupancy, but session volume is
     truncated at the horizon.  A network's scenario ``used_kbps`` is background
@@ -90,13 +93,12 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
 
     op_ids = [net.id for net in world]
     result = ReplicationResult(
-        seed=seed, arrivals=0, blocked=0, served_home=0, served_transferred=0,
+        seed=seed,
         arrivals_by_home={i: 0 for i in op_ids},
         blocked_by_home={i: 0 for i in op_ids},
         served_home_by_op={i: 0 for i in op_ids},
-        transferred_by_home={i: 0 for i in op_ids},
         exchange={}, ledgers={i: OperatorLedger() for i in op_ids},
-        sessions=[], interarrival_sum=0.0,
+        interarrival_sum=0.0,
     )
 
     heap = []
@@ -122,7 +124,6 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
             continue
 
         request = payload
-        result.arrivals += 1
         result.arrivals_by_home[request.home_op] += 1
 
         next_user += 1
@@ -134,7 +135,6 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
 
         decision = admit(request, table, scenario.cooperation)
         if not decision.served:
-            result.blocked += 1
             result.blocked_by_home[request.home_op] += 1
             continue
 
@@ -147,16 +147,12 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
         duration = streams.service_time.expovariate(1.0 / scenario.mean_service_s)
         session = Session(request=request, serving_op=serving.id, rate_kbps=rate,
                           start_s=t, duration_s=duration)
-        result.sessions.append(session)
         heapq.heappush(heap, (t + duration, DEPARTURE, seq, session))
         seq += 1
 
         if decision.outcome is Outcome.SERVED_HOME:
-            result.served_home += 1
             result.served_home_by_op[serving.id] += 1
         else:
-            result.served_transferred += 1
-            result.transferred_by_home[request.home_op] += 1
             key = (request.home_op, serving.id, request.service_class.kind)
             result.exchange[key] = result.exchange.get(key, 0) + 1
 

@@ -217,29 +217,51 @@ class OperatorLedger:
 
 @dataclass
 class ReplicationResult:
-    """Raw outcome of a single replication; aggregation happens in analytics."""
+    """Raw outcome of a single replication; aggregation happens in analytics.
+
+    Each count is stored once, per operator; the totals are derived from it.
+    """
 
     seed: int
-    arrivals: int
-    blocked: int
-    served_home: int
-    served_transferred: int
     arrivals_by_home: dict[int, int]
     blocked_by_home: dict[int, int]
     served_home_by_op: dict[int, int]
-    transferred_by_home: dict[int, int]
-    exchange: dict[tuple[int, int, ServiceKind], int]
+    exchange: dict[tuple[int, int, ServiceKind], int]  # transfers by (home, serving, kind)
     ledgers: dict[int, OperatorLedger]
-    sessions: list[Session]
     interarrival_sum: float
 
     @property
-    def served_ids(self):
-        return {s.request.user_id for s in self.sessions}
+    def arrivals(self):
+        return sum(self.arrivals_by_home.values())
+
+    @property
+    def blocked(self):
+        return sum(self.blocked_by_home.values())
+
+    @property
+    def served_home(self):
+        return sum(self.served_home_by_op.values())
+
+    @property
+    def served_transferred(self):
+        return sum(self.exchange.values())
+
+    @property
+    def transferred_by_home(self):
+        by_home = dict.fromkeys(self.arrivals_by_home, 0)
+        for (home, _, _), n in self.exchange.items():
+            by_home[home] += n
+        return by_home
+
+    @property
+    def sessions(self):
+        """Always empty: no session is kept.  benchmarks/tracer.py reads its length."""
+        return ()
 
     @property
     def blocking_probability(self):
-        return self.blocked / self.arrivals if self.arrivals else 0.0
+        arrivals = self.arrivals
+        return self.blocked / arrivals if arrivals else 0.0
 
 
 @dataclass
@@ -532,11 +554,18 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 problems.append(f"missing field: {where}{f.name}")
         return cls(**given) if len(problems) == found else None
 
+    def reject_unknown(entry, where, *classes, spliced=()):
+        """Report every key of the object ``entry`` that is no field of ``classes``."""
+        if isinstance(entry, dict):
+            known = {f.name for cls in classes for f in fields(cls)} - set(spliced)
+            problems.extend(f"unknown field: {where}{key}" for key in entry if key not in known)
+
     operators = []
     for i, entry in enumerate(expect(doc.get("operators", []), list, "bad field operators")):
         if isinstance(entry, dict) and "name" not in entry:
             entry = {**entry, "name": f"Op{entry.get('id', i)}"}
         operators.append(record(OperatorNetwork, entry, "operator entry", f"operators[{i}]."))
+        reject_unknown(entry, f"operators[{i}].", OperatorNetwork)
 
     rates = {}
     for kind_name, per_tech in expect(doc.get("demand", {}), dict, "bad field demand").items():
@@ -564,6 +593,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 ClassRequirements, entry, "requirements entry", where)
         except ValueError as exc:
             problems.append(f"bad requirements entry {where[:-1]}: {exc}")
+        reject_unknown(entry, where, ClassRequirements)
 
     profile_mix = []
     for i, entry in enumerate(expect(doc.get("profile_mix", []), list, "bad field profile_mix")):
@@ -571,10 +601,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
         prefs = (record(UserPreferences, entry, "profile entry", where)
                  if isinstance(entry, dict) else None)
         profile_mix.append(record(TrafficProfile, entry, "profile entry", where, prefs=prefs))
+        # The preference weights sit in the profile object itself, not under "prefs".
+        reject_unknown(entry, where, TrafficProfile, UserPreferences, spliced=("prefs",))
 
     scenario = record(Scenario, doc, "field", "", operators=tuple(operators),
                       demand=DemandTable(rates=rates), qos_weights=qos_weights,
                       requirements=requirements, profile_mix=tuple(profile_mix))
+    reject_unknown(doc, "", Scenario)
     if problems:
         raise ScenarioError(problems)
     return scenario

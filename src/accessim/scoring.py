@@ -11,7 +11,6 @@ networks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import OperatorNetwork, QoSRequirements, ServiceClass, UserPreferences
@@ -24,19 +23,6 @@ class NormalizedQoS(NamedTuple):
     n_jitter: float
     n_delay: float
     n_ber: float
-
-
-@dataclass(frozen=True)
-class ScoreBreakdown:
-    """User score, candidate score and their components for one (request, candidate) pair."""
-
-    s_u: float
-    s_qos: float
-    s_t: float
-    s_tqos: float
-    p_norm: float
-    sp_norm: float
-    cs_norm: float
 
 
 def normalize_offer(net: OperatorNetwork, req: QoSRequirements) -> NormalizedQoS:

@@ -17,9 +17,8 @@ only the live ``used_kbps`` and scores the candidates that pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .model import (
@@ -30,7 +29,7 @@ from .model import (
     ServiceKind,
     ServiceRequest,
 )
-from .scoring import ScoreBreakdown, candidate_score, user_score
+from .scoring import candidate_score, user_score
 
 # Objectives closer than this are treated as tied and broken by lowest operator id.
 TIE_EPS = 1e-12
@@ -47,19 +46,14 @@ class AdmissionDecision:
     outcome: Outcome
     serving_op: int | None = None
     rate_kbps: float | None = None  # what the session takes on serving_op
-    breakdowns: Mapping[int, ScoreBreakdown] = field(default_factory=dict)
-    objectives: Mapping[int, float] = field(default_factory=dict)
-    infeasible: tuple[int, ...] = ()
 
     @property
     def served(self):
         return self.outcome is not Outcome.BLOCKED
 
 
-# Decisions shared by every caller carry read-only mappings.
-_NOTHING_SCORED = MappingProxyType({})
-_BLOCKED_AT_HOME = AdmissionDecision(Outcome.BLOCKED, breakdowns=_NOTHING_SCORED,
-                                     objectives=_NOTHING_SCORED)
+# Every blocked request, at home or after a failed transfer, gets this one decision.
+BLOCKED = AdmissionDecision(Outcome.BLOCKED)
 
 
 def meets_bounds(net: OperatorNetwork, req: ClassRequirements | QoSRequirements) -> bool:
@@ -67,16 +61,6 @@ def meets_bounds(net: OperatorNetwork, req: ClassRequirements | QoSRequirements)
     return (net.jitter_ms <= req.jitter_req
             and net.delay_ms <= req.delay_req
             and net.ber <= req.ber_req)
-
-
-def feasible(net: OperatorNetwork, req: ClassRequirements | QoSRequirements,
-             rate_kbps: float) -> bool:
-    """Hard gate on all four axes; remaining bandwidth exactly equal to the rate admits.
-
-    Only the jitter, delay and BER bounds of ``req`` are read, so the per-class
-    requirements serve as they are; bandwidth comes in as ``rate_kbps``.
-    """
-    return meets_bounds(net, req) and net.remaining_kbps >= rate_kbps
 
 
 def transfer_objective(home: OperatorNetwork, s_u: float, s_t: float,
@@ -132,8 +116,7 @@ class AdmissionTable:
                                                 cand.cs / self.sp_max))
                 rate = demand.rate(kind, home.technology)
                 served = AdmissionDecision(Outcome.SERVED_HOME, serving_op=home.id,
-                                           rate_kbps=rate, breakdowns=_NOTHING_SCORED,
-                                           objectives=_NOTHING_SCORED)
+                                           rate_kbps=rate)
                 self.routes[home.id, kind] = Route(
                     home, rate, meets_bounds(home, bounds), served, tuple(candidates))
 
@@ -150,30 +133,21 @@ def select_serving_operator(request: ServiceRequest, table: AdmissionTable
     prefs = request.prefs
     sp_max = table.sp_max
 
-    breakdowns: dict[int, ScoreBreakdown] = {}
-    objectives: dict[int, float] = {}
-    infeasible: list[int] = []
     best_id = None
     best_obj = best_rate = 0.0
     for cand, rate, in_bounds, req, cs_norm in route.candidates:
         if not (in_bounds and cand.remaining_kbps >= rate):
-            infeasible.append(cand.id)
             continue
         if best_id is None:  # the first candidate to pass: score the user once
-            s_u, s_qos, p_norm = user_score(prefs, request.price_paid, sp_max)
-        s_t, s_tqos, sp_norm = candidate_score(cand, service_class, prefs, req, sp_max)
-        breakdowns[cand.id] = ScoreBreakdown(s_u=s_u, s_qos=s_qos, s_t=s_t, s_tqos=s_tqos,
-                                             p_norm=p_norm, sp_norm=sp_norm, cs_norm=cs_norm)
+            s_u, _, p_norm = user_score(prefs, request.price_paid, sp_max)
+        s_t, _, _ = candidate_score(cand, service_class, prefs, req, sp_max)
         obj = transfer_objective(home, s_u, s_t, p_norm, cs_norm)
-        objectives[cand.id] = obj
         if best_id is None or obj < best_obj - TIE_EPS:
             best_id, best_obj, best_rate = cand.id, obj, rate
 
     if best_id is None:
-        return AdmissionDecision(Outcome.BLOCKED, infeasible=tuple(infeasible))
-    return AdmissionDecision(Outcome.SERVED_TRANSFER, serving_op=best_id,
-                             rate_kbps=best_rate, breakdowns=breakdowns, objectives=objectives,
-                             infeasible=tuple(infeasible))
+        return BLOCKED
+    return AdmissionDecision(Outcome.SERVED_TRANSFER, serving_op=best_id, rate_kbps=best_rate)
 
 
 def admit(request: ServiceRequest, table: AdmissionTable,
@@ -184,5 +158,5 @@ def admit(request: ServiceRequest, table: AdmissionTable,
     if route.in_bounds and home.remaining_kbps >= route.rate:
         return route.served
     if not cooperation:
-        return _BLOCKED_AT_HOME
+        return BLOCKED
     return select_serving_operator(request, table)

@@ -31,8 +31,10 @@ from accessim.model import (
 from accessim.selection import AdmissionTable, Outcome, admit
 
 from oracles import oracle_admit, random_instance
+from session_log import SessionLog
 from test_cli import run_cli
 from test_engine import replay_capacity
+from test_selection import hand_scored
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SWEEP = (2.5, 25.0 / 9.0, 10.0 / 3.0, 5.0)
@@ -45,28 +47,39 @@ def _verdict(ok: bool, number: int, text: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def default_on_reports():
-    scenario = default_scenario()
-    return {rate: run_experiment(replace(scenario, mean_interarrival_s=rate))
-            for rate in SWEEP}
+def session_log():
+    """The sessions served by this module's experiments, recorded as they run."""
+    return SessionLog()
 
 
 @pytest.fixture(scope="module")
-def calibrated_comparison():
+def default_on_reports(session_log):
+    scenario = default_scenario()
+    with session_log.recording():
+        return {rate: run_experiment(replace(scenario, mean_interarrival_s=rate))
+                for rate in SWEEP}
+
+
+@pytest.fixture(scope="module")
+def calibrated_comparison(session_log):
     scenario = load_scenario(SCENARIO_DIR / "calibrated.json")
-    return run_grid(scenario, SWEEP, (True, False))
+    with session_log.recording():
+        return run_grid(scenario, SWEEP, (True, False))
 
 
-def test_criterion_1_no_loss_sensitive_sessions_on_umts(default_on_reports):
-    violations = 0
+def test_criterion_1_no_loss_sensitive_sessions_on_umts(default_on_reports, session_log):
+    violations = walked = 0
     for report in default_on_reports.values():
         for result in report.results:
-            violations += sum(1 for s in result.sessions
+            sessions = session_log(result)
+            walked += len(sessions)
+            violations += sum(1 for s in sessions
                               if s.serving_op == 1
                               and s.request.service_class.kind is INT)
-    _verdict(violations == 0, 1,
-             f"interactive sessions carried by the UMTS operator: {violations} "
-             "(required: exactly 0 across 4 arrival rates x 20 replications)")
+    _verdict(violations == 0 and walked > 0, 1,
+             f"interactive sessions carried by the UMTS operator: {violations} of "
+             f"{walked} served (required: exactly 0 across 4 arrival rates x 20 "
+             "replications)")
 
 
 def test_criterion_2_forced_exchange_routes_between_wlans(default_on_reports):
@@ -96,15 +109,16 @@ def test_criterion_3_reference_transfer_picks_op3():
                      cooperation=True)
     oracle_outcome, oracle_serving = oracle_admit(
         request, networks, scenario.demand, scenario.requirements, True)
+    objectives = {op: hand_scored(request, networks, op)[2] for op in (2, 3)}
     ok = (decision.outcome is Outcome.SERVED_TRANSFER
           and decision.serving_op == 3
           and oracle_outcome == "served_transfer" and oracle_serving == 3
-          and math.isclose(decision.objectives[2], 0.3133506944444445)
-          and math.isclose(decision.objectives[3], -0.2941579861111112))
+          and math.isclose(objectives[2], 0.3133506944444445)
+          and math.isclose(objectives[3], -0.2941579861111112))
     _verdict(ok, 3,
              "real-time transfer from the full UMTS network to empty WLANs "
-             f"selects Op3 (objectives: Op2 {decision.objectives[2]:+.6f}, "
-             f"Op3 {decision.objectives[3]:+.6f}; brute-force oracle agrees)")
+             f"selects Op3 (objectives: Op2 {objectives[2]:+.6f}, "
+             f"Op3 {objectives[3]:+.6f}; brute-force oracle agrees)")
 
 
 def test_criterion_4_cooperation_never_hurts_and_cuts_blocking(calibrated_comparison):
@@ -134,11 +148,12 @@ def test_criterion_5_umts_operator_gains_the_most(calibrated_comparison):
              f"Op3 {reductions[3]:+.3f} (required: Op1 strictly largest)")
 
 
-def test_criterion_6_conservation_suite(default_on_reports, calibrated_comparison):
+def test_criterion_6_conservation_suite(default_on_reports, calibrated_comparison,
+                                       session_log):
     reports = list(default_on_reports.values())
     reports.extend(calibrated_comparison.values())
     counts_ok = payments_ok = capacity_ok = True
-    checked = 0
+    checked = walked = 0
     for report in reports:
         scenario = report.scenario
         cs = {net.id: net.cs for net in scenario.operators}
@@ -147,8 +162,10 @@ def test_criterion_6_conservation_suite(default_on_reports, calibrated_compariso
             if result.arrivals != (result.blocked + result.served_home
                                    + result.served_transferred):
                 counts_ok = False
+            sessions = session_log(result)
+            walked += len(sessions)
             paid, received = [], []
-            for session in result.sessions:
+            for session in sessions:
                 if session.serving_op != session.request.home_op:
                     amount = (cs[session.serving_op]
                               * session_volume_kbytes(session, scenario.duration_s))
@@ -160,12 +177,13 @@ def test_criterion_6_conservation_suite(default_on_reports, calibrated_compariso
             ledger_received = math.fsum(l.income_guests for l in result.ledgers.values())
             if abs(ledger_paid - ledger_received) > 1e-9:
                 payments_ok = False
-            used, _ = replay_capacity(scenario, result)
+            used, _ = replay_capacity(scenario, sessions)
             if any(value != 0.0 for value in used.values()):
                 capacity_ok = False
-    ok = counts_ok and payments_ok and capacity_ok
+    ok = counts_ok and payments_ok and capacity_ok and walked > 0
     _verdict(ok, 6,
-             f"over {checked} replications: arrivals = blocked + served "
+             f"over {checked} replications and {walked} served sessions: "
+             "arrivals = blocked + served "
              f"({'ok' if counts_ok else 'VIOLATED'}), settlement paid = received "
              f"({'ok' if payments_ok else 'VIOLATED'}), occupancy within capacity "
              f"and drained to zero ({'ok' if capacity_ok else 'VIOLATED'})")

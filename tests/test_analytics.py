@@ -34,6 +34,8 @@ from accessim.model import (
     load_scenario,
 )
 
+from session_log import run_logged
+
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 CONV = ServiceKind.CONVERSATIONAL
 INT = ServiceKind.INTERACTIVE
@@ -117,41 +119,30 @@ def test_exchange_matrix_row_percentages():
     assert matrix.count(3, 1, CONV) == 0
 
 
-def _result(seed, arrivals, blocked, exchange=None, blocked_by_home=None,
-            arrivals_by_home=None, ledgers=None):
+def _result(seed, arrivals_per_op, blocked_by_home=None, exchange=None, ledgers=None):
     ids = (1, 2, 3)
-    per_op = arrivals // 3
+    blocked_by_home = blocked_by_home or {i: 0 for i in ids}
     return ReplicationResult(
-        seed=seed, arrivals=arrivals, blocked=blocked,
-        served_home=arrivals - blocked, served_transferred=0,
-        arrivals_by_home=arrivals_by_home or {i: per_op for i in ids},
-        blocked_by_home=blocked_by_home or {1: blocked, 2: 0, 3: 0},
-        served_home_by_op={i: 0 for i in ids},
-        transferred_by_home={i: 0 for i in ids},
+        seed=seed,
+        arrivals_by_home={i: arrivals_per_op for i in ids},
+        blocked_by_home=blocked_by_home,
+        served_home_by_op={i: arrivals_per_op - blocked_by_home[i] for i in ids},
         exchange=exchange or {},
         ledgers=ledgers or {i: OperatorLedger() for i in ids},
-        sessions=[], interarrival_sum=0.0,
+        interarrival_sum=0.0,
     )
 
 
 def test_exchange_matrix_aggregates_replications():
     results = [
-        _result(0, 9, 0, exchange={(1, 3, CONV): 2, (2, 3, INT): 1}),
-        _result(1, 9, 0, exchange={(1, 3, CONV): 1, (1, 2, CONV): 1}),
+        _result(0, 3, exchange={(1, 3, CONV): 2, (2, 3, INT): 1}),
+        _result(1, 3, exchange={(1, 3, CONV): 1, (1, 2, CONV): 1}),
     ]
     matrix = exchange_matrix(results, op_ids=(1, 2, 3))
     assert matrix.count(1, 3, CONV) == 3
     assert matrix.count(1, 2, CONV) == 1
     assert matrix.count(2, 3, INT) == 1
     assert matrix.row_percentages(1, CONV) == {2: 25.0, 3: 75.0}
-
-
-def test_exchange_matrix_accepts_full_report():
-    report = MetricsReport(scenario=default_scenario(),
-                           results=[_result(0, 9, 0, exchange={(3, 2, INT): 4})])
-    matrix = exchange_matrix(report)
-    assert matrix.op_ids == (1, 2, 3)
-    assert matrix.row_percentages(3, INT) == {1: 0.0, 2: 100.0}
 
 
 def test_scope_stats_population_moments():
@@ -169,8 +160,8 @@ def test_blocking_stats_means_and_attribution():
     report = MetricsReport(
         scenario=default_scenario(),
         results=[
-            _result(0, 30, 6, blocked_by_home={1: 6, 2: 0, 3: 0}),
-            _result(1, 30, 0),
+            _result(0, 10, blocked_by_home={1: 6, 2: 0, 3: 0}),
+            _result(1, 10),
         ],
     )
     stats = blocking_stats(report)
@@ -187,8 +178,8 @@ def test_profit_and_ledger_means():
                  2: OperatorLedger(), 3: OperatorLedger(income_guests=30.0)}
     report = MetricsReport(
         scenario=default_scenario(),
-        results=[_result(0, 9, 0, ledgers=ledgers_a),
-                 _result(1, 9, 0, ledgers=ledgers_b)],
+        results=[_result(0, 3, ledgers=ledgers_a),
+                 _result(1, 3, ledgers=ledgers_b)],
     )
     profits = profit_stats(report)
     assert profits[1].mean == pytest.approx(65.0)
@@ -250,12 +241,14 @@ def test_grid_runs_a_repeated_rate_once():
 def test_ledgers_reconcile_with_session_log():
     scenario = replace(load_scenario(SCENARIO_DIR / "calibrated.json"),
                        replications=3)
-    report = run_experiment(scenario)
+    report, log = run_logged(run_experiment, scenario)
     cs = {net.id: net.cs for net in scenario.operators}
     for result in report.results:
         recon = {net.id: {"own": [], "transferred": [], "guests": [], "cost": []}
                  for net in scenario.operators}
-        for session in result.sessions:
+        sessions = log(result)
+        assert sessions
+        for session in sessions:
             volume = session_volume_kbytes(session, scenario.duration_s)
             home = session.request.home_op
             serving = session.serving_op

@@ -110,6 +110,18 @@ def test_non_object_demand_exits_2_without_partial_outputs(tmp_path):
         assert not out.exists(), demand
 
 
+def test_unknown_scenario_key_exits_2_without_partial_outputs(tmp_path):
+    doc = json.loads(Path(CALIBRATED).read_text())
+    doc["cooperaton"] = False
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    proc = run_cli("run", "--scenario", str(bad), "--out", str(out))
+    assert proc.returncode == 2
+    assert "unknown field: cooperaton" in proc.stderr
+    assert not out.exists()
+
+
 def test_unreadable_scenario_exits_1(tmp_path):
     proc = run_cli("run", "--scenario", str(tmp_path / "missing.json"),
                    "--out", str(tmp_path / "out"))

@@ -24,6 +24,8 @@ from accessim.model import (
     load_scenario,
 )
 
+from session_log import run_logged
+
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -81,10 +83,10 @@ def _single_op_scenario(capacity=256.0, cooperation=False):
 
 def test_no_arrivals_before_horizon_means_empty_run():
     streams = _fake_streams(interarrivals=[5000.0], homes=[0], profiles=[0.0])
-    result = run_replication(_single_op_scenario(), seed=0, streams=streams)
+    result, log = run_logged(run_replication, _single_op_scenario(), seed=0, streams=streams)
     assert result.arrivals == 0
     assert result.blocked == 0
-    assert result.sessions == []
+    assert log(result) == []
     assert result.interarrival_sum == 0.0
 
 
@@ -122,9 +124,9 @@ def test_session_volume_truncates_at_horizon():
                             services=[100.0],
                             homes=[0, 0],
                             profiles=[0.0, 0.0])
-    result = run_replication(_single_op_scenario(), seed=0, streams=streams)
+    result, log = run_logged(run_replication, _single_op_scenario(), seed=0, streams=streams)
     assert result.arrivals == 1
-    session = result.sessions[0]
+    [session] = log(result)
     assert session.start_s == pytest.approx(1199.0)
     # Only one second of the 100 s session fits before the horizon.
     assert result.ledgers[1].income_own == pytest.approx(0.9 * 256.0 / 8.0)
@@ -171,14 +173,16 @@ def test_parallel_experiment_matches_sequential():
 def test_count_conservation_across_seeds():
     scenario = replace(default_scenario(), duration_s=400.0)
     for seed in range(10, 15):
-        r = run_replication(scenario, seed)
+        r, log = run_logged(run_replication, scenario, seed)
         assert r.arrivals == r.blocked + r.served_home + r.served_transferred
         assert sum(r.arrivals_by_home.values()) == r.arrivals
         assert sum(r.blocked_by_home.values()) == r.blocked
         assert sum(r.served_home_by_op.values()) == r.served_home
         assert sum(r.transferred_by_home.values()) == r.served_transferred
         assert sum(r.exchange.values()) == r.served_transferred
-        assert len(r.sessions) == r.served_home + r.served_transferred
+        served = log(r)
+        assert served
+        assert sum(s.serving_op == s.request.home_op for s in served) == r.served_home
 
 
 def test_arrival_volume_matches_poisson_rate():
@@ -233,25 +237,28 @@ def test_unlimited_capacity_leaves_only_structural_blocking():
     for r in run_experiment(unlimited).results:
         # Every class is feasible somewhere, so cooperative admission never blocks.
         assert r.blocked == 0
-    for r in run_experiment(replace(unlimited, cooperation=False)).results:
+    standalone, log = run_logged(run_experiment, replace(unlimited, cooperation=False))
+    for r in standalone.results:
         # Without exchange the UMTS operator still cannot carry loss-sensitive
         # sessions, so exactly its interactive home arrivals are lost.
         assert r.served_transferred == 0
         assert r.blocked == r.blocked_by_home[1]
         assert r.blocked_by_home[2] == 0 and r.blocked_by_home[3] == 0
+        served = log(r)
+        assert served
         assert all(s.request.service_class.kind is ServiceKind.CONVERSATIONAL
-                   for s in r.sessions if s.request.home_op == 1)
+                   for s in served if s.request.home_op == 1)
         assert math.isclose(r.blocking_probability, r.blocked / r.arrivals)
 
 
-def replay_capacity(scenario, result):
-    """Re-derive per-operator occupancy from the session log alone.
+def replay_capacity(scenario, sessions):
+    """Re-derive per-operator occupancy from a replication's sessions alone.
 
     Departures sort before arrivals at equal timestamps, mirroring the event
     queue, so a slot freed at t is available to a session starting at t.
     """
     events = []
-    for session in result.sessions:
+    for session in sessions:
         events.append((session.start_s, 1, session.rate_kbps, session.serving_op))
         events.append((session.start_s + session.duration_s, 0,
                        -session.rate_kbps, session.serving_op))
@@ -269,8 +276,10 @@ def replay_capacity(scenario, result):
 def test_session_log_replay_confirms_capacity_accounting():
     scenario = replace(default_scenario(), duration_s=400.0)
     for seed in (7, 77):
-        result = run_replication(scenario, seed)
-        used, peak = replay_capacity(scenario, result)
+        result, log = run_logged(run_replication, scenario, seed)
+        sessions = log(result)
+        assert sessions
+        used, peak = replay_capacity(scenario, sessions)
         # Demand rates are whole numbers, so the walk is exact arithmetic.
         assert all(value == 0.0 for value in used.values())
         assert any(value > 0.0 for value in peak.values())
@@ -284,14 +293,17 @@ def test_initial_load_is_background_the_run_drains_back_to():
     loaded = ensure_valid(replace(scenario, operators=tuple(ops), duration_s=600.0,
                                   replications=3))
     served_on_op2 = 0
-    for r in run_experiment(loaded).results:
+    report, log = run_logged(run_experiment, loaded)
+    for r in report.results:
         assert r.arrivals == r.blocked + r.served_home + r.served_transferred
         # A network whose background load fills it serves no one, home or guest.
         assert r.served_home_by_op[3] == 0
-        assert all(s.serving_op != 3 for s in r.sessions)
-        _, peak = replay_capacity(loaded, r)
+        sessions = log(r)
+        assert sessions
+        assert all(s.serving_op != 3 for s in sessions)
+        _, peak = replay_capacity(loaded, sessions)
         assert peak[2] <= ops[1].capacity_kbps - 500.0
-        served_on_op2 += sum(s.serving_op == 2 for s in r.sessions)
+        served_on_op2 += sum(s.serving_op == 2 for s in sessions)
     assert served_on_op2 > 0
     assert loaded.operators[1].used_kbps == 500.0
 
@@ -300,10 +312,10 @@ def test_capacity_below_every_rate_blocks_all_arrivals():
     scenario = default_scenario()
     starved = replace(scenario, duration_s=300.0, operators=tuple(
         replace(net, capacity_kbps=1.0) for net in scenario.operators))
-    result = run_replication(ensure_valid(starved), seed=5)
+    result, log = run_logged(run_replication, ensure_valid(starved), seed=5)
     assert result.arrivals > 0
     assert result.blocked == result.arrivals
-    assert not result.sessions
+    assert log(result) == []
     assert result.blocking_probability == 1.0
 
 
@@ -315,12 +327,17 @@ def test_cooperation_serves_a_superset_of_non_cooperative_users():
     # default demand does not, and there the inclusion genuinely breaks.
     scenario = replace(load_scenario(SCENARIO_DIR / "calibrated.json"),
                        replications=4)
+    def served_ids(log, result):
+        sessions = log(result)
+        assert sessions
+        return {s.request.user_id for s in sessions}
+
     strict = 0
     for interarrival in (2.5, 5.0):
         rated = replace(scenario, mean_interarrival_s=interarrival)
-        on = run_experiment(rated)
-        off = run_experiment(replace(rated, cooperation=False))
+        on, on_log = run_logged(run_experiment, rated)
+        off, off_log = run_logged(run_experiment, replace(rated, cooperation=False))
         for with_coop, without in zip(on.results, off.results):
-            assert without.served_ids <= with_coop.served_ids
-            strict += without.served_ids < with_coop.served_ids
+            assert served_ids(off_log, without) <= served_ids(on_log, with_coop)
+            strict += served_ids(off_log, without) < served_ids(on_log, with_coop)
     assert strict > 0

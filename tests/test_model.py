@@ -236,6 +236,25 @@ def test_scalar_defaults_applied_when_absent():
     assert s.billing == "volume"
 
 
+def test_unknown_keys_are_all_reported():
+    doc = scenario_to_dict(default_scenario())
+    doc["cooperaton"] = False
+    doc["operators"][0]["wop"] = 0.0
+    doc["requirements"]["interactive"]["ber"] = 1e-6
+    doc["profile_mix"][2]["wqos"] = 0.5
+    # A profile's preference weights are its own keys; there is no "prefs" object.
+    doc["profile_mix"][0]["prefs"] = {"w_qos": 0.5, "w_price": 0.5}
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert sorted(err.value.violations) == [
+        "unknown field: cooperaton",
+        "unknown field: operators[0].wop",
+        "unknown field: profile_mix[0].prefs",
+        "unknown field: profile_mix[2].wqos",
+        "unknown field: requirements[interactive].ber",
+    ]
+
+
 @pytest.mark.parametrize("raw", ["false", "true", 0, 1, None])
 def test_cooperation_must_be_a_json_boolean(raw):
     doc = scenario_to_dict(default_scenario())

@@ -1,28 +1,30 @@
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
+from accessim import selection
 from accessim.model import (
+    ClassRequirements,
     QoSRequirements,
     ServiceKind,
     ServiceRequest,
     UserPreferences,
     default_scenario,
 )
+from accessim.scoring import candidate_score, user_score
 from accessim.selection import (
+    BLOCKED,
     AdmissionTable,
     Outcome,
     admit,
-    feasible,
     select_serving_operator,
     transfer_objective,
 )
 
 from oracles import oracle_admit, random_instance
 
-RT_REQ = QoSRequirements(bw_req=256.0, jitter_req=10.0, delay_req=100.0, ber_req=1e-3)
-NRT_REQ = QoSRequirements(bw_req=512.0, jitter_req=20.0, delay_req=150.0, ber_req=1e-5)
+RT_BOUNDS = ClassRequirements(jitter_req=10.0, delay_req=100.0, ber_req=1e-3)
 
 
 def _scenario():
@@ -34,9 +36,9 @@ def _ops(scenario=None):
     return {net.id: net for net in scenario.operators}
 
 
-def _table(networks):
+def _table(networks, requirements=None):
     scenario = _scenario()
-    return AdmissionTable(networks, scenario.demand, scenario.requirements)
+    return AdmissionTable(networks, scenario.demand, requirements or scenario.requirements)
 
 
 def _request(home, kind=ServiceKind.CONVERSATIONAL, prefs=(0.7, 0.3), price=None):
@@ -50,27 +52,39 @@ def _request(home, kind=ServiceKind.CONVERSATIONAL, prefs=(0.7, 0.3), price=None
     )
 
 
+def _admits_alone(net, kind=ServiceKind.CONVERSATIONAL, bounds=None):
+    """Whether ``net`` alone, without cooperation, admits its own client of ``kind``."""
+    requirements = dict(_scenario().requirements)
+    if bounds is not None:
+        requirements[kind] = bounds
+    decision = admit(_request(home=net.id, kind=kind), _table([net], requirements),
+                     cooperation=False)
+    return decision.served
+
+
 def test_feasible_on_empty_network():
-    assert feasible(_ops()[1], RT_REQ, rate_kbps=256.0)
+    assert _admits_alone(_ops()[1])
 
 
 def test_feasibility_boundary_is_inclusive():
+    # A conversational session takes 256 kb/s on the 1700 kb/s UMTS network.
     net = replace(_ops()[1], used_kbps=1700.0 - 256.0)
-    assert feasible(net, RT_REQ, rate_kbps=256.0)
-    nearly = replace(_ops()[1], used_kbps=1700.0 - 256.0 + 1e-6)
-    assert not feasible(nearly, RT_REQ, rate_kbps=256.0)
+    assert _admits_alone(net)
+    nearly = replace(_ops()[1], used_kbps=1700.0 - 256.0 + 1e-9)
+    assert not _admits_alone(nearly)
 
 
 def test_ber_gate_blocks_umts_for_loss_sensitive_class():
     # An empty UMTS network still fails the non-real-time BER bound.
-    assert not feasible(_ops()[1], NRT_REQ, rate_kbps=512.0)
+    assert not _admits_alone(_ops()[1], kind=ServiceKind.INTERACTIVE)
 
 
 def test_jitter_and_delay_gates():
-    strict = QoSRequirements(bw_req=256.0, jitter_req=5.0, delay_req=100.0, ber_req=1e-3)
-    assert not feasible(_ops()[1], strict, rate_kbps=256.0)
-    slow = QoSRequirements(bw_req=256.0, jitter_req=10.0, delay_req=15.0, ber_req=1e-3)
-    assert not feasible(_ops()[1], slow, rate_kbps=256.0)
+    assert _admits_alone(_ops()[1], bounds=RT_BOUNDS)
+    strict = replace(RT_BOUNDS, jitter_req=5.0)
+    assert not _admits_alone(_ops()[1], bounds=strict)
+    slow = replace(RT_BOUNDS, delay_req=15.0)
+    assert not _admits_alone(_ops()[1], bounds=slow)
 
 
 def test_transfer_objective_components():
@@ -79,23 +93,53 @@ def test_transfer_objective_components():
     assert value == pytest.approx(2.0 * 0.4 - 0.5 * 0.75)
 
 
+def hand_scored(request, networks, cand_id):
+    """(s_u, s_t, transfer objective) of one candidate, from the public scoring functions.
+
+    ``networks`` are the default scenario's operators, possibly with other loads.
+    """
+    ops = {net.id: net for net in networks}
+    scenario = _scenario()
+    kind = request.service_class.kind
+    cand = ops[cand_id]
+    bounds = scenario.requirements[kind]
+    req = QoSRequirements(bw_req=scenario.demand.rate(kind, cand.technology),
+                          jitter_req=bounds.jitter_req, delay_req=bounds.delay_req,
+                          ber_req=bounds.ber_req)
+    sp_max = max(net.sp for net in networks)
+    s_u, _, p_norm = user_score(request.prefs, request.price_paid, sp_max)
+    s_t, _, _ = candidate_score(cand, request.service_class, request.prefs, req, sp_max)
+    return s_u, s_t, transfer_objective(ops[request.home_op], s_u, s_t, p_norm,
+                                        cand.cs / sp_max)
+
+
+def _no_scoring(monkeypatch):
+    def scored(*args):
+        raise AssertionError("a candidate was scored")
+
+    monkeypatch.setattr(selection, "candidate_score", scored)
+    monkeypatch.setattr(selection, "user_score", scored)
+
+
 def test_reference_transfer_picks_op3():
     scenario = _scenario()
-    decision = select_serving_operator(_request(home=1), _table(scenario.operators))
+    request = _request(home=1)
+    decision = select_serving_operator(request, _table(scenario.operators))
     assert decision.outcome is Outcome.SERVED_TRANSFER
     assert decision.serving_op == 3
-    assert decision.objectives[2] == pytest.approx(0.3133506944444445)
-    assert decision.objectives[3] == pytest.approx(-0.2941579861111112)
-    assert decision.breakdowns[3].s_u == pytest.approx(1.0)
-    assert decision.breakdowns[3].s_t == pytest.approx(1.4836197916666665)
+    assert hand_scored(request, scenario.operators, 2)[2] == pytest.approx(0.3133506944444445)
+    s_u, s_t, objective = hand_scored(request, scenario.operators, 3)
+    assert objective == pytest.approx(-0.2941579861111112)
+    assert s_u == pytest.approx(1.0)
+    assert s_t == pytest.approx(1.4836197916666665)
 
 
-def test_home_first_skips_scoring():
+def test_home_first_skips_scoring(monkeypatch):
     scenario = _scenario()
+    _no_scoring(monkeypatch)
     decision = admit(_request(home=2), _table(scenario.operators), cooperation=True)
     assert decision.outcome is Outcome.SERVED_HOME
     assert decision.serving_op == 2
-    assert decision.breakdowns == {}
 
 
 def test_no_cooperation_blocks_when_home_fails():
@@ -111,27 +155,32 @@ def test_forced_route_between_wlans_for_loss_sensitive_class():
     ops = list(scenario.operators)
     # Saturate Op2 so its own non-real-time client must be exchanged.
     ops[1] = replace(ops[1], used_kbps=ops[1].capacity_kbps)
-    decision = admit(_request(home=2, kind=ServiceKind.INTERACTIVE), _table(ops),
-                     cooperation=True)
+    table = _table(ops)
+    decision = admit(_request(home=2, kind=ServiceKind.INTERACTIVE), table, cooperation=True)
     assert decision.outcome is Outcome.SERVED_TRANSFER
     assert decision.serving_op == 3
-    assert decision.infeasible == (1,)
+    # The UMTS operator fails the BER gate whatever its load.
+    assert [c.net.id for c in table.routes[2, ServiceKind.INTERACTIVE].candidates
+            if not c.in_bounds] == [1]
 
     ops = list(scenario.operators)
     ops[2] = replace(ops[2], used_kbps=ops[2].capacity_kbps)
-    decision = admit(_request(home=3, kind=ServiceKind.INTERACTIVE), _table(ops),
-                     cooperation=True)
+    table = _table(ops)
+    decision = admit(_request(home=3, kind=ServiceKind.INTERACTIVE), table, cooperation=True)
     assert decision.outcome is Outcome.SERVED_TRANSFER
     assert decision.serving_op == 2
-    assert decision.infeasible == (1,)
+    assert [c.net.id for c in table.routes[3, ServiceKind.INTERACTIVE].candidates
+            if not c.in_bounds] == [1]
 
 
-def test_blocked_when_no_candidate_is_feasible():
+def test_blocked_when_no_candidate_is_feasible(monkeypatch):
     scenario = _scenario()
     ops = [replace(net, used_kbps=net.capacity_kbps) for net in scenario.operators]
+    # Scoring runs only for a candidate that passes the gate: here neither does.
+    _no_scoring(monkeypatch)
     decision = admit(_request(home=1), _table(ops), cooperation=True)
     assert decision.outcome is Outcome.BLOCKED
-    assert set(decision.infeasible) == {2, 3}
+    assert decision is BLOCKED
 
 
 def test_exact_tie_resolves_to_lowest_id():
@@ -139,8 +188,9 @@ def test_exact_tie_resolves_to_lowest_id():
     ops = list(scenario.operators)
     # Make Op3 a clone of Op2: identical offers, identical objectives.
     ops[2] = replace(ops[1], id=3, name="Op3")
-    decision = select_serving_operator(_request(home=1), _table(ops))
-    assert decision.objectives[2] == decision.objectives[3]
+    request = _request(home=1)
+    decision = select_serving_operator(request, _table(ops))
+    assert hand_scored(request, ops, 2) == hand_scored(request, ops, 3)
     assert decision.serving_op == 2
 
 
@@ -150,7 +200,7 @@ def test_decision_ignores_listing_order():
     forward = select_serving_operator(request, _table(scenario.operators))
     backward = select_serving_operator(request, _table(tuple(reversed(scenario.operators))))
     assert forward.serving_op == backward.serving_op
-    assert forward.objectives == backward.objectives
+    assert forward == backward
 
 
 def test_unknown_home_operator_raises():
@@ -223,11 +273,12 @@ def test_shared_decisions_are_read_only():
     assert admit(_request(home=2), table, cooperation=True) is home
     blocked = admit(_request(home=1, kind=ServiceKind.INTERACTIVE), table,
                     cooperation=False)
+    assert blocked is BLOCKED
     for decision in (home, blocked):
-        with pytest.raises(TypeError):
-            decision.breakdowns[1] = None
-        with pytest.raises(TypeError):
-            decision.objectives[1] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            decision.serving_op = 3
+        with pytest.raises(FrozenInstanceError):
+            decision.rate_kbps = 0.0
 
 
 def test_served_decisions_carry_the_serving_rate():
