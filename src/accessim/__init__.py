@@ -6,7 +6,6 @@ from .model import (
     MetricsReport,
     OperatorLedger,
     OperatorNetwork,
-    QoSRequirements,
     ReplicationResult,
     Scenario,
     ScenarioError,
@@ -25,14 +24,15 @@ from .model import (
     scenario_to_dict,
     validate_scenario,
 )
-from .scoring import NormalizedQoS, candidate_score, normalize_offer, user_score
 from .selection import (
     AdmissionDecision,
     AdmissionTable,
     Outcome,
     admit,
+    candidate_score,
     select_serving_operator,
     transfer_objective,
+    user_score,
 )
 from .engine import (
     CapacityAccountingError,

@@ -1,7 +1,7 @@
 """Domain model: operators, service classes, traffic profiles and the scenario schema.
 
 Everything here is data plus validation; the decision logic lives in
-``scoring``/``selection`` and the event loop in ``engine``.  A Scenario is
+``selection`` and the event loop in ``engine``.  A Scenario is
 serialized one-to-one to JSON (see docs/scenario_schema.md), so scenario
 files can be edited by hand and replayed deterministically.
 """
@@ -48,16 +48,6 @@ class ServiceClass:
 
     kind: ServiceKind
     qos_weights: tuple[float, float, float, float]
-
-
-@dataclass(frozen=True)
-class QoSRequirements:
-    """What one application asks of a network, bandwidth already resolved per technology."""
-
-    bw_req: float      # kb/s, from the demand table for the candidate technology
-    jitter_req: float  # ms
-    delay_req: float   # ms
-    ber_req: float     # error probability
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,18 @@ wins, i.e. the operator closest to the user's ideal score after crediting the
 home operator's settlement margin.  The weights are the home operator's: it
 owns the transfer decision.
 
+The user's ideal score is what a candidate would get if it delivered exactly
+what the application requires at the price the user already pays, so every
+QoS requirement normalizes to 1 against itself.  A candidate's offer
+normalizes against the same requirements: jitter, delay and BER saturate at 1
+once they meet the bound, while spare bandwidth is left uncapped so that load
+keeps discriminating between otherwise-equal networks.  Prices normalize by
+the highest access price among the networks.
+
 Everything but the networks' occupancy is constant during a run, so an
-``AdmissionTable`` compiles it once per replication; each decision then reads
-only the live ``used_kbps`` and scores the candidates that pass.
+``AdmissionTable`` compiles it once per replication, every load-free ratio of
+the candidate score included; each decision then reads only the live
+``used_kbps`` and scores the candidates that pass.
 """
 
 from __future__ import annotations
@@ -25,11 +34,10 @@ from .model import (
     ClassRequirements,
     DemandTable,
     OperatorNetwork,
-    QoSRequirements,
     ServiceKind,
     ServiceRequest,
+    UserPreferences,
 )
-from .scoring import candidate_score, user_score
 
 # Objectives closer than this are treated as tied and broken by lowest operator id.
 TIE_EPS = 1e-12
@@ -56,7 +64,7 @@ class AdmissionDecision:
 BLOCKED = AdmissionDecision(Outcome.BLOCKED)
 
 
-def meets_bounds(net: OperatorNetwork, req: ClassRequirements | QoSRequirements) -> bool:
+def meets_bounds(net: OperatorNetwork, req: ClassRequirements) -> bool:
     """The static part of the gate: offered jitter, delay and BER within the class bounds."""
     return (net.jitter_ms <= req.jitter_req
             and net.delay_ms <= req.delay_req
@@ -75,7 +83,10 @@ class Candidate(NamedTuple):
     net: OperatorNetwork
     rate: float                # kb/s a session of the kind takes on this network
     in_bounds: bool            # passes meets_bounds, which no load changes
-    req: QoSRequirements
+    n_jitter: float            # min(required / offered, 1), likewise delay and BER
+    n_delay: float
+    n_ber: float
+    sp_norm: float             # access price over the table's sp_max
     cs_norm: float             # settlement price over the table's sp_max
 
 
@@ -94,13 +105,16 @@ class AdmissionTable:
 
     Only ``used_kbps`` changes during a run.  The table holds the network
     objects themselves, so each decision reads their occupancy live; iterating
-    the table yields the networks.
+    the table yields the networks.  Raises ``ValueError`` when a price
+    normalization or a candidate's QoS ratio would divide by zero.
     """
 
     def __init__(self, networks: Iterable[OperatorNetwork], demand: DemandTable,
                  requirements: Mapping[ServiceKind, ClassRequirements]):
         self.networks = tuple(networks)
         self.sp_max = max(net.sp for net in self.networks)
+        if self.sp_max <= 0:
+            raise ValueError("sp_max must be positive")
         in_id_order = sorted(self.networks, key=lambda net: net.id)
         self.routes: dict[tuple[int, ServiceKind], Route] = {}
         for home in self.networks:
@@ -110,10 +124,14 @@ class AdmissionTable:
                     if cand.id == home.id:
                         continue
                     rate = demand.rate(kind, cand.technology)
-                    req = QoSRequirements(bw_req=rate, jitter_req=bounds.jitter_req,
-                                          delay_req=bounds.delay_req, ber_req=bounds.ber_req)
-                    candidates.append(Candidate(cand, rate, meets_bounds(cand, bounds), req,
-                                                cand.cs / self.sp_max))
+                    if 0 in (cand.jitter_ms, cand.delay_ms, cand.ber, rate):
+                        raise ValueError("normalization divisors must be non-zero")
+                    candidates.append(Candidate(
+                        cand, rate, meets_bounds(cand, bounds),
+                        min(bounds.jitter_req / cand.jitter_ms, 1.0),
+                        min(bounds.delay_req / cand.delay_ms, 1.0),
+                        min(bounds.ber_req / cand.ber, 1.0),
+                        cand.sp / self.sp_max, cand.cs / self.sp_max))
                 rate = demand.rate(kind, home.technology)
                 served = AdmissionDecision(Outcome.SERVED_HOME, serving_op=home.id,
                                            rate_kbps=rate)
@@ -124,6 +142,28 @@ class AdmissionTable:
         return iter(self.networks)
 
 
+def user_score(prefs: UserPreferences, price_paid: float, sp_max: float):
+    """The user's ideal score and normalized price paid: returns (s_u, p_norm).
+
+    Each required QoS parameter normalized against itself is 1, so the QoS
+    part collapses to the weight sum, 1.
+    """
+    p_norm = price_paid / sp_max
+    return prefs.w_qos * 1.0 + prefs.w_price * p_norm, p_norm
+
+
+def candidate_score(cand: Candidate, qos_weights, prefs: UserPreferences) -> float:
+    """Score s_t of one candidate for this user; only the bandwidth term reads the load.
+
+    ``qos_weights`` are the service class's, in the order (bandwidth, jitter,
+    delay, BER).
+    """
+    w_bw, w_jitter, w_delay, w_ber = qos_weights
+    s_tqos = (w_bw * (cand.net.remaining_kbps / cand.rate) + w_jitter * cand.n_jitter
+              + w_delay * cand.n_delay + w_ber * cand.n_ber)
+    return prefs.w_qos * s_tqos + prefs.w_price * cand.sp_norm
+
+
 def select_serving_operator(request: ServiceRequest, table: AdmissionTable
                             ) -> AdmissionDecision:
     """Pick the best cooperating operator (home excluded), or block if none is feasible."""
@@ -131,19 +171,19 @@ def select_serving_operator(request: ServiceRequest, table: AdmissionTable
     route = table.routes[request.home_op, service_class.kind]
     home = route.home
     prefs = request.prefs
-    sp_max = table.sp_max
+    qos_weights = service_class.qos_weights
 
     best_id = None
     best_obj = best_rate = 0.0
-    for cand, rate, in_bounds, req, cs_norm in route.candidates:
-        if not (in_bounds and cand.remaining_kbps >= rate):
+    for cand in route.candidates:
+        if not (cand.in_bounds and cand.net.remaining_kbps >= cand.rate):
             continue
         if best_id is None:  # the first candidate to pass: score the user once
-            s_u, _, p_norm = user_score(prefs, request.price_paid, sp_max)
-        s_t, _, _ = candidate_score(cand, service_class, prefs, req, sp_max)
-        obj = transfer_objective(home, s_u, s_t, p_norm, cs_norm)
+            s_u, p_norm = user_score(prefs, request.price_paid, table.sp_max)
+        s_t = candidate_score(cand, qos_weights, prefs)
+        obj = transfer_objective(home, s_u, s_t, p_norm, cand.cs_norm)
         if best_id is None or obj < best_obj - TIE_EPS:
-            best_id, best_obj, best_rate = cand.id, obj, rate
+            best_id, best_obj, best_rate = cand.net.id, obj, cand.rate
 
     if best_id is None:
         return BLOCKED

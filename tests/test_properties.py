@@ -2,15 +2,19 @@
 
 Every scenario drawn here passes validation, so each one must run to
 completion; the runs must conserve arrivals and settle to zero across the
-ledgers, and the JSON form must give back the same scenario.
+ledgers, a cooperating run blocks only when no network could take the
+session, and the JSON form must give back the same scenario.
 """
 
 import json
 import math
+from dataclasses import replace
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from accessim import engine
 from accessim.engine import run_experiment
 from accessim.model import (
     ClassRequirements,
@@ -25,6 +29,7 @@ from accessim.model import (
     scenario_to_dict,
     validate_scenario,
 )
+from accessim.selection import Outcome, meets_bounds
 
 PROPERTY_SETTINGS = settings(deadline=None, database=None, max_examples=60)
 
@@ -111,6 +116,29 @@ def test_valid_scenarios_run_and_conserve_arrivals_and_money(scenario):
         guests = sum(ledger.income_guests for ledger in result.ledgers.values())
         paid = sum(ledger.cost_paid for ledger in result.ledgers.values())
         assert math.isclose(guests, paid, rel_tol=1e-9, abs_tol=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(scenarios())
+def test_cooperating_block_leaves_no_network_that_passes_the_gate(scenario):
+    scenario = replace(scenario, cooperation=True)
+    admit = engine.admit
+
+    # Wrapped where the engine looks it up, as the benchmark's tracer does; the
+    # table yields the replication's own networks, at their occupancy right now.
+    def checked(request, table, cooperation):
+        decision = admit(request, table, cooperation)
+        if decision.outcome is Outcome.BLOCKED:
+            kind = request.service_class.kind
+            bounds = scenario.requirements[kind]
+            assert not [net.id for net in table
+                        if meets_bounds(net, bounds)
+                        and net.capacity_kbps - net.used_kbps
+                        >= scenario.demand.rate(kind, net.technology)]
+        return decision
+
+    with mock.patch.object(engine, "admit", checked):
+        run_experiment(scenario)
 
 
 @PROPERTY_SETTINGS

@@ -6,20 +6,20 @@ import pytest
 from accessim import selection
 from accessim.model import (
     ClassRequirements,
-    QoSRequirements,
     ServiceKind,
     ServiceRequest,
     UserPreferences,
     default_scenario,
 )
-from accessim.scoring import candidate_score, user_score
 from accessim.selection import (
     BLOCKED,
     AdmissionTable,
     Outcome,
     admit,
+    candidate_score,
     select_serving_operator,
     transfer_objective,
+    user_score,
 )
 
 from oracles import oracle_admit, random_instance
@@ -94,23 +94,16 @@ def test_transfer_objective_components():
 
 
 def hand_scored(request, networks, cand_id):
-    """(s_u, s_t, transfer objective) of one candidate, from the public scoring functions.
+    """(s_u, s_t, transfer objective) of one candidate, from the public score functions.
 
     ``networks`` are the default scenario's operators, possibly with other loads.
     """
-    ops = {net.id: net for net in networks}
-    scenario = _scenario()
-    kind = request.service_class.kind
-    cand = ops[cand_id]
-    bounds = scenario.requirements[kind]
-    req = QoSRequirements(bw_req=scenario.demand.rate(kind, cand.technology),
-                          jitter_req=bounds.jitter_req, delay_req=bounds.delay_req,
-                          ber_req=bounds.ber_req)
-    sp_max = max(net.sp for net in networks)
-    s_u, _, p_norm = user_score(request.prefs, request.price_paid, sp_max)
-    s_t, _, _ = candidate_score(cand, request.service_class, request.prefs, req, sp_max)
-    return s_u, s_t, transfer_objective(ops[request.home_op], s_u, s_t, p_norm,
-                                        cand.cs / sp_max)
+    table = _table(networks)
+    route = table.routes[request.home_op, request.service_class.kind]
+    cand = next(c for c in route.candidates if c.net.id == cand_id)
+    s_u, p_norm = user_score(request.prefs, request.price_paid, table.sp_max)
+    s_t = candidate_score(cand, request.service_class.qos_weights, request.prefs)
+    return s_u, s_t, transfer_objective(route.home, s_u, s_t, p_norm, cand.cs_norm)
 
 
 def _no_scoring(monkeypatch):
