@@ -1,14 +1,16 @@
 """Event-driven simulation core.
 
-Single replication = one pass over a heap-ordered event queue: Poisson
-arrivals, exponential service times, admission via the selection policy,
-capacity bookkeeping on the serving network and ledger accrual at departure.
+Single replication = one pass over the Poisson arrivals in time order, with
+the pending departures on a heap: exponential service times, admission via
+the selection policy, capacity bookkeeping on the serving network and ledger
+accrual at departure.  Departures due at an arrival's instant go first.
 Replications differ only by seed and are safe to run in parallel.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -23,11 +25,6 @@ from .model import (
     Session,
 )
 from .selection import AdmissionTable, Outcome, admit
-
-# Heap tie-break: departures before arrivals at the same instant, so capacity
-# freed at t is available to an arrival at t.
-DEPARTURE = 0
-ARRIVAL = 1
 
 
 class CapacityAccountingError(RuntimeError):
@@ -63,14 +60,7 @@ def generate_arrival(clock, scenario: Scenario, streams: RngStreams, user_id):
     for cumulative, service_class, prefs in scenario.arrival_profiles:
         if u < cumulative:
             break
-    request = ServiceRequest(
-        user_id=user_id,
-        home_op=home.id,
-        service_class=service_class,
-        prefs=prefs,
-        price_paid=home.sp,
-    )
-    return clock + gap, request
+    return clock + gap, ServiceRequest(user_id, home.id, service_class, prefs, home.sp)
 
 
 def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
@@ -79,6 +69,12 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
 
     A served session is booked into the ledgers at its departure and then
     dropped; the result keeps no per-session record.
+
+    The next arrival is held apart from the heap, which holds only departures,
+    as ``(end_s, seq, session)``.  Before the arrival at ``t`` is admitted,
+    every departure with ``end_s <= t`` is handled, so capacity freed at ``t``
+    is there for an arrival at ``t``; departures that end together are handled
+    in admission order (``seq``).
 
     Arrivals stop at the horizon; departures keep draining afterwards so the
     system always returns to its starting occupancy, but session volume is
@@ -90,78 +86,77 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
     by_id = {net.id: net for net in world}
     table = AdmissionTable(world, scenario.demand, scenario.requirements)
     horizon = scenario.duration_s
+    cooperation = scenario.cooperation
+    billing = scenario.billing
+    draw_service = streams.service_time.expovariate
+    service_lambda = 1.0 / scenario.mean_service_s
+    heappush, heappop = heapq.heappush, heapq.heappop
+    served_home, blocked = Outcome.SERVED_HOME, Outcome.BLOCKED
 
     op_ids = [net.id for net in world]
-    result = ReplicationResult(
-        seed=seed,
-        arrivals_by_home={i: 0 for i in op_ids},
-        blocked_by_home={i: 0 for i in op_ids},
-        served_home_by_op={i: 0 for i in op_ids},
-        exchange={}, ledgers={i: OperatorLedger() for i in op_ids},
-        interarrival_sum=0.0,
-    )
+    arrivals_by_home = {i: 0 for i in op_ids}
+    blocked_by_home = {i: 0 for i in op_ids}
+    served_home_by_op = {i: 0 for i in op_ids}
+    exchange = {}
+    ledgers = {i: OperatorLedger() for i in op_ids}
 
     heap = []
     seq = 0
-    next_user = 1
-    clock = 0.0
-    t, request = generate_arrival(clock, scenario, streams, next_user)
-    if t < horizon:
-        heapq.heappush(heap, (t, ARRIVAL, seq, request))
-        result.interarrival_sum += t - clock
-        seq += 1
-
-    while heap:
-        t, kind, _, payload = heapq.heappop(heap)
-        if kind == DEPARTURE:
-            session: Session = payload
+    user = 1
+    t, request = generate_arrival(0.0, scenario, streams, user)
+    interarrival_sum = t if t < horizon else 0.0
+    while True:
+        # Once the next arrival is at or past the horizon, every departure is due.
+        due = t if t < horizon else math.inf
+        while heap and heap[0][0] <= due:
+            end_s, _, session = heappop(heap)
             net = by_id[session.serving_op]
             net.used_kbps -= session.rate_kbps
             if net.used_kbps < -1e-9:
                 raise CapacityAccountingError(
-                    f"operator {net.id} used_kbps went negative at t={t}")
-            analytics.accrue(session, by_id, result.ledgers, horizon, scenario.billing)
-            continue
+                    f"operator {net.id} used_kbps went negative at t={end_s}")
+            analytics.accrue(session, by_id, ledgers, horizon, billing)
+        if t >= horizon:
+            break
 
-        request = payload
-        result.arrivals_by_home[request.home_op] += 1
+        home_op = request.home_op
+        arrivals_by_home[home_op] += 1
+        user += 1
+        next_t, next_request = generate_arrival(t, scenario, streams, user)
+        if next_t < horizon:
+            interarrival_sum += next_t - t
 
-        next_user += 1
-        nt, nreq = generate_arrival(t, scenario, streams, next_user)
-        if nt < horizon:
-            heapq.heappush(heap, (nt, ARRIVAL, seq, nreq))
-            result.interarrival_sum += nt - t
-            seq += 1
-
-        decision = admit(request, table, scenario.cooperation)
-        if not decision.served:
-            result.blocked_by_home[request.home_op] += 1
-            continue
-
-        serving = by_id[decision.serving_op]
-        rate = decision.rate_kbps
-        serving.used_kbps += rate
-        if serving.used_kbps > serving.capacity_kbps + 1e-9:
-            raise CapacityAccountingError(
-                f"operator {serving.id} exceeded capacity at t={t}")
-        duration = streams.service_time.expovariate(1.0 / scenario.mean_service_s)
-        session = Session(request=request, serving_op=serving.id, rate_kbps=rate,
-                          start_s=t, duration_s=duration)
-        heapq.heappush(heap, (t + duration, DEPARTURE, seq, session))
-        seq += 1
-
-        if decision.outcome is Outcome.SERVED_HOME:
-            result.served_home_by_op[serving.id] += 1
+        decision = admit(request, table, cooperation)
+        outcome = decision.outcome
+        if outcome is blocked:
+            blocked_by_home[home_op] += 1
         else:
-            key = (request.home_op, serving.id, request.service_class.kind)
-            result.exchange[key] = result.exchange.get(key, 0) + 1
+            serving_op = decision.serving_op
+            serving = by_id[serving_op]
+            rate = decision.rate_kbps
+            serving.used_kbps += rate
+            if serving.used_kbps > serving.capacity_kbps + 1e-9:
+                raise CapacityAccountingError(
+                    f"operator {serving_op} exceeded capacity at t={t}")
+            duration = draw_service(service_lambda)
+            heappush(heap, (t + duration, seq, Session(request, serving_op, rate, t, duration)))
+            seq += 1
+            if outcome is served_home:
+                served_home_by_op[serving_op] += 1
+            else:
+                key = (home_op, serving_op, request.service_class.kind)
+                exchange[key] = exchange.get(key, 0) + 1
+        t, request = next_t, next_request
 
     for net, start in zip(world, scenario.operators):
         if abs(net.used_kbps - start.used_kbps) > 1e-9:
             raise CapacityAccountingError(
                 f"operator {net.id} did not drain to its background load "
                 f"{start.used_kbps}: {net.used_kbps}")
-    return result
+    return ReplicationResult(
+        seed=seed, arrivals_by_home=arrivals_by_home, blocked_by_home=blocked_by_home,
+        served_home_by_op=served_home_by_op, exchange=exchange, ledgers=ledgers,
+        interarrival_sum=interarrival_sum)
 
 
 def replication_seeds(scenario: Scenario):

@@ -14,7 +14,7 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -99,8 +99,7 @@ class OperatorNetwork:
         return self.capacity_kbps - self.used_kbps
 
 
-@dataclass(frozen=True)
-class ServiceRequest:
+class ServiceRequest(NamedTuple):
     """A single admission request, immutable for its whole lifetime."""
 
     user_id: int
@@ -138,8 +137,7 @@ class TrafficProfile:
     probability: float
 
 
-@dataclass(frozen=True)
-class Session:
+class Session(NamedTuple):
     """An admitted request bound to a serving operator for a drawn duration."""
 
     request: ServiceRequest

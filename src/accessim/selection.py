@@ -19,9 +19,10 @@ keeps discriminating between otherwise-equal networks.  Prices normalize by
 the highest access price among the networks.
 
 Everything but the networks' occupancy is constant during a run, so an
-``AdmissionTable`` compiles it once per replication, every load-free ratio of
-the candidate score included; each decision then reads only the live
-``used_kbps`` and scores the candidates that pass.
+``AdmissionTable`` compiles it once per replication: every load-free ratio of
+the candidate score and every served decision.  Each admission then reads
+only the live ``used_kbps``, scores the candidates that pass and returns a
+shared decision, so it allocates none.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ class Candidate(NamedTuple):
     n_ber: float
     sp_norm: float             # access price over the table's sp_max
     cs_norm: float             # settlement price over the table's sp_max
+    served: AdmissionDecision  # the shared SERVED_TRANSFER decision to this network
 
 
 class Route(NamedTuple):
@@ -131,7 +133,9 @@ class AdmissionTable:
                         min(bounds.jitter_req / cand.jitter_ms, 1.0),
                         min(bounds.delay_req / cand.delay_ms, 1.0),
                         min(bounds.ber_req / cand.ber, 1.0),
-                        cand.sp / self.sp_max, cand.cs / self.sp_max))
+                        cand.sp / self.sp_max, cand.cs / self.sp_max,
+                        AdmissionDecision(Outcome.SERVED_TRANSFER, serving_op=cand.id,
+                                          rate_kbps=rate)))
                 rate = demand.rate(kind, home.technology)
                 served = AdmissionDecision(Outcome.SERVED_HOME, serving_op=home.id,
                                            rate_kbps=rate)
@@ -173,21 +177,18 @@ def select_serving_operator(request: ServiceRequest, table: AdmissionTable
     prefs = request.prefs
     qos_weights = service_class.qos_weights
 
-    best_id = None
-    best_obj = best_rate = 0.0
+    best = None
+    best_obj = 0.0
     for cand in route.candidates:
         if not (cand.in_bounds and cand.net.remaining_kbps >= cand.rate):
             continue
-        if best_id is None:  # the first candidate to pass: score the user once
+        if best is None:  # the first candidate to pass: score the user once
             s_u, p_norm = user_score(prefs, request.price_paid, table.sp_max)
         s_t = candidate_score(cand, qos_weights, prefs)
         obj = transfer_objective(home, s_u, s_t, p_norm, cand.cs_norm)
-        if best_id is None or obj < best_obj - TIE_EPS:
-            best_id, best_obj, best_rate = cand.net.id, obj, cand.rate
-
-    if best_id is None:
-        return BLOCKED
-    return AdmissionDecision(Outcome.SERVED_TRANSFER, serving_op=best_id, rate_kbps=best_rate)
+        if best is None or obj < best_obj - TIE_EPS:
+            best, best_obj = cand, obj
+    return BLOCKED if best is None else best.served
 
 
 def admit(request: ServiceRequest, table: AdmissionTable,

@@ -107,6 +107,33 @@ def test_departure_frees_capacity_for_simultaneous_arrival():
     assert result.ledgers[1].profit == pytest.approx(expected)
 
 
+def test_zero_length_session_frees_capacity_for_an_arrival_at_its_instant():
+    # Session 1 ends at t=1.0, the instant arrival 2 lands on the one-session network.
+    streams = _fake_streams(interarrivals=[1.0, 0.0, 9999.0],
+                            services=[0.0, 3.0],
+                            homes=[0, 0, 0],
+                            profiles=[0.0, 0.0, 0.0])
+    result, log = run_logged(run_replication, _single_op_scenario(), seed=0, streams=streams)
+    assert (result.arrivals, result.served_home, result.blocked) == (2, 2, 0)
+    sessions = log(result)
+    assert [(s.request.user_id, s.start_s, s.duration_s) for s in sessions] == [
+        (1, 1.0, 0.0), (2, 1.0, 3.0)]
+
+
+def test_sessions_ending_together_are_accrued_in_admission_order():
+    # Four sessions admitted at t=1..4 with durations 9..6 all end at t=10.
+    streams = _fake_streams(interarrivals=[1.0, 1.0, 1.0, 1.0, 9999.0],
+                            services=[9.0, 8.0, 7.0, 6.0],
+                            homes=[0] * 5,
+                            profiles=[0.0] * 5)
+    scenario = _single_op_scenario(capacity=4 * 256.0)
+    result, log = run_logged(run_replication, scenario, seed=0, streams=streams)
+    assert (result.served_home, result.blocked) == (4, 0)
+    sessions = log(result)
+    assert {s.start_s + s.duration_s for s in sessions} == {10.0}
+    assert [s.request.user_id for s in sessions] == [1, 2, 3, 4]
+
+
 def test_busy_network_blocks_second_arrival():
     streams = _fake_streams(interarrivals=[1.0, 1.0, 9999.0],
                             services=[5.0],

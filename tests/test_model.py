@@ -10,6 +10,8 @@ from accessim.model import (
     DemandTable,
     ScenarioError,
     ServiceKind,
+    ServiceRequest,
+    Session,
     Technology,
     default_scenario,
     ensure_valid,
@@ -71,6 +73,21 @@ def test_remaining_kbps():
     assert net.remaining_kbps == 1700.0
     loaded = replace(net, used_kbps=1500.0)
     assert loaded.remaining_kbps == 200.0
+
+
+def test_requests_and_sessions_are_immutable():
+    s = default_scenario()
+    profile = s.profile_mix[0]
+    request = ServiceRequest(user_id=1, home_op=2, service_class=s.service_class(profile.service),
+                             prefs=profile.prefs, price_paid=0.1)
+    session = Session(request=request, serving_op=3, rate_kbps=256.0, start_s=1.0,
+                      duration_s=2.0)
+    for record, field in ((request, "home_op"), (session, "serving_op")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 9)
+    moved = request._replace(home_op=9)
+    assert (moved.home_op, request.home_op) == (9, 2)
+    assert moved.user_id == request.user_id
 
 
 def test_demand_rate_missing_pair_raises():

@@ -198,7 +198,7 @@ def test_decision_ignores_listing_order():
 
 def test_unknown_home_operator_raises():
     scenario = _scenario()
-    stray = replace(_request(home=1), home_op=9)
+    stray = _request(home=1)._replace(home_op=9)
     with pytest.raises(KeyError):
         admit(stray, _table(scenario.operators), True)
 
@@ -261,17 +261,41 @@ def test_one_table_follows_live_occupancy():
 
 
 def test_shared_decisions_are_read_only():
-    table = _table(_scenario().operators)
-    home = admit(_request(home=2), table, cooperation=True)
-    assert admit(_request(home=2), table, cooperation=True) is home
+    ops = list(_scenario().operators)
+    ops[1] = replace(ops[1], used_kbps=ops[1].capacity_kbps)  # Op2 full: its client moves
+    table = _table(ops)
+    home = admit(_request(home=3), table, cooperation=True)
+    assert admit(_request(home=3), table, cooperation=True) is home
+    moved = _request(home=2, kind=ServiceKind.INTERACTIVE)
+    transfer = admit(moved, table, cooperation=True)
+    assert transfer.outcome is Outcome.SERVED_TRANSFER
+    assert admit(moved, table, cooperation=True) is transfer
     blocked = admit(_request(home=1, kind=ServiceKind.INTERACTIVE), table,
                     cooperation=False)
     assert blocked is BLOCKED
-    for decision in (home, blocked):
+    for decision in (home, transfer, blocked):
         with pytest.raises(FrozenInstanceError):
             decision.serving_op = 3
         with pytest.raises(FrozenInstanceError):
             decision.rate_kbps = 0.0
+
+
+def test_admit_returns_only_prebuilt_decisions():
+    # admit allocates nothing: every decision is one the table built in advance.
+    rng = random.Random(5551212)
+    outcomes = set()
+    for _ in range(500):
+        request, networks, demand, requirements = random_instance(rng)
+        table = AdmissionTable(networks, demand, requirements)
+        route = table.routes[request.home_op, request.service_class.kind]
+        for cand in route.candidates:
+            assert cand.served.outcome is Outcome.SERVED_TRANSFER
+            assert (cand.served.serving_op, cand.served.rate_kbps) == (cand.net.id, cand.rate)
+        decision = admit(request, table, cooperation=rng.random() < 0.8)
+        prebuilt = (route.served, BLOCKED, *(cand.served for cand in route.candidates))
+        assert any(decision is shared for shared in prebuilt)
+        outcomes.add(decision.outcome)
+    assert outcomes == set(Outcome)
 
 
 def test_served_decisions_carry_the_serving_rate():
