@@ -35,6 +35,7 @@ from .selection import (
     user_score,
 )
 from .engine import (
+    ArrivalDraws,
     CapacityAccountingError,
     RngStreams,
     generate_arrival,

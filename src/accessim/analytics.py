@@ -31,13 +31,20 @@ def accrue(session: Session, networks: Mapping[int, OperatorNetwork],
     home operator in full (income_transferred) while the serving operator's
     settlement price flows cost_paid -> income_guests.
     """
+    request, serving, rate, start, duration = session
     if billing == "per_session":
         volume = 1.0
     else:
-        volume = session_volume_kbytes(session, horizon_s)
-    p = session.request.price_paid
-    home = session.request.home_op
-    serving = session.serving_op
+        # session_volume_kbytes inlined, its min and max as two ifs: the same value.
+        end = start + duration
+        if end > horizon_s:
+            end = horizon_s
+        span = end - start
+        if span < 0.0:
+            span = 0.0
+        volume = rate * span / 8.0
+    p = request.price_paid
+    home = request.home_op
     if serving == home:
         ledgers[home].income_own += p * volume
     else:

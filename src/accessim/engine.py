@@ -5,6 +5,14 @@ the pending departures on a heap: exponential service times, admission via
 the selection policy, capacity bookkeeping on the serving network and ledger
 accrual at departure.  Departures due at an arrival's instant go first.
 Replications differ only by seed and are safe to run in parallel.
+
+Everything an arrival draws from is bound once per replication into an
+``ArrivalDraws``, and ``generate_arrival(clock, draws, user_id)`` makes three
+draws per arrival, one from each of three streams: the gap to it
+(``interarrival.expovariate``), its home operator (``getrandbits`` on
+``home_assignment``, by ``randrange``'s own rejection loop) and its profile
+(one ``profile.random()`` looked up in the cumulative mix).  Each served
+arrival then draws its service time from ``service_time``.
 """
 
 from __future__ import annotations
@@ -12,8 +20,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 from . import analytics
 from .model import (
@@ -21,8 +31,10 @@ from .model import (
     OperatorLedger,
     ReplicationResult,
     Scenario,
+    ServiceClass,
     ServiceRequest,
     Session,
+    UserPreferences,
 )
 from .selection import AdmissionTable, Outcome, admit
 
@@ -51,16 +63,53 @@ class RngStreams:
         )
 
 
-def generate_arrival(clock, scenario: Scenario, streams: RngStreams, user_id):
-    """Draw the next arrival: its time, home operator, profile and contracted price."""
-    gap = streams.interarrival.expovariate(1.0 / scenario.mean_interarrival_s)
-    home = scenario.operators[streams.home_assignment.randrange(len(scenario.operators))]
-    u = streams.profile.random()
-    # Without a break the loop leaves the last profile bound: the rounding fallback.
-    for cumulative, service_class, prefs in scenario.arrival_profiles:
-        if u < cumulative:
-            break
-    return clock + gap, ServiceRequest(user_id, home.id, service_class, prefs, home.sp)
+class ArrivalDraws(NamedTuple):
+    """What every arrival of one replication draws from, bound once per replication.
+
+    ``generate_arrival`` unpacks it whole; built by ``ArrivalDraws.build``.
+    """
+
+    gap: Callable[[float], float]             # the interarrival stream's expovariate
+    rate: float                               # 1 / mean interarrival time
+    home_bits: Callable[[int], int]           # the home-assignment stream's getrandbits
+    n: int                                    # number of operators
+    k: int                                    # n.bit_length(), as randrange(n) uses
+    homes: tuple[tuple[int, float], ...]      # (id, sp) per operator, in scenario order
+    uniform: Callable[[], float]              # the profile stream's random
+    cums: list[float]                         # cumulative profile probabilities
+    profiles: tuple[tuple[ServiceClass, UserPreferences], ...]  # last pair repeated
+
+    @classmethod
+    def build(cls, scenario: Scenario, streams: RngStreams) -> "ArrivalDraws":
+        n = len(scenario.operators)
+        table = scenario.arrival_profiles
+        profiles = [(service_class, prefs) for _, service_class, prefs in table]
+        # A draw above every cumulative probability takes the last profile: the
+        # rounding fallback, so bisect_right's one-past-the-end index finds it too.
+        profiles.append(profiles[-1])
+        return cls(streams.interarrival.expovariate, 1.0 / scenario.mean_interarrival_s,
+                   streams.home_assignment.getrandbits, n, n.bit_length(),
+                   tuple((net.id, net.sp) for net in scenario.operators),
+                   streams.profile.random, [cumulative for cumulative, _, _ in table],
+                   tuple(profiles))
+
+
+def generate_arrival(clock, draws: ArrivalDraws, user_id):
+    """Draw the next arrival: its time, home operator, profile and contracted price.
+
+    The home is ``randrange(n)`` made from its own rejection loop on
+    ``getrandbits(k)``, which consumes the stream exactly as ``randrange`` does;
+    the profile is the first whose cumulative probability exceeds the draw.
+    """
+    gap, rate, home_bits, n, k, homes, uniform, cums, profiles = draws
+    t = clock + gap(rate)
+    r = home_bits(k)
+    while r >= n:
+        r = home_bits(k)
+    home_op, sp = homes[r]
+    service_class, prefs = profiles[bisect_right(cums, uniform())]
+    # tuple.__new__ is what NamedTuple._make does, less its length check.
+    return t, tuple.__new__(ServiceRequest, (user_id, home_op, service_class, prefs, sp))
 
 
 def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
@@ -71,7 +120,8 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
     dropped; the result keeps no per-session record.
 
     The next arrival is held apart from the heap, which holds only departures,
-    as ``(end_s, seq, session)``.  Before the arrival at ``t`` is admitted,
+    as ``(end_s, seq, session, serving network)``; ``seq`` is unique, so no
+    comparison reaches the session.  Before the arrival at ``t`` is admitted,
     every departure with ``end_s <= t`` is handled, so capacity freed at ``t``
     is there for an arrival at ``t``; departures that end together are handled
     in admission order (``seq``).
@@ -85,6 +135,7 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
     world = [replace(net) for net in scenario.operators]
     by_id = {net.id: net for net in world}
     table = AdmissionTable(world, scenario.demand, scenario.requirements)
+    draws = ArrivalDraws.build(scenario, streams)
     horizon = scenario.duration_s
     cooperation = scenario.cooperation
     billing = scenario.billing
@@ -103,14 +154,13 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
     heap = []
     seq = 0
     user = 1
-    t, request = generate_arrival(0.0, scenario, streams, user)
+    t, request = generate_arrival(0.0, draws, user)
     interarrival_sum = t if t < horizon else 0.0
     while True:
         # Once the next arrival is at or past the horizon, every departure is due.
         due = t if t < horizon else math.inf
         while heap and heap[0][0] <= due:
-            end_s, _, session = heappop(heap)
-            net = by_id[session.serving_op]
+            end_s, _, session, net = heappop(heap)
             net.used_kbps -= session.rate_kbps
             if net.used_kbps < -1e-9:
                 raise CapacityAccountingError(
@@ -122,7 +172,7 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
         home_op = request.home_op
         arrivals_by_home[home_op] += 1
         user += 1
-        next_t, next_request = generate_arrival(t, scenario, streams, user)
+        next_t, next_request = generate_arrival(t, draws, user)
         if next_t < horizon:
             interarrival_sum += next_t - t
 
@@ -139,7 +189,9 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
                 raise CapacityAccountingError(
                     f"operator {serving_op} exceeded capacity at t={t}")
             duration = draw_service(service_lambda)
-            heappush(heap, (t + duration, seq, Session(request, serving_op, rate, t, duration)))
+            # Positional, as in generate_arrival: NamedTuple._make less its length check.
+            session = tuple.__new__(Session, (request, serving_op, rate, t, duration))
+            heappush(heap, (t + duration, seq, session, serving))
             seq += 1
             if outcome is served_home:
                 served_home_by_op[serving_op] += 1

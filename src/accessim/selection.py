@@ -22,7 +22,10 @@ Everything but the networks' occupancy is constant during a run, so an
 ``AdmissionTable`` compiles it once per replication: every load-free ratio of
 the candidate score and every served decision.  Each admission then reads
 only the live ``used_kbps``, scores the candidates that pass and returns a
-shared decision, so it allocates none.
+shared decision, so it allocates none.  The gates compute
+``capacity_kbps - used_kbps`` inline, the very subtraction of
+``OperatorNetwork.remaining_kbps``; a precomputed ``capacity - rate``
+threshold could round the other way.
 """
 
 from __future__ import annotations
@@ -163,8 +166,9 @@ def candidate_score(cand: Candidate, qos_weights, prefs: UserPreferences) -> flo
     delay, BER).
     """
     w_bw, w_jitter, w_delay, w_ber = qos_weights
-    s_tqos = (w_bw * (cand.net.remaining_kbps / cand.rate) + w_jitter * cand.n_jitter
-              + w_delay * cand.n_delay + w_ber * cand.n_ber)
+    net = cand.net
+    s_tqos = (w_bw * ((net.capacity_kbps - net.used_kbps) / cand.rate)
+              + w_jitter * cand.n_jitter + w_delay * cand.n_delay + w_ber * cand.n_ber)
     return prefs.w_qos * s_tqos + prefs.w_price * cand.sp_norm
 
 
@@ -180,7 +184,8 @@ def select_serving_operator(request: ServiceRequest, table: AdmissionTable
     best = None
     best_obj = 0.0
     for cand in route.candidates:
-        if not (cand.in_bounds and cand.net.remaining_kbps >= cand.rate):
+        net = cand.net
+        if not (cand.in_bounds and net.capacity_kbps - net.used_kbps >= cand.rate):
             continue
         if best is None:  # the first candidate to pass: score the user once
             s_u, p_norm = user_score(prefs, request.price_paid, table.sp_max)
@@ -196,7 +201,7 @@ def admit(request: ServiceRequest, table: AdmissionTable,
     """Home-first admission; never mutates network state, the engine applies the outcome."""
     route = table.routes[request.home_op, request.service_class.kind]
     home = route.home
-    if route.in_bounds and home.remaining_kbps >= route.rate:
+    if route.in_bounds and home.capacity_kbps - home.used_kbps >= route.rate:
         return route.served
     if not cooperation:
         return BLOCKED

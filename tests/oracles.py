@@ -3,11 +3,13 @@
 Everything here is recomputed from the model types alone, without touching
 the package's scoring or selection code, so agreement between the two
 implementations means both encode the same rules rather than one calling
-the other.
+the other.  ``oracle_arrivals`` keeps the plain arrival generator the
+engine's compiled one must reproduce draw for draw.
 """
 
 import random
 
+from accessim.engine import RngStreams
 from accessim.model import (
     ClassRequirements,
     DemandTable,
@@ -115,3 +117,32 @@ def random_instance(rng: random.Random):
         price_paid=home.sp,
     )
     return request, networks, demand, requirements
+
+
+def oracle_arrivals(scenario, seed, count):
+    """The first ``count`` arrivals of ``seed`` as ``[(time, ServiceRequest)]``.
+
+    Per arrival: ``expovariate`` on the interarrival stream, ``randrange`` on
+    the home-assignment stream, and one uniform on the profile stream matched
+    by a linear scan for the first cumulative probability above it (the last
+    profile when rounding leaves the draw above all).
+    """
+    streams = RngStreams.from_seed(seed)
+    cumulative = []
+    acc = 0.0
+    for profile in scenario.profile_mix:
+        acc += profile.probability
+        cumulative.append((acc, scenario.service_class(profile.service), profile.prefs))
+    arrivals = []
+    clock = 0.0
+    for user_id in range(1, count + 1):
+        gap = streams.interarrival.expovariate(1.0 / scenario.mean_interarrival_s)
+        home = scenario.operators[streams.home_assignment.randrange(len(scenario.operators))]
+        u = streams.profile.random()
+        for bound, service_class, prefs in cumulative:
+            if u < bound:
+                break
+        clock = clock + gap
+        arrivals.append((clock, ServiceRequest(user_id, home.id, service_class, prefs,
+                                               home.sp)))
+    return arrivals

@@ -69,6 +69,27 @@ def test_volume_truncates_at_horizon():
     assert session_volume_kbytes(beyond, horizon_s=1200.0) == 0.0
 
 
+@pytest.mark.parametrize("billing", ["volume", "per_session"])
+@pytest.mark.parametrize("start, duration", [
+    (10.3, 97.1),      # ends before the horizon
+    (1150.7, 123.9),   # straddles the horizon
+    (500.2, 0.0),      # zero length
+])
+@pytest.mark.parametrize("serving", [1, 3])
+def test_booked_volume_is_price_times_session_volume(billing, start, duration, serving):
+    session = _session(1, serving, rate=256.0, start=start, duration=duration, price=0.37)
+    networks = _networks()
+    ledgers = _ledgers()
+    accrue(session, networks, ledgers, horizon_s=1200.0, billing=billing)
+    volume = 1.0 if billing == "per_session" else session_volume_kbytes(session, 1200.0)
+    if serving == 1:
+        assert ledgers[1].income_own == 0.37 * volume
+    else:
+        assert ledgers[1].income_transferred == 0.37 * volume
+        assert ledgers[1].cost_paid == networks[3].cs * volume
+        assert ledgers[3].income_guests == networks[3].cs * volume
+
+
 def test_home_service_pays_the_home_operator():
     ledgers = _ledgers()
     accrue(_session(1, 1), _networks(), ledgers, horizon_s=1200.0)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from accessim.engine import (
+    ArrivalDraws,
     RngStreams,
     generate_arrival,
     replication_seeds,
@@ -24,6 +25,7 @@ from accessim.model import (
     load_scenario,
 )
 
+from oracles import oracle_arrivals
 from session_log import run_logged
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -46,9 +48,9 @@ class _Scripted:
     def random(self):
         return self._next()
 
-    def randrange(self, n):
+    def getrandbits(self, k):
         value = self._next()
-        assert 0 <= value < n
+        assert 0 <= value < 2 ** k
         return value
 
 
@@ -227,21 +229,84 @@ def test_pooled_interarrival_mean_matches_rate():
 
 def test_generated_traffic_matches_profile_mix():
     scenario = default_scenario()
-    streams = RngStreams.from_seed(123)
+    draws = ArrivalDraws.build(scenario, RngStreams.from_seed(123))
     profile_counts = {i: 0 for i in range(len(scenario.profile_mix))}
     home_counts = {net.id: 0 for net in scenario.operators}
     sp_by_id = {net.id: net.sp for net in scenario.operators}
-    draws = 12000
+    arrivals = 12000
     lookup = {(p.service, p.prefs.w_qos): i for i, p in enumerate(scenario.profile_mix)}
-    for user_id in range(draws):
-        _, request = generate_arrival(0.0, scenario, streams, user_id)
+    for user_id in range(arrivals):
+        _, request = generate_arrival(0.0, draws, user_id)
         profile_counts[lookup[(request.service_class.kind, request.prefs.w_qos)]] += 1
         home_counts[request.home_op] += 1
         assert request.price_paid == sp_by_id[request.home_op]
     for count in profile_counts.values():
-        assert count / draws == pytest.approx(0.25, abs=0.02)
+        assert count / arrivals == pytest.approx(0.25, abs=0.02)
     for count in home_counts.values():
-        assert count / draws == pytest.approx(1.0 / 3.0, abs=0.02)
+        assert count / arrivals == pytest.approx(1.0 / 3.0, abs=0.02)
+
+
+def _n_op_scenario(n):
+    base = default_scenario()
+    operators = tuple(replace(base.operators[i % 3], id=i + 1, name=f"Op{i + 1}",
+                              sp=0.1 * (i + 1))
+                      for i in range(n))
+    return ensure_valid(replace(base, operators=operators))
+
+
+@pytest.mark.parametrize("n_ops", [1, 2, 3, 4, 5])
+def test_compiled_arrivals_match_the_plain_generator(n_ops):
+    # 1, 2 and 4 operators make randrange's draw width k = n.bit_length() reject
+    # half the raw bits at worst; 3 and 5 reject some; all must consume alike.
+    scenario = _n_op_scenario(n_ops)
+    for seed in range(50):
+        draws = ArrivalDraws.build(scenario, RngStreams.from_seed(seed))
+        clock = 0.0
+        compiled = []
+        for user_id in range(1, 2001):
+            clock, request = generate_arrival(clock, draws, user_id)
+            compiled.append((clock, request))
+        assert compiled == oracle_arrivals(scenario, seed, 2000), (n_ops, seed)
+
+
+def _two_profile_scenario(second_probability):
+    base = default_scenario()
+    mix = (TrafficProfile(service=ServiceKind.CONVERSATIONAL,
+                          prefs=UserPreferences(0.7, 0.3), probability=0.5),
+           TrafficProfile(service=ServiceKind.INTERACTIVE,
+                          prefs=UserPreferences(0.2, 0.8), probability=second_probability))
+    return ensure_valid(replace(base, profile_mix=mix))
+
+
+def _requests_drawn(scenario, uniforms, homes=None):
+    homes = [0] * len(uniforms) if homes is None else homes
+    streams = _fake_streams(interarrivals=[1.0] * len(uniforms), homes=homes,
+                            profiles=uniforms)
+    draws = ArrivalDraws.build(scenario, streams)
+    return [generate_arrival(0.0, draws, user_id)[1] for user_id in range(len(uniforms))]
+
+
+def test_a_draw_equal_to_a_cumulative_probability_takes_the_next_profile():
+    requests = _requests_drawn(_two_profile_scenario(0.5), [0.0, 0.5, 0.4999999999999999])
+    assert [r.service_class.kind for r in requests] == [
+        ServiceKind.CONVERSATIONAL, ServiceKind.INTERACTIVE, ServiceKind.CONVERSATIONAL]
+
+
+def test_a_draw_above_the_last_cumulative_probability_takes_the_last_profile():
+    # The mix sums to 1 - 1e-12, within WEIGHT_SUM_TOL, so a uniform in
+    # [1 - 1e-12, 1) lies above every cumulative probability.
+    scenario = _two_profile_scenario(0.5 - 1e-12)
+    last = scenario.arrival_profiles[-1][0]
+    assert last < 1.0
+    requests = _requests_drawn(scenario, [last, (last + 1.0) / 2, 0.9999999999999999])
+    assert [r.service_class.kind for r in requests] == [ServiceKind.INTERACTIVE] * 3
+    assert [r.prefs for r in requests] == [UserPreferences(0.2, 0.8)] * 3
+
+
+def test_home_draw_rejects_raw_bits_at_or_above_the_operator_count():
+    # Three operators draw two bits; 3 is rejected and drawn again, as randrange(3) does.
+    requests = _requests_drawn(default_scenario(), [0.0, 0.0], homes=[3, 3, 2, 1])
+    assert [r.home_op for r in requests] == [3, 2]
 
 
 def test_more_capacity_never_hurts_on_average():
