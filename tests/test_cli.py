@@ -224,3 +224,44 @@ def test_compare_is_deterministic(tmp_path):
     for filename in ("compare.csv", "exchange.csv"):
         assert (tmp_path / "a" / filename).read_bytes() \
             == (tmp_path / "b" / filename).read_bytes()
+
+
+# Run in a fresh interpreter: prints, after each step, which of the process
+# pool's modules are loaded.
+POOL_GUARD = """
+import json, sys
+from dataclasses import replace
+
+POOL = ("concurrent.futures", "multiprocessing")
+steps = {}
+
+def check(step):
+    steps[step] = [name for name in POOL if name in sys.modules]
+
+import accessim
+check("import accessim")
+from accessim import cli
+check("import accessim.cli")
+status = cli.main(["run", "--scenario", sys.argv[1], "--replications", "2",
+                   "--out", sys.argv[2]])
+check("accessim run")
+scenario = replace(accessim.load_scenario(sys.argv[1]), replications=1)
+accessim.run_experiment(scenario, workers=1)
+check("run_experiment(workers=1)")
+accessim.run_experiment(scenario, workers=2)
+check("run_experiment(workers=2), one replication")
+print(json.dumps({"status": status, "steps": steps}))
+"""
+
+
+def test_serial_runs_never_import_the_process_pool(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", POOL_GUARD, CALIBRATED,
+                           str(tmp_path / "out")],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": CHILD_PYTHONPATH})
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["status"] == 0
+    assert len(result["steps"]) == 5
+    assert result["steps"] == {step: [] for step in result["steps"]}
+    assert (tmp_path / "out" / "metrics.csv").exists()

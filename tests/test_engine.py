@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from accessim import engine
 from accessim.engine import (
     ArrivalDraws,
     RngStreams,
@@ -212,6 +213,30 @@ def test_count_conservation_across_seeds():
         served = log(r)
         assert served
         assert sum(s.serving_op == s.request.home_op for s in served) == r.served_home
+
+
+def test_each_home_counts_every_arrival_drawn_for_it(monkeypatch):
+    # Tallied from the draws themselves, apart from the outcome counts the
+    # replication derives arrivals_by_home from.
+    drawn = []
+
+    def recorded(clock, draws, user_id):
+        t, request = generate_arrival(clock, draws, user_id)
+        drawn.append((t, request.home_op))
+        return t, request
+
+    monkeypatch.setattr(engine, "generate_arrival", recorded)
+    scenario = replace(load_scenario(SCENARIO_DIR / "default.json"),
+                       cooperation=True, duration_s=400.0)
+    for seed in range(10, 15):
+        drawn.clear()
+        r = run_replication(scenario, seed)
+        assert r.blocked and r.served_home and r.served_transferred
+        expected = {net.id: 0 for net in scenario.operators}
+        for t, home_op in drawn:
+            if t < scenario.duration_s:
+                expected[home_op] += 1
+        assert r.arrivals_by_home == expected
 
 
 def test_arrival_volume_matches_poisson_rate():
