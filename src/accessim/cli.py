@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,6 +26,7 @@ from .model import (
     default_scenario,
     ensure_valid,
     load_scenario,
+    validate_scenario,
 )
 
 CSV_FORMAT_VERSION = 1
@@ -66,6 +66,7 @@ def _write_csv(path: Path, header, rows) -> None:
 def _scope_rows(result, scenario: Scenario):
     """Yield (scope, counters..., ledger...) tuples for one replication."""
     ledgers = result.ledgers
+    transferred_by_home = result.transferred_by_home
     yield ("global", result.arrivals, result.blocked, result.blocking_probability,
            result.served_home, result.served_transferred,
            sum(l.income_own for l in ledgers.values()),
@@ -79,24 +80,16 @@ def _scope_rows(result, scenario: Scenario):
         ledger = ledgers[net.id]
         yield (f"op{net.id}", arrivals, blocked,
                blocked / arrivals if arrivals else 0.0,
-               result.served_home_by_op[net.id], result.transferred_by_home[net.id],
+               result.served_home_by_op[net.id], transferred_by_home[net.id],
                ledger.income_own, ledger.income_transferred, ledger.income_guests,
                ledger.cost_paid, ledger.profit)
 
 
-def write_metrics_csv(path: Path, report) -> None:
-    rows = []
-    for index, result in enumerate(report.results):
-        for scope_row in _scope_rows(result, report.scenario):
-            rows.append((index, result.seed) + scope_row)
-    _write_csv(path, METRICS_HEADER, rows)
-
-
-def write_summary_csv(path: Path, report) -> None:
+def write_summary_csv(path: Path, metrics_rows) -> None:
+    """Summarize the rows of metrics.csv per scope and metric."""
     per_scope: dict[str, list[tuple]] = {}
-    for result in report.results:
-        for scope_row in _scope_rows(result, report.scenario):
-            per_scope.setdefault(scope_row[0], []).append(scope_row[1:])
+    for row in metrics_rows:
+        per_scope.setdefault(row[2], []).append(row[3:])
     rows = []
     for scope, samples in per_scope.items():
         for metric_index, metric in enumerate(SUMMARY_METRICS):
@@ -148,12 +141,12 @@ def _mode_name(cooperation: bool) -> str:
 # --------------------------------------------------------------------------
 # commands
 
-def cmd_run(scenario: Scenario, args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report = run_experiment(scenario)
-    write_metrics_csv(out / "metrics.csv", report)
-    write_summary_csv(out / "summary.csv", report)
+def cmd_run(scenario: Scenario, args, out: Path) -> int:
+    rows = [(index, result.seed) + scope_row
+            for index, result in enumerate(run_experiment(scenario).results)
+            for scope_row in _scope_rows(result, scenario)]
+    _write_csv(out / "metrics.csv", METRICS_HEADER, rows)
+    write_summary_csv(out / "summary.csv", rows)
     return 0
 
 
@@ -171,9 +164,7 @@ def run_grid(scenario: Scenario, sweep, modes) -> dict[tuple[float, bool], Metri
             for mean_interarrival in dict.fromkeys(sweep) for cooperation in modes}
 
 
-def cmd_sweep(scenario: Scenario, args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_sweep(scenario: Scenario, args, out: Path) -> int:
     grid = run_grid(scenario, args.sweep, _modes(args.cooperation))
     rows = [(mean_interarrival, _mode_name(cooperation), index, result.seed,
              result.arrivals, result.blocked, result.blocking_probability,
@@ -214,9 +205,7 @@ def _write_sweep_charts(out: Path, scenario: Scenario, grid) -> None:
         "mean profit", profit_series))
 
 
-def cmd_compare(scenario: Scenario, args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_compare(scenario: Scenario, args, out: Path) -> int:
     grid = run_grid(scenario, args.sweep, _modes(args.cooperation))
     rows = []
     for (mean_interarrival, cooperation), report in grid.items():
@@ -239,12 +228,9 @@ def cmd_compare(scenario: Scenario, args) -> int:
 
 def _sweep_list(text: str):
     try:
-        values = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad sweep list {text!r}: {exc}")
-    if not all(math.isfinite(v) and v > 0 for v in values):
-        raise argparse.ArgumentTypeError("sweep values must be positive finite seconds")
-    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,6 +295,12 @@ def _load(args) -> Scenario:
         overrides["cooperation"] = cooperation == "on"
     if overrides:
         scenario = ensure_valid(replace(scenario, **overrides))
+    # The grid runs the scenario at each sweep value, so each must be valid there.
+    violations = [violation for mean_interarrival in dict.fromkeys(getattr(args, "sweep", ()))
+                  for violation in validate_scenario(
+                      replace(scenario, mean_interarrival_s=mean_interarrival))]
+    if violations:
+        raise ScenarioError(violations)
     return scenario
 
 
@@ -324,7 +316,9 @@ def main(argv=None) -> int:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(scenario, args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return args.func(scenario, args, out)
     except OSError as exc:
         print(f"cannot write reports: {exc}", file=sys.stderr)
         return 1

@@ -4,24 +4,26 @@ Single replication = one pass over the Poisson arrivals in time order, with
 the pending departures on a heap: exponential service times, admission via
 the selection policy, capacity bookkeeping on the serving network and ledger
 accrual at departure.  Departures due at an arrival's instant go first.
-Replications differ only by seed and are safe to run in parallel.
+An experiment's replications share one ``AdmissionTable``; each resets its
+networks' ``used_kbps`` first, so each depends on its seed alone.
 
 Everything an arrival draws from is bound once per replication into an
 ``ArrivalDraws``, and ``generate_arrival(clock, draws, user_id)`` makes three
 draws per arrival, one from each of three streams: the gap to it
-(``interarrival.expovariate``), its home operator (``getrandbits`` on
+(``interarrival``), its home operator (``getrandbits`` on
 ``home_assignment``, by ``randrange``'s own rejection loop) and its profile
 (one ``profile.random()`` looked up in the cumulative mix).  Each served
-arrival then draws its service time from ``service_time``.
+arrival then draws its service time from ``service_time``.  Both exponential
+draws inline ``Random.expovariate``'s body, ``-log(1.0 - random()) / rate``.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from math import inf, log
 from typing import Callable, NamedTuple
 
 from . import analytics
@@ -68,7 +70,7 @@ class ArrivalDraws(NamedTuple):
     ``generate_arrival`` unpacks it whole; built by ``ArrivalDraws.build``.
     """
 
-    gap: Callable[[float], float]             # the interarrival stream's expovariate
+    gap_uniform: Callable[[], float]          # the interarrival stream's random
     rate: float                               # 1 / mean interarrival time
     home_bits: Callable[[int], int]           # the home-assignment stream's getrandbits
     n: int                                    # number of operators
@@ -86,7 +88,7 @@ class ArrivalDraws(NamedTuple):
         # A draw above every cumulative probability takes the last profile: the
         # rounding fallback, so bisect_right's one-past-the-end index finds it too.
         profiles.append(profiles[-1])
-        return cls(streams.interarrival.expovariate, 1.0 / scenario.mean_interarrival_s,
+        return cls(streams.interarrival.random, 1.0 / scenario.mean_interarrival_s,
                    streams.home_assignment.getrandbits, n, n.bit_length(),
                    tuple((net.id, net.sp) for net in scenario.operators),
                    streams.profile.random, [cumulative for cumulative, _, _ in table],
@@ -96,12 +98,13 @@ class ArrivalDraws(NamedTuple):
 def generate_arrival(clock, draws: ArrivalDraws, user_id):
     """Draw the next arrival: its time, home operator, profile and contracted price.
 
+    Negation is exact, so ``clock - log(...)`` is ``clock + expovariate(rate)``.
     The home is ``randrange(n)`` made from its own rejection loop on
     ``getrandbits(k)``, which consumes the stream exactly as ``randrange`` does;
     the profile is the first whose cumulative probability exceeds the draw.
     """
-    gap, rate, home_bits, n, k, homes, uniform, cums, profiles = draws
-    t = clock + gap(rate)
+    gap_uniform, rate, home_bits, n, k, homes, uniform, cums, profiles = draws
+    t = clock - log(1.0 - gap_uniform()) / rate
     r = home_bits(k)
     while r >= n:
         r = home_bits(k)
@@ -111,12 +114,19 @@ def generate_arrival(clock, draws: ArrivalDraws, user_id):
     return t, tuple.__new__(ServiceRequest, (user_id, home_op, service_class, prefs, sp))
 
 
-def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
-                    ) -> ReplicationResult:
+def admission_table(scenario: Scenario) -> AdmissionTable:
+    """An ``AdmissionTable`` over working copies of the scenario's networks."""
+    return AdmissionTable([replace(net) for net in scenario.operators],
+                          scenario.demand, scenario.requirements)
+
+
+def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
+                    table: AdmissionTable | None = None) -> ReplicationResult:
     """Simulate one replication and return its raw counts, exchange and ledgers.
 
-    A served session is booked into the ledgers at its departure and then
-    dropped; the result keeps no per-session record.
+    ``table`` is the experiment's ``admission_table(scenario)``, or None to
+    build one.  A served session is booked into the ledgers at its departure
+    and then dropped; the result keeps no per-session record.
 
     The next arrival is held apart from the heap, which holds only departures,
     as ``(end_s, seq, session, serving network)``; ``seq`` is unique, so no
@@ -131,14 +141,17 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
     load: it takes capacity for the whole run and is never released.
     """
     streams = streams if streams is not None else RngStreams.from_seed(seed)
-    world = [replace(net) for net in scenario.operators]
+    table = table if table is not None else admission_table(scenario)
+    world = table.networks
     by_id = {net.id: net for net in world}
-    table = AdmissionTable(world, scenario.demand, scenario.requirements)
+    # Assigned, not carried over: an earlier replication's sums may have drifted.
+    for net, start in zip(world, scenario.operators):
+        net.used_kbps = start.used_kbps
     draws = ArrivalDraws.build(scenario, streams)
     horizon = scenario.duration_s
     cooperation = scenario.cooperation
     billing = scenario.billing
-    draw_service = streams.service_time.expovariate
+    service_uniform = streams.service_time.random
     service_lambda = 1.0 / scenario.mean_service_s
     heappush, heappop = heapq.heappush, heapq.heappop
     served_home, blocked = Outcome.SERVED_HOME, Outcome.BLOCKED
@@ -152,11 +165,11 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
     heap = []
     seq = 0
     user = 1
-    t, request = generate_arrival(0.0, draws, user)
-    interarrival_sum = t if t < horizon else 0.0
+    clock = 0.0  # the last arrival before the horizon: the sum of the gaps up to it
+    t, request = generate_arrival(clock, draws, user)
     while True:
         # Once the next arrival is at or past the horizon, every departure is due.
-        due = t if t < horizon else math.inf
+        due = t if t < horizon else inf
         while heap and heap[0][0] <= due:
             end_s, _, session, net = heappop(heap)
             net.used_kbps -= session.rate_kbps
@@ -167,16 +180,10 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
         if t >= horizon:
             break
 
-        home_op = request.home_op
-        user += 1
-        next_t, next_request = generate_arrival(t, draws, user)
-        if next_t < horizon:
-            interarrival_sum += next_t - t
-
         decision = admit(request, table, cooperation)
         outcome = decision.outcome
         if outcome is blocked:
-            blocked_by_home[home_op] += 1
+            blocked_by_home[request.home_op] += 1
         else:
             serving_op = decision.serving_op
             serving = by_id[serving_op]
@@ -185,7 +192,7 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
             if serving.used_kbps > serving.capacity_kbps + 1e-9:
                 raise CapacityAccountingError(
                     f"operator {serving_op} exceeded capacity at t={t}")
-            duration = draw_service(service_lambda)
+            duration = -log(1.0 - service_uniform()) / service_lambda
             # Positional, as in generate_arrival: NamedTuple._make less its length check.
             session = tuple.__new__(Session, (request, serving_op, rate, t, duration))
             heappush(heap, (t + duration, seq, session, serving))
@@ -193,9 +200,11 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
             if outcome is served_home:
                 served_home_by_op[serving_op] += 1
             else:
-                key = (home_op, serving_op, request.service_class.kind)
+                key = (request.home_op, serving_op, request.service_class.kind)
                 exchange[key] = exchange.get(key, 0) + 1
-        t, request = next_t, next_request
+        clock = t
+        user += 1
+        t, request = generate_arrival(clock, draws, user)
 
     for net, start in zip(world, scenario.operators):
         if abs(net.used_kbps - start.used_kbps) > 1e-9:
@@ -210,30 +219,15 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None
     return ReplicationResult(
         seed=seed, arrivals_by_home=arrivals_by_home, blocked_by_home=blocked_by_home,
         served_home_by_op=served_home_by_op, exchange=exchange, ledgers=ledgers,
-        interarrival_sum=interarrival_sum)
+        interarrival_sum=clock)
 
 
 def replication_seeds(scenario: Scenario):
     return [scenario.base_seed + i for i in range(scenario.replications)]
 
 
-def run_experiment(scenario: Scenario, workers: int = 1) -> MetricsReport:
-    """Run all replications (optionally in parallel); output is independent of scheduling.
-
-    With ``workers > 1`` and more than one replication the seeds go to a
-    process pool, which is only imported then: a serial run, every CLI
-    command included, loads no ``concurrent.futures`` or ``multiprocessing``.
-    The pool pays for process start-up and pickling and is slower than serial
-    on the shipped scenarios: 100 replications of ``default.json`` with
-    cooperation on took 0.24-0.25 s serial and 0.33-0.35 s with ``workers=2``
-    (2 vCPUs, Python 3.11.7).
-    """
-    seeds = replication_seeds(scenario)
-    if workers > 1 and len(seeds) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_replication, [scenario] * len(seeds), seeds))
-    else:
-        results = [run_replication(scenario, seed) for seed in seeds]
-    return MetricsReport(scenario=scenario, results=results)
+def run_experiment(scenario: Scenario) -> MetricsReport:
+    """Run every replication in seed order, all over one admission table."""
+    table = admission_table(scenario)
+    return MetricsReport(scenario=scenario, results=[
+        run_replication(scenario, seed, table=table) for seed in replication_seeds(scenario)])

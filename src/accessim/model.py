@@ -17,6 +17,8 @@ from pathlib import Path
 from typing import Mapping, NamedTuple
 
 WEIGHT_SUM_TOL = 1e-9
+# Most arrivals a replication may expect: at a few µs each, under a minute of work.
+MAX_EXPECTED_ARRIVALS = 10_000_000
 
 
 class ServiceKind(str, Enum):
@@ -271,6 +273,11 @@ class ScenarioError(ValueError):
 # --------------------------------------------------------------------------
 # validation
 
+def expected_arrivals(scenario: Scenario) -> float:
+    """Arrivals one replication expects: its horizon over the mean interarrival time."""
+    return scenario.duration_s / scenario.mean_interarrival_s
+
+
 def _check_weight_sum(violations, label, values):
     total = sum(values)
     if any(v < 0 for v in values):
@@ -376,6 +383,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         v.append(f"non-positive traffic parameter: mean_service_s = {scenario.mean_service_s!r}")
     if scenario.duration_s <= 0:
         v.append(f"non-positive duration: duration_s = {scenario.duration_s!r}")
+    elif scenario.mean_interarrival_s > 0 and expected_arrivals(scenario) > MAX_EXPECTED_ARRIVALS:
+        v.append(f"too many expected arrivals: duration_s / mean_interarrival_s = "
+                 f"{expected_arrivals(scenario):.3g} per replication, above {MAX_EXPECTED_ARRIVALS}")
     if scenario.replications < 1:
         v.append(f"replications out of range: {scenario.replications!r}, expected >= 1")
     if scenario.billing not in ("volume", "per_session"):

@@ -5,8 +5,6 @@ session exactly once through ``analytics.accrue``, at its departure and
 before ``run_replication`` returns, passing the replication's own ledgers;
 wrapping that one function therefore recovers each replication's sessions.
 The benchmark's trace check pins the same seam (accrue calls = served).
-Experiments run with ``workers > 1`` are not seen: their workers do not
-inherit the wrapper.
 """
 
 import contextlib

@@ -38,10 +38,10 @@ def test_traced_cooperating_experiment_passes_the_trace_check(monkeypatch):
     assert len(tracer.results) == 2
     assert child.check_trace(tracer, summary) == []
     assert summary["spans"]["scoring.candidate_score"]["calls"] > 0
-    # Bit rates are looked up only while each replication builds its admission
-    # table: one per (home, service kind, operator).
+    # Bit rates are looked up only while the experiment builds its one admission
+    # table, shared by both replications: one per (home, service kind, operator).
     table_lookups = len(scenario.operators) ** 2 * len(scenario.requirements)
-    assert summary["spans"]["model.demand_rate"]["calls"] == 2 * table_lookups
+    assert summary["spans"]["model.demand_rate"]["calls"] == table_lookups
 
 
 @pytest.mark.parametrize("command", ["sweep", "compare"])

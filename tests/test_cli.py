@@ -137,6 +137,18 @@ def test_bad_sweep_list_is_a_usage_error(tmp_path):
         assert not (tmp_path / "o").exists(), sweep
 
 
+def test_sweep_value_above_the_arrival_cap_is_rejected(tmp_path):
+    # Each sweep value is validated like the scenario, cap on expected arrivals
+    # included: 1e-300 s between arrivals would never finish.
+    for command in ("sweep", "compare"):
+        proc = run_cli(command, "--scenario", CALIBRATED, "--out", str(tmp_path / "o"),
+                       "--sweep", "2.5,1e-300,1e-299")
+        assert proc.returncode == 2, command
+        assert [line.split(":")[0] for line in proc.stderr.splitlines()] == [
+            "too many expected arrivals"] * 2
+        assert not (tmp_path / "o").exists(), command
+
+
 def test_sweep_blocks_and_charts(tmp_path):
     out = tmp_path / "sweep"
     proc = run_cli("sweep", "--scenario", CALIBRATED, "--out", str(out),
@@ -226,8 +238,9 @@ def test_compare_is_deterministic(tmp_path):
             == (tmp_path / "b" / filename).read_bytes()
 
 
-# Run in a fresh interpreter: prints, after each step, which of the process
-# pool's modules are loaded.
+# Run in a fresh interpreter: prints, after each step, which process-pool
+# modules are loaded.  accessim runs every replication in-process, so no step
+# may load one.
 POOL_GUARD = """
 import json, sys
 from dataclasses import replace
@@ -246,10 +259,8 @@ status = cli.main(["run", "--scenario", sys.argv[1], "--replications", "2",
                    "--out", sys.argv[2]])
 check("accessim run")
 scenario = replace(accessim.load_scenario(sys.argv[1]), replications=1)
-accessim.run_experiment(scenario, workers=1)
-check("run_experiment(workers=1)")
-accessim.run_experiment(scenario, workers=2)
-check("run_experiment(workers=2), one replication")
+accessim.run_experiment(scenario)
+check("run_experiment")
 print(json.dumps({"status": status, "steps": steps}))
 """
 
@@ -262,6 +273,6 @@ def test_serial_runs_never_import_the_process_pool(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["status"] == 0
-    assert len(result["steps"]) == 5
+    assert len(result["steps"]) == 4
     assert result["steps"] == {step: [] for step in result["steps"]}
     assert (tmp_path / "out" / "metrics.csv").exists()

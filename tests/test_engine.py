@@ -8,6 +8,7 @@ from accessim import engine
 from accessim.engine import (
     ArrivalDraws,
     RngStreams,
+    admission_table,
     generate_arrival,
     replication_seeds,
     run_experiment,
@@ -33,7 +34,7 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class _Scripted:
-    """Stands in for one random.Random stream and replays canned draws."""
+    """Stands in for one random.Random stream and replays canned raw draws."""
 
     def __init__(self, values):
         self.values = list(values)
@@ -42,9 +43,6 @@ class _Scripted:
         if not self.values:
             raise AssertionError("script exhausted")
         return self.values.pop(0)
-
-    def expovariate(self, lambd):
-        return self._next()
 
     def random(self):
         return self._next()
@@ -56,12 +54,41 @@ class _Scripted:
 
 
 def _fake_streams(interarrivals, services=(), homes=(), profiles=()):
+    """Streams that replay raw draws: uniforms, and home-assignment bits."""
     return RngStreams(
         interarrival=_Scripted(interarrivals),
         service_time=_Scripted(services),
         profile=_Scripted(profiles),
         home_assignment=_Scripted(homes),
     )
+
+
+def _scripted_run(monkeypatch, scenario, arrival_times, service_uniforms=()):
+    """One replication whose arrivals land at exactly ``arrival_times``.
+
+    The times go through the engine's ``generate_arrival`` seam; each arrival
+    still draws its home and profile (both 0 here) from the streams.  Served
+    arrivals draw their service times from ``service_uniforms`` in admission
+    order.  Returns the result and its session log.
+    """
+    times = list(arrival_times)
+
+    def scripted(clock, draws, user_id):
+        _, request = generate_arrival(clock, draws, user_id)
+        return times.pop(0), request
+
+    monkeypatch.setattr(engine, "generate_arrival", scripted)
+    n = len(arrival_times)
+    streams = _fake_streams(interarrivals=[0.0] * n, services=service_uniforms,
+                            homes=[0] * n, profiles=[0.0] * n)
+    result, log = run_logged(run_replication, scenario, seed=0, streams=streams)
+    assert times == []
+    return result, log(result)
+
+
+def _service_s(scenario, uniform):
+    """The service time the engine draws from ``uniform``, by its own expression."""
+    return -math.log(1.0 - uniform) / (1.0 / scenario.mean_service_s)
 
 
 def _single_op_scenario(capacity=256.0, cooperation=False):
@@ -84,87 +111,83 @@ def _single_op_scenario(capacity=256.0, cooperation=False):
     ))
 
 
-def test_no_arrivals_before_horizon_means_empty_run():
-    streams = _fake_streams(interarrivals=[5000.0], homes=[0], profiles=[0.0])
-    result, log = run_logged(run_replication, _single_op_scenario(), seed=0, streams=streams)
+def test_no_arrivals_before_horizon_means_empty_run(monkeypatch):
+    result, sessions = _scripted_run(monkeypatch, _single_op_scenario(), [5000.0])
     assert result.arrivals == 0
     assert result.blocked == 0
-    assert log(result) == []
+    assert sessions == []
     assert result.interarrival_sum == 0.0
 
 
-def test_departure_frees_capacity_for_simultaneous_arrival():
-    # One-session network: session 1 ends at t=2.0 exactly when arrival 2 lands.
-    streams = _fake_streams(interarrivals=[1.0, 1.0, 9999.0],
-                            services=[1.0, 3.0],
-                            homes=[0, 0, 0],
-                            profiles=[0.0, 0.0, 0.0])
-    result = run_replication(_single_op_scenario(), seed=0, streams=streams)
+def test_departure_frees_capacity_for_simultaneous_arrival(monkeypatch):
+    # One-session network: session 1 ends exactly when arrival 2 lands.
+    scenario = _single_op_scenario()
+    first, second = _service_s(scenario, 0.5), _service_s(scenario, 0.25)
+    result, _ = _scripted_run(monkeypatch, scenario, [1.0, 1.0 + first, 9999.0],
+                              service_uniforms=[0.5, 0.25])
     assert result.arrivals == 2
     assert result.blocked == 0
     assert result.served_home == 2
-    assert result.interarrival_sum == pytest.approx(2.0)
-    # 256 kbit/s for 1 s then 3 s at 0.9 per kByte.
-    expected = 0.9 * (256.0 * 1.0 / 8.0) + 0.9 * (256.0 * 3.0 / 8.0)
+    # The gaps up to the last arrival before the horizon telescope to its time.
+    assert result.interarrival_sum == 1.0 + first
+    # 256 kbit/s for each session's duration at 0.9 per kByte.
+    expected = 0.9 * (256.0 * first / 8.0) + 0.9 * (256.0 * second / 8.0)
     assert result.ledgers[1].income_own == pytest.approx(expected)
     assert result.ledgers[1].profit == pytest.approx(expected)
 
 
-def test_zero_length_session_frees_capacity_for_an_arrival_at_its_instant():
-    # Session 1 ends at t=1.0, the instant arrival 2 lands on the one-session network.
-    streams = _fake_streams(interarrivals=[1.0, 0.0, 9999.0],
-                            services=[0.0, 3.0],
-                            homes=[0, 0, 0],
-                            profiles=[0.0, 0.0, 0.0])
-    result, log = run_logged(run_replication, _single_op_scenario(), seed=0, streams=streams)
+def test_zero_length_session_frees_capacity_for_an_arrival_at_its_instant(monkeypatch):
+    # A uniform of 0 draws a zero duration: session 1 ends at t=1.0, the instant
+    # arrival 2 lands on the one-session network.
+    scenario = _single_op_scenario()
+    result, sessions = _scripted_run(monkeypatch, scenario, [1.0, 1.0, 9999.0],
+                                     service_uniforms=[0.0, 0.25])
     assert (result.arrivals, result.served_home, result.blocked) == (2, 2, 0)
-    sessions = log(result)
     assert [(s.request.user_id, s.start_s, s.duration_s) for s in sessions] == [
-        (1, 1.0, 0.0), (2, 1.0, 3.0)]
+        (1, 1.0, 0.0), (2, 1.0, _service_s(scenario, 0.25))]
 
 
-def test_sessions_ending_together_are_accrued_in_admission_order():
-    # Four sessions admitted at t=1..4 with durations 9..6 all end at t=10.
-    streams = _fake_streams(interarrivals=[1.0, 1.0, 1.0, 1.0, 9999.0],
-                            services=[9.0, 8.0, 7.0, 6.0],
-                            homes=[0] * 5,
-                            profiles=[0.0] * 5)
+def test_sessions_ending_together_are_accrued_in_admission_order(monkeypatch):
+    # Four sessions admitted one after another, each shorter than the last,
+    # all end at t=1000.
     scenario = _single_op_scenario(capacity=4 * 256.0)
-    result, log = run_logged(run_replication, scenario, seed=0, streams=streams)
+    uniforms = [0.9, 0.8, 0.7, 0.6]
+    durations = [_service_s(scenario, u) for u in uniforms]
+    starts = [1000.0 - d for d in durations]
+    assert starts == sorted(starts)
+    assert [start + d for start, d in zip(starts, durations)] == [1000.0] * 4
+    result, sessions = _scripted_run(monkeypatch, scenario, starts + [9999.0],
+                                     service_uniforms=uniforms)
     assert (result.served_home, result.blocked) == (4, 0)
-    sessions = log(result)
-    assert {s.start_s + s.duration_s for s in sessions} == {10.0}
+    assert {s.start_s + s.duration_s for s in sessions} == {1000.0}
     assert [s.request.user_id for s in sessions] == [1, 2, 3, 4]
 
 
-def test_busy_network_blocks_second_arrival():
-    streams = _fake_streams(interarrivals=[1.0, 1.0, 9999.0],
-                            services=[5.0],
-                            homes=[0, 0, 0],
-                            profiles=[0.0, 0.0, 0.0])
-    result = run_replication(_single_op_scenario(), seed=0, streams=streams)
+def test_busy_network_blocks_second_arrival(monkeypatch):
+    scenario = _single_op_scenario()
+    assert _service_s(scenario, 0.5) > 1.0
+    result, _ = _scripted_run(monkeypatch, scenario, [1.0, 2.0, 9999.0],
+                              service_uniforms=[0.5])
     assert result.arrivals == 2
     assert result.served_home == 1
     assert result.blocked == 1
     assert result.blocked_by_home[1] == 1
 
 
-def test_session_volume_truncates_at_horizon():
-    streams = _fake_streams(interarrivals=[1199.0, 9999.0],
-                            services=[100.0],
-                            homes=[0, 0],
-                            profiles=[0.0, 0.0])
-    result, log = run_logged(run_replication, _single_op_scenario(), seed=0, streams=streams)
+def test_session_volume_truncates_at_horizon(monkeypatch):
+    scenario = _single_op_scenario()
+    assert _service_s(scenario, 0.5) > 1.0
+    result, sessions = _scripted_run(monkeypatch, scenario, [1199.0, 9999.0],
+                                     service_uniforms=[0.5])
     assert result.arrivals == 1
-    [session] = log(result)
-    assert session.start_s == pytest.approx(1199.0)
-    # Only one second of the 100 s session fits before the horizon.
+    [session] = sessions
+    assert session.start_s == 1199.0
+    # Only one second of the session fits before the horizon.
     assert result.ledgers[1].income_own == pytest.approx(0.9 * 256.0 / 8.0)
 
 
-def test_arrival_at_or_after_horizon_is_not_scheduled():
-    streams = _fake_streams(interarrivals=[1200.0], homes=[0], profiles=[0.0])
-    result = run_replication(_single_op_scenario(), seed=0, streams=streams)
+def test_arrival_at_or_after_horizon_is_not_scheduled(monkeypatch):
+    result, _ = _scripted_run(monkeypatch, _single_op_scenario(), [1200.0])
     assert result.arrivals == 0
 
 
@@ -193,11 +216,49 @@ def test_replication_seeds_are_consecutive():
                                                    replications=3)).results] == [42, 43, 44]
 
 
-def test_parallel_experiment_matches_sequential():
-    scenario = replace(default_scenario(), duration_s=200.0, replications=4)
-    sequential = run_experiment(scenario, workers=1)
-    parallel = run_experiment(scenario, workers=2)
-    assert sequential.results == parallel.results
+def test_experiment_matches_standalone_replications_in_either_order():
+    # One admission table serves every replication of an experiment; each
+    # result must still depend on its seed alone.  Op2 carries background load,
+    # which every replication starts from.
+    base = load_scenario(SCENARIO_DIR / "default.json")
+    operators = (base.operators[0], replace(base.operators[1], used_kbps=500.0),
+                 *base.operators[2:])
+    scenario = ensure_valid(replace(base, operators=operators, duration_s=300.0,
+                                    replications=6))
+    seeds = replication_seeds(scenario)
+    standalone = [run_replication(scenario, seed) for seed in seeds]
+    assert run_experiment(scenario).results == standalone
+    table = admission_table(scenario)
+    backward = [run_replication(scenario, seed, table=table) for seed in reversed(seeds)]
+    assert backward == standalone[::-1]
+    # Occupancy left off its background, as drifted sums would leave it, is reset.
+    for net in table:
+        net.used_kbps = net.capacity_kbps
+    assert [run_replication(scenario, seed, table=table) for seed in seeds] == standalone
+
+
+def test_inline_exponential_draws_equal_expovariate():
+    # Both draws are Random.expovariate's body written inline; on every Python
+    # version they must give its values bit for bit.
+    scenario = replace(default_scenario(), duration_s=300.0)
+    gap_rate = 1.0 / scenario.mean_interarrival_s
+    service_rate = 1.0 / scenario.mean_service_s
+    for seed in range(50):
+        draws = ArrivalDraws.build(scenario, RngStreams.from_seed(seed))
+        reference = RngStreams.from_seed(seed).interarrival
+        clock = 0.0
+        for user_id in range(1, 201):
+            expected = clock + reference.expovariate(gap_rate)
+            clock, _ = generate_arrival(clock, draws, user_id)
+            assert clock == expected, (seed, user_id)
+
+        result, log = run_logged(run_replication, scenario, seed)
+        # Served arrivals draw their service times in admission order.
+        served = sorted(log(result), key=lambda s: s.request.user_id)
+        assert served
+        reference = RngStreams.from_seed(seed).service_time
+        assert [s.duration_s for s in served] == [
+            reference.expovariate(service_rate) for _ in served], seed
 
 
 def test_count_conservation_across_seeds():
@@ -305,7 +366,7 @@ def _two_profile_scenario(second_probability):
 
 def _requests_drawn(scenario, uniforms, homes=None):
     homes = [0] * len(uniforms) if homes is None else homes
-    streams = _fake_streams(interarrivals=[1.0] * len(uniforms), homes=homes,
+    streams = _fake_streams(interarrivals=[0.0] * len(uniforms), homes=homes,
                             profiles=uniforms)
     draws = ArrivalDraws.build(scenario, streams)
     return [generate_arrival(0.0, draws, user_id)[1] for user_id in range(len(uniforms))]

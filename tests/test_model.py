@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from accessim.model import (
+    MAX_EXPECTED_ARRIVALS,
     DemandTable,
     ScenarioError,
     ServiceKind,
@@ -15,6 +16,7 @@ from accessim.model import (
     Technology,
     default_scenario,
     ensure_valid,
+    expected_arrivals,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -361,6 +363,22 @@ def test_non_finite_numbers_in_json_are_rejected(tmp_path):
         load_scenario(path)
     assert any("profile_mix[0].w_qos" in v for v in err.value.violations)
     assert any("non-finite number: duration_s" in v for v in err.value.violations)
+
+
+def test_expected_arrivals_above_the_cap_are_reported():
+    calibrated = load_scenario(SCENARIO_DIR / "calibrated.json")
+    assert expected_arrivals(calibrated) == calibrated.duration_s / calibrated.mean_interarrival_s
+    at_cap = replace(calibrated, mean_interarrival_s=calibrated.duration_s / MAX_EXPECTED_ARRIVALS)
+    assert expected_arrivals(at_cap) == MAX_EXPECTED_ARRIVALS
+    assert validate_scenario(at_cap) == []
+    # 1e-300 s between arrivals would expect ~1.2e303 arrivals per replication,
+    # and 1e300 / 1e-300 overflows to infinity: both are refused.
+    for duration_s, mean_interarrival_s in ((1200.0, 1e-300), (1e300, 1e-300),
+                                            (2.0 * MAX_EXPECTED_ARRIVALS, 1.0)):
+        violations = validate_scenario(replace(calibrated, duration_s=duration_s,
+                                               mean_interarrival_s=mean_interarrival_s))
+        assert len(violations) == 1
+        assert violations[0].startswith("too many expected arrivals: ")
 
 
 def test_unknown_billing_mode_reported():

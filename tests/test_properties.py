@@ -3,7 +3,8 @@
 Every scenario drawn here passes validation, so each one must run to
 completion; the runs must conserve arrivals and settle to zero across the
 ledgers, a cooperating run blocks only when no network could take the
-session, and the JSON form must give back the same scenario.
+session, and the JSON form must give back the same scenario.  Timing fields
+drawn from the whole positive float range must be rejected or run.
 """
 
 import json
@@ -14,7 +15,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accessim import engine
+from accessim import engine, model
 from accessim.engine import run_experiment
 from accessim.model import (
     ClassRequirements,
@@ -25,6 +26,7 @@ from accessim.model import (
     Technology,
     TrafficProfile,
     UserPreferences,
+    expected_arrivals,
     scenario_from_dict,
     scenario_to_dict,
     validate_scenario,
@@ -146,3 +148,26 @@ def test_cooperating_block_leaves_no_network_that_passes_the_gate(scenario):
 def test_json_round_trip_is_exact(scenario):
     doc = json.loads(json.dumps(scenario_to_dict(scenario)))
     assert scenario_from_dict(doc) == scenario
+
+
+# Log-uniform over [1e-300, 1e300].
+any_seconds = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e)
+
+
+@PROPERTY_SETTINGS
+@given(scenarios(), any_seconds, any_seconds, any_seconds)
+def test_any_timing_is_rejected_or_runs_to_completion(scenario, mean_interarrival_s,
+                                                      mean_service_s, duration_s):
+    # A low cap keeps every accepted run short; the rule is the same at any cap.
+    cap = 200
+    timed = replace(scenario, mean_interarrival_s=mean_interarrival_s,
+                    mean_service_s=mean_service_s, duration_s=duration_s)
+    with mock.patch.object(model, "MAX_EXPECTED_ARRIVALS", cap):
+        violations = validate_scenario(timed)
+    if expected_arrivals(timed) > cap:
+        assert [v.split(":")[0] for v in violations] == ["too many expected arrivals"]
+        return
+    assert violations == []
+    for result in run_experiment(timed).results:
+        assert result.arrivals == (result.blocked + result.served_home
+                                   + result.served_transferred)
