@@ -49,6 +49,9 @@ from .analytics import (
     blocking_stats,
     exchange_matrix,
     profit_stats,
+    report_rows,
+    scope_rows,
+    scope_stats,
     session_volume_kbytes,
 )
 

@@ -1,10 +1,10 @@
-"""Ledger accrual, blocking and profit statistics, and exchange direction."""
+"""Ledger accrual, exchange direction, and the per-scope metrics behind every report."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .model import (
     MetricsReport,
@@ -93,7 +93,55 @@ def exchange_matrix(results: Iterable[ReplicationResult], op_ids) -> ExchangeMat
 
 
 # --------------------------------------------------------------------------
-# blocking statistics
+# per-scope metrics and their statistics
+
+class ScopeRow(NamedTuple):
+    """The metrics.csv columns after ``scope``, for one scope.
+
+    ``scope_rows`` fills it with one replication's values, ``scope_stats``
+    with each metric's ``ScopeStats`` over the replications.
+    """
+
+    arrivals: int
+    blocked: int
+    blocking_probability: float
+    served_home: int
+    served_transferred: int
+    income_own: float
+    income_transferred: float
+    income_guests: float
+    cost_paid: float
+    profit: float
+
+
+def _row(arrivals, blocked, served_home, served_transferred, ledgers) -> ScopeRow:
+    return ScopeRow(arrivals, blocked, blocked / arrivals if arrivals else 0.0,
+                    served_home, served_transferred,
+                    sum(ledger.income_own for ledger in ledgers),
+                    sum(ledger.income_transferred for ledger in ledgers),
+                    sum(ledger.income_guests for ledger in ledgers),
+                    sum(ledger.cost_paid for ledger in ledgers),
+                    sum(ledger.profit for ledger in ledgers))
+
+
+def scope_rows(result: ReplicationResult, op_ids) -> dict[str, ScopeRow]:
+    """One replication's metrics: the ``global`` row, then one ``op<id>`` row per operator.
+
+    An operator's row counts its own clients (a block or a transfer belongs
+    to the home operator) and holds its own ledger.
+    """
+    ledgers = result.ledgers
+    transferred = dict.fromkeys(op_ids, 0)
+    for (home, _, _), n in result.exchange.items():
+        transferred[home] += n
+    rows = {"global": _row(result.arrivals, result.blocked, result.served_home,
+                           result.served_transferred, tuple(ledgers.values()))}
+    for op in op_ids:
+        rows[f"op{op}"] = _row(result.arrivals_by_home[op], result.blocked_by_home[op],
+                               result.served_home_by_op[op], transferred[op],
+                               (ledgers[op],))
+    return rows
+
 
 @dataclass
 class ScopeStats:
@@ -119,6 +167,22 @@ class ScopeStats:
         return 1.96 * self.stddev / math.sqrt(len(self.values))
 
 
+def scope_stats(tables: Iterable[Mapping[str, ScopeRow]]) -> dict[str, ScopeRow]:
+    """Per scope, a ``ScopeRow`` of ``ScopeStats``, from each replication's ``scope_rows``."""
+    by_scope: dict[str, list[ScopeRow]] = {}
+    for table in tables:
+        for scope, row in table.items():
+            by_scope.setdefault(scope, []).append(row)
+    return {scope: ScopeRow._make(ScopeStats(values) for values in zip(*rows))
+            for scope, rows in by_scope.items()}
+
+
+def report_rows(report: MetricsReport) -> list[dict[str, ScopeRow]]:
+    """Each replication's ``scope_rows``, in seed order."""
+    op_ids = [net.id for net in report.scenario.operators]
+    return [scope_rows(result, op_ids) for result in report.results]
+
+
 @dataclass
 class BlockingStats:
     overall: ScopeStats
@@ -127,25 +191,16 @@ class BlockingStats:
 
 def blocking_stats(report: MetricsReport) -> BlockingStats:
     """Blocking probability per scope; a block is attributed to the user's home operator."""
-    overall = ScopeStats(tuple(r.blocking_probability for r in report.results))
-    per_op = {}
-    for net in report.scenario.operators:
-        values = []
-        for r in report.results:
-            arrivals = r.arrivals_by_home.get(net.id, 0)
-            blocked = r.blocked_by_home.get(net.id, 0)
-            values.append(blocked / arrivals if arrivals else 0.0)
-        per_op[net.id] = ScopeStats(tuple(values))
-    return BlockingStats(overall=overall, per_operator=per_op)
+    stats = scope_stats(report_rows(report))
+    return BlockingStats(overall=stats["global"].blocking_probability,
+                         per_operator={net.id: stats[f"op{net.id}"].blocking_probability
+                                       for net in report.scenario.operators})
 
 
 def profit_stats(report: MetricsReport) -> dict[int, ScopeStats]:
-    return {
-        net.id: ScopeStats(tuple(r.ledgers[net.id].profit for r in report.results))
-        for net in report.scenario.operators
-    }
+    stats = scope_stats(report_rows(report))
+    return {net.id: stats[f"op{net.id}"].profit for net in report.scenario.operators}
 
 
 def arrivals_mean(report: MetricsReport):
-    return sum(r.arrivals for r in report.results) / len(report.results)
-
+    return scope_stats(report_rows(report))["global"].arrivals.mean

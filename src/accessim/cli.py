@@ -33,17 +33,8 @@ CSV_FORMAT_VERSION = 1
 
 DEFAULT_SWEEP = (2.5, 25.0 / 9.0, 10.0 / 3.0, 5.0)
 
-METRICS_HEADER = (
-    "replication", "seed", "scope", "arrivals", "blocked", "blocking_probability",
-    "served_home", "served_transferred", "income_own", "income_transferred",
-    "income_guests", "cost_paid", "profit",
-)
+METRICS_HEADER = ("replication", "seed", "scope", *analytics.ScopeRow._fields)
 SUMMARY_HEADER = ("scope", "metric", "mean", "stddev", "ci95", "min", "max")
-SUMMARY_METRICS = (
-    "arrivals", "blocked", "blocking_probability", "served_home",
-    "served_transferred", "income_own", "income_transferred", "income_guests",
-    "cost_paid", "profit",
-)
 
 
 def _fnum(value) -> str:
@@ -63,41 +54,13 @@ def _write_csv(path: Path, header, rows) -> None:
                              for cell in row])
 
 
-def _scope_rows(result, scenario: Scenario):
-    """Yield (scope, counters..., ledger...) tuples for one replication."""
-    ledgers = result.ledgers
-    transferred_by_home = result.transferred_by_home
-    yield ("global", result.arrivals, result.blocked, result.blocking_probability,
-           result.served_home, result.served_transferred,
-           sum(l.income_own for l in ledgers.values()),
-           sum(l.income_transferred for l in ledgers.values()),
-           sum(l.income_guests for l in ledgers.values()),
-           sum(l.cost_paid for l in ledgers.values()),
-           sum(l.profit for l in ledgers.values()))
-    for net in scenario.operators:
-        arrivals = result.arrivals_by_home[net.id]
-        blocked = result.blocked_by_home[net.id]
-        ledger = ledgers[net.id]
-        yield (f"op{net.id}", arrivals, blocked,
-               blocked / arrivals if arrivals else 0.0,
-               result.served_home_by_op[net.id], transferred_by_home[net.id],
-               ledger.income_own, ledger.income_transferred, ledger.income_guests,
-               ledger.cost_paid, ledger.profit)
-
-
-def write_summary_csv(path: Path, metrics_rows) -> None:
-    """Summarize the rows of metrics.csv per scope and metric."""
-    per_scope: dict[str, list[tuple]] = {}
-    for row in metrics_rows:
-        per_scope.setdefault(row[2], []).append(row[3:])
-    rows = []
-    for scope, samples in per_scope.items():
-        for metric_index, metric in enumerate(SUMMARY_METRICS):
-            values = [sample[metric_index] for sample in samples]
-            stats = analytics.ScopeStats(tuple(float(v) for v in values))
-            rows.append((scope, metric, stats.mean, stats.stddev,
-                         stats.ci95_halfwidth, min(values), max(values)))
-    _write_csv(path, SUMMARY_HEADER, rows)
+def write_summary_csv(path: Path, stats) -> None:
+    """One row per scope and metric of ``analytics.scope_stats``."""
+    _write_csv(path, SUMMARY_HEADER, [
+        (scope, metric, cell.mean, cell.stddev, cell.ci95_halfwidth,
+         min(cell.values), max(cell.values))
+        for scope, row in stats.items()
+        for metric, cell in zip(analytics.ScopeRow._fields, row)])
 
 
 def sweep_header(scenario: Scenario):
@@ -142,11 +105,13 @@ def _mode_name(cooperation: bool) -> str:
 # commands
 
 def cmd_run(scenario: Scenario, args, out: Path) -> int:
-    rows = [(index, result.seed) + scope_row
-            for index, result in enumerate(run_experiment(scenario).results)
-            for scope_row in _scope_rows(result, scenario)]
-    _write_csv(out / "metrics.csv", METRICS_HEADER, rows)
-    write_summary_csv(out / "summary.csv", rows)
+    report = run_experiment(scenario)
+    tables = analytics.report_rows(report)
+    _write_csv(out / "metrics.csv", METRICS_HEADER,
+               [(index, result.seed, scope, *row)
+                for index, (result, table) in enumerate(zip(report.results, tables))
+                for scope, row in table.items()])
+    write_summary_csv(out / "summary.csv", analytics.scope_stats(tables))
     return 0
 
 
@@ -166,40 +131,41 @@ def run_grid(scenario: Scenario, sweep, modes) -> dict[tuple[float, bool], Metri
 
 def cmd_sweep(scenario: Scenario, args, out: Path) -> int:
     grid = run_grid(scenario, args.sweep, _modes(args.cooperation))
-    rows = [(mean_interarrival, _mode_name(cooperation), index, result.seed,
-             result.arrivals, result.blocked, result.blocking_probability,
-             *(result.ledgers[net.id].profit for net in scenario.operators))
-            for (mean_interarrival, cooperation), report in grid.items()
-            for index, result in enumerate(report.results)]
+    rows, by_mode = [], {}
+    for (mean_interarrival, cooperation), report in grid.items():
+        tables = analytics.report_rows(report)
+        for index, (result, table) in enumerate(zip(report.results, tables)):
+            overall, *operators = table.values()
+            rows.append((mean_interarrival, _mode_name(cooperation), index, result.seed,
+                         *overall[:3], *(row.profit for row in operators)))
+        if args.svg:  # keep only the charts' points, not the whole table
+            overall, *operators = analytics.scope_stats(tables).values()
+            by_mode.setdefault(cooperation, []).append(
+                (overall.arrivals.mean, overall.blocking_probability.mean,
+                 [row.profit.mean for row in operators]))
     _write_csv(out / "sweep.csv", sweep_header(scenario), rows)
     if args.svg:
-        _write_sweep_charts(out, scenario, grid)
+        _write_sweep_charts(out, scenario, by_mode)
     return 0
 
 
-def _write_sweep_charts(out: Path, scenario: Scenario, grid) -> None:
-    by_mode: dict[bool, list[MetricsReport]] = {}  # reports in sweep order per mode
-    for (_, cooperation), report in grid.items():
-        by_mode.setdefault(cooperation, []).append(report)
-
+def _write_sweep_charts(out: Path, scenario: Scenario, by_mode) -> None:
+    """Blocking and profit curves from each mode's (arrivals, blocking, profits) points."""
     blocking_series = [
         Series(f"cooperation {_mode_name(cooperation)}",
-               tuple((analytics.arrivals_mean(report),
-                      analytics.blocking_stats(report).overall.mean)
-                     for report in reports),
+               tuple((arrivals, blocking) for arrivals, blocking, _ in points),
                dashed=not cooperation)
-        for cooperation, reports in by_mode.items()]
+        for cooperation, points in by_mode.items()]
     (out / "blocking.svg").write_text(line_chart(
         "Global blocking vs offered arrivals", "mean arrivals per replication",
         "blocking probability", blocking_series))
 
     profit_series = [
         Series(f"{net.name} {_mode_name(cooperation)}",
-               tuple((analytics.arrivals_mean(report),
-                      analytics.profit_stats(report)[net.id].mean)
-                     for report in reports),
+               tuple((arrivals, profits[index]) for arrivals, _, profits in points),
                dashed=not cooperation)
-        for net in scenario.operators for cooperation, reports in by_mode.items()]
+        for index, net in enumerate(scenario.operators)
+        for cooperation, points in by_mode.items()]
     (out / "profits.svg").write_text(line_chart(
         "Operator profit vs offered arrivals", "mean arrivals per replication",
         "mean profit", profit_series))
@@ -209,13 +175,12 @@ def cmd_compare(scenario: Scenario, args, out: Path) -> int:
     grid = run_grid(scenario, args.sweep, _modes(args.cooperation))
     rows = []
     for (mean_interarrival, cooperation), report in grid.items():
-        blocking = analytics.blocking_stats(report)
-        profits = analytics.profit_stats(report)
-        rows.append((mean_interarrival, _mode_name(cooperation),
-                     analytics.arrivals_mean(report), blocking.overall.mean,
-                     blocking.overall.stddev, blocking.overall.ci95_halfwidth,
-                     *(blocking.per_operator[net.id].mean for net in scenario.operators),
-                     *(profits[net.id].mean for net in scenario.operators)))
+        overall, *operators = analytics.scope_stats(analytics.report_rows(report)).values()
+        blocking = overall.blocking_probability
+        rows.append((mean_interarrival, _mode_name(cooperation), overall.arrivals.mean,
+                     blocking.mean, blocking.stddev, blocking.ci95_halfwidth,
+                     *(row.blocking_probability.mean for row in operators),
+                     *(row.profit.mean for row in operators)))
     _write_csv(out / "compare.csv", compare_header(scenario), rows)
     write_exchange_csv(out / "exchange.csv", scenario,
                        [result for (_, cooperation), report in grid.items() if cooperation

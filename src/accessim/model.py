@@ -96,10 +96,6 @@ class OperatorNetwork:
     w_op: float = 1.0  # weight on profit margin when transferring a client
     used_kbps: float = 0.0
 
-    @property
-    def remaining_kbps(self):
-        return self.capacity_kbps - self.used_kbps
-
 
 class ServiceRequest(NamedTuple):
     """A single admission request, immutable for its whole lifetime."""
@@ -207,7 +203,7 @@ class OperatorLedger:
 
 @dataclass
 class ReplicationResult:
-    """Raw outcome of a single replication; aggregation happens in analytics.
+    """Raw outcome of a single replication; ``analytics.scope_rows`` derives its metrics.
 
     Each count is stored once, per operator; the totals are derived from it.
     """
@@ -237,21 +233,9 @@ class ReplicationResult:
         return sum(self.exchange.values())
 
     @property
-    def transferred_by_home(self):
-        by_home = dict.fromkeys(self.arrivals_by_home, 0)
-        for (home, _, _), n in self.exchange.items():
-            by_home[home] += n
-        return by_home
-
-    @property
     def sessions(self):
         """Always empty: no session is kept.  benchmarks/tracer.py reads its length."""
         return ()
-
-    @property
-    def blocking_probability(self):
-        arrivals = self.arrivals
-        return self.blocked / arrivals if arrivals else 0.0
 
 
 @dataclass

@@ -15,17 +15,18 @@ what the application requires at the price the user already pays, so every
 QoS requirement normalizes to 1 against itself.  A candidate's offer
 normalizes against the same requirements: jitter, delay and BER saturate at 1
 once they meet the bound, while spare bandwidth is left uncapped so that load
-keeps discriminating between otherwise-equal networks.  Prices normalize by
-the highest access price among the networks.
+keeps discriminating between otherwise-equal networks.  Only a candidate that
+meets every bound is ever scored, so its jitter, delay and BER terms are
+exactly 1 and the score weighs them by their weights alone.  Prices normalize
+by the highest access price among the networks.
 
 Everything but the networks' occupancy is constant during a run, so an
-``AdmissionTable`` compiles it once per replication: every load-free ratio of
-the candidate score and every served decision.  Each admission then reads
-only the live ``used_kbps``, scores the candidates that pass and returns a
-shared decision, so it allocates none.  The gates compute
-``capacity_kbps - used_kbps`` inline, the very subtraction of
-``OperatorNetwork.remaining_kbps``; a precomputed ``capacity - rate``
-threshold could round the other way.
+``AdmissionTable`` compiles it once per replication: which candidates meet
+the bounds, their normalized prices and every served decision.  Each
+admission then reads only the live ``used_kbps``, scores the candidates that
+have room and returns a shared decision, so it allocates none.  The gates
+compute the spare capacity ``capacity_kbps - used_kbps`` inline; a
+precomputed ``capacity - rate`` threshold could round the other way.
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ class AdmissionDecision:
     serving_op: int | None = None
     rate_kbps: float | None = None  # what the session takes on serving_op
 
-    @property
-    def served(self):
-        return self.outcome is not Outcome.BLOCKED
-
 
 # Every blocked request, at home or after a failed transfer, gets this one decision.
 BLOCKED = AdmissionDecision(Outcome.BLOCKED)
@@ -82,14 +79,10 @@ def transfer_objective(home: OperatorNetwork, s_u: float, s_t: float,
 
 
 class Candidate(NamedTuple):
-    """A cooperating operator as seen from one (home, service kind) route."""
+    """A cooperating operator that meets the bounds of one (home, service kind) route."""
 
     net: OperatorNetwork
     rate: float                # kb/s a session of the kind takes on this network
-    in_bounds: bool            # passes meets_bounds, which no load changes
-    n_jitter: float            # min(required / offered, 1), likewise delay and BER
-    n_delay: float
-    n_ber: float
     sp_norm: float             # access price over the table's sp_max
     cs_norm: float             # settlement price over the table's sp_max
     served: AdmissionDecision  # the shared SERVED_TRANSFER decision to this network
@@ -102,7 +95,7 @@ class Route(NamedTuple):
     rate: float
     in_bounds: bool
     served: AdmissionDecision  # the shared SERVED_HOME decision
-    candidates: tuple[Candidate, ...]  # every other operator, by id
+    candidates: tuple[Candidate, ...]  # every other operator that meets the bounds, by id
 
 
 class AdmissionTable:
@@ -110,8 +103,8 @@ class AdmissionTable:
 
     Only ``used_kbps`` changes during a run.  The table holds the network
     objects themselves, so each decision reads their occupancy live; iterating
-    the table yields the networks.  Raises ``ValueError`` when a price
-    normalization or a candidate's QoS ratio would divide by zero.
+    the table yields the networks.  Raises ``ValueError`` when the price
+    normalization or a candidate's bandwidth ratio would divide by zero.
     """
 
     def __init__(self, networks: Iterable[OperatorNetwork], demand: DemandTable,
@@ -126,17 +119,13 @@ class AdmissionTable:
             for kind, bounds in requirements.items():
                 candidates = []
                 for cand in in_id_order:
-                    if cand.id == home.id:
+                    if cand.id == home.id or not meets_bounds(cand, bounds):
                         continue
                     rate = demand.rate(kind, cand.technology)
-                    if 0 in (cand.jitter_ms, cand.delay_ms, cand.ber, rate):
-                        raise ValueError("normalization divisors must be non-zero")
+                    if rate == 0:
+                        raise ValueError("a candidate's demand rate must be non-zero")
                     candidates.append(Candidate(
-                        cand, rate, meets_bounds(cand, bounds),
-                        min(bounds.jitter_req / cand.jitter_ms, 1.0),
-                        min(bounds.delay_req / cand.delay_ms, 1.0),
-                        min(bounds.ber_req / cand.ber, 1.0),
-                        cand.sp / self.sp_max, cand.cs / self.sp_max,
+                        cand, rate, cand.sp / self.sp_max, cand.cs / self.sp_max,
                         AdmissionDecision(Outcome.SERVED_TRANSFER, serving_op=cand.id,
                                           rate_kbps=rate)))
                 rate = demand.rate(kind, home.technology)
@@ -163,12 +152,13 @@ def candidate_score(cand: Candidate, qos_weights, prefs: UserPreferences) -> flo
     """Score s_t of one candidate for this user; only the bandwidth term reads the load.
 
     ``qos_weights`` are the service class's, in the order (bandwidth, jitter,
-    delay, BER).
+    delay, BER).  The candidate meets the class bounds, so its jitter, delay
+    and BER ratios are 1 and each term is its bare weight.
     """
     w_bw, w_jitter, w_delay, w_ber = qos_weights
     net = cand.net
     s_tqos = (w_bw * ((net.capacity_kbps - net.used_kbps) / cand.rate)
-              + w_jitter * cand.n_jitter + w_delay * cand.n_delay + w_ber * cand.n_ber)
+              + w_jitter + w_delay + w_ber)
     return prefs.w_qos * s_tqos + prefs.w_price * cand.sp_norm
 
 
@@ -185,7 +175,7 @@ def select_serving_operator(request: ServiceRequest, table: AdmissionTable
     best_obj = 0.0
     for cand in route.candidates:
         net = cand.net
-        if not (cand.in_bounds and net.capacity_kbps - net.used_kbps >= cand.rate):
+        if net.capacity_kbps - net.used_kbps < cand.rate:
             continue
         if best is None:  # the first candidate to pass: score the user once
             s_u, p_norm = user_score(prefs, request.price_paid, table.sp_max)

@@ -17,6 +17,7 @@ import pytest
 from accessim.analytics import (
     blocking_stats,
     exchange_matrix,
+    report_rows,
     session_volume_kbytes,
 )
 from accessim.cli import run_grid
@@ -124,9 +125,10 @@ def test_criterion_3_reference_transfer_picks_op3():
 def test_criterion_4_cooperation_never_hurts_and_cuts_blocking(calibrated_comparison):
     dominated = True
     for rate in SWEEP:
-        for on, off in zip(calibrated_comparison[rate, True].results,
-                           calibrated_comparison[rate, False].results):
-            if off.blocking_probability < on.blocking_probability - 1e-12:
+        # Each replication's scope_rows; modes of one rate share their seeds.
+        for on, off in zip(report_rows(calibrated_comparison[rate, True]),
+                           report_rows(calibrated_comparison[rate, False])):
+            if off["global"].blocking_probability < on["global"].blocking_probability - 1e-12:
                 dominated = False
     reduction = (blocking_stats(calibrated_comparison[2.5, False]).overall.mean
                  - blocking_stats(calibrated_comparison[2.5, True]).overall.mean)

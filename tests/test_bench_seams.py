@@ -17,6 +17,7 @@ import pytest
 
 from accessim import analytics, cli, engine
 from accessim.model import default_scenario
+from accessim.selection import meets_bounds
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARKS = ROOT / "benchmarks"
@@ -39,8 +40,12 @@ def test_traced_cooperating_experiment_passes_the_trace_check(monkeypatch):
     assert child.check_trace(tracer, summary) == []
     assert summary["spans"]["scoring.candidate_score"]["calls"] > 0
     # Bit rates are looked up only while the experiment builds its one admission
-    # table, shared by both replications: one per (home, service kind, operator).
-    table_lookups = len(scenario.operators) ** 2 * len(scenario.requirements)
+    # table, shared by both replications: one per (home, service kind) for the
+    # home itself and one more per other operator that meets the class bounds.
+    table_lookups = sum(1 + sum(meets_bounds(cand, bounds) for cand in scenario.operators
+                                if cand.id != home.id)
+                        for home in scenario.operators
+                        for bounds in scenario.requirements.values())
     assert summary["spans"]["model.demand_rate"]["calls"] == table_lookups
 
 

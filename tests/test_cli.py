@@ -238,6 +238,42 @@ def test_compare_is_deterministic(tmp_path):
             == (tmp_path / "b" / filename).read_bytes()
 
 
+def test_run_sweep_and_compare_agree_on_the_same_experiment(tmp_path):
+    # calibrated.json's own mean interarrival time is 2.5 s, the one rate run uses.
+    common = ("--scenario", CALIBRATED, "--replications", "3", "--seed", "7")
+    commands = {"run-on": ("run", "--cooperation", "on"),
+                "run-off": ("run", "--cooperation", "off"),
+                "sweep": ("sweep", "--sweep", "2.5", "--no-svg"),
+                "compare": ("compare", "--sweep", "2.5")}
+    for out, args in commands.items():
+        proc = run_cli(*args, *common, "--out", str(tmp_path / out))
+        assert proc.returncode == 0, proc.stderr
+    sweep = _rows(tmp_path / "sweep" / "sweep.csv")
+    compare = _rows(tmp_path / "compare" / "compare.csv")
+    for mode in ("on", "off"):
+        metrics = _rows(tmp_path / f"run-{mode}" / "metrics.csv")
+        cells = ("replication", "seed", "arrivals", "blocked", "blocking_probability")
+        swept = [row for row in sweep if row["cooperation"] == mode]
+        assert [[row[cell] for cell in cells] for row in metrics if row["scope"] == "global"] \
+            == [[row[cell] for cell in cells] for row in swept]
+        for op in (1, 2, 3):
+            assert [row["profit"] for row in metrics if row["scope"] == f"op{op}"] \
+                == [row[f"profit_op{op}"] for row in swept]
+
+        summary = {(row["scope"], row["metric"]): row
+                   for row in _rows(tmp_path / f"run-{mode}" / "summary.csv")}
+        [compared] = [row for row in compare if row["cooperation"] == mode]
+        blocking = summary["global", "blocking_probability"]
+        assert compared["arrivals_mean"] == summary["global", "arrivals"]["mean"]
+        assert (compared["blocking_mean"], compared["blocking_stddev"],
+                compared["blocking_ci95"]) == (blocking["mean"], blocking["stddev"],
+                                               blocking["ci95"])
+        for op in (1, 2, 3):
+            assert compared[f"blocking_op{op}_mean"] \
+                == summary[f"op{op}", "blocking_probability"]["mean"]
+            assert compared[f"profit_op{op}_mean"] == summary[f"op{op}", "profit"]["mean"]
+
+
 # Run in a fresh interpreter: prints, after each step, which process-pool
 # modules are loaded.  accessim runs every replication in-process, so no step
 # may load one.

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from accessim import engine
+from accessim.analytics import scope_rows
 from accessim.engine import (
     ArrivalDraws,
     RngStreams,
@@ -31,6 +32,11 @@ from oracles import oracle_arrivals
 from session_log import run_logged
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _global(result):
+    """The ``global`` metrics row of a replication of a three-operator scenario."""
+    return scope_rows(result, [1, 2, 3])["global"]
 
 
 class _Scripted:
@@ -269,7 +275,11 @@ def test_count_conservation_across_seeds():
         assert sum(r.arrivals_by_home.values()) == r.arrivals
         assert sum(r.blocked_by_home.values()) == r.blocked
         assert sum(r.served_home_by_op.values()) == r.served_home
-        assert sum(r.transferred_by_home.values()) == r.served_transferred
+        _, *ops = scope_rows(r, [net.id for net in scenario.operators]).values()
+        assert sum(row.served_transferred for row in ops) == r.served_transferred
+        # A transfer counts for the client's home, so each home's clients balance.
+        for row in ops:
+            assert row.arrivals == row.blocked + row.served_home + row.served_transferred
         assert sum(r.exchange.values()) == r.served_transferred
         served = log(r)
         assert served
@@ -402,8 +412,8 @@ def test_more_capacity_never_hurts_on_average():
         for net in scenario.operators))
     base = run_experiment(replace(scenario, duration_s=600.0, replications=5))
     bigger = run_experiment(replace(doubled, duration_s=600.0, replications=5))
-    base_mean = sum(r.blocking_probability for r in base.results) / 5
-    bigger_mean = sum(r.blocking_probability for r in bigger.results) / 5
+    base_mean = sum(_global(r).blocking_probability for r in base.results) / 5
+    bigger_mean = sum(_global(r).blocking_probability for r in bigger.results) / 5
     assert bigger_mean <= base_mean
 
 
@@ -426,7 +436,7 @@ def test_unlimited_capacity_leaves_only_structural_blocking():
         assert served
         assert all(s.request.service_class.kind is ServiceKind.CONVERSATIONAL
                    for s in served if s.request.home_op == 1)
-        assert math.isclose(r.blocking_probability, r.blocked / r.arrivals)
+        assert math.isclose(_global(r).blocking_probability, r.blocked / r.arrivals)
 
 
 def replay_capacity(scenario, sessions):
@@ -494,7 +504,7 @@ def test_capacity_below_every_rate_blocks_all_arrivals():
     assert result.arrivals > 0
     assert result.blocked == result.arrivals
     assert log(result) == []
-    assert result.blocking_probability == 1.0
+    assert _global(result).blocking_probability == 1.0
 
 
 def test_cooperation_serves_a_superset_of_non_cooperative_users():

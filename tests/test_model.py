@@ -71,10 +71,11 @@ def test_default_demand_and_mix():
 
 
 def test_remaining_kbps():
+    # The admission gates compute spare capacity as capacity_kbps - used_kbps.
     net = default_scenario().operators[0]
-    assert net.remaining_kbps == 1700.0
+    assert net.capacity_kbps - net.used_kbps == 1700.0
     loaded = replace(net, used_kbps=1500.0)
-    assert loaded.remaining_kbps == 200.0
+    assert loaded.capacity_kbps - loaded.used_kbps == 200.0
 
 
 def test_requests_and_sessions_are_immutable():

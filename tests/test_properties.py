@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accessim import engine, model
+from accessim.analytics import scope_rows
 from accessim.engine import run_experiment
 from accessim.model import (
     ClassRequirements,
@@ -111,10 +112,13 @@ def test_valid_scenarios_run_and_conserve_arrivals_and_money(scenario):
     for result in report.results:
         assert result.arrivals == (result.blocked + result.served_home
                                    + result.served_transferred)
-        for net in scenario.operators:
-            assert result.arrivals_by_home[net.id] == (
-                result.blocked_by_home[net.id] + result.served_home_by_op[net.id]
-                + result.transferred_by_home[net.id])
+        overall, *operators = scope_rows(
+            result, [net.id for net in scenario.operators]).values()
+        for row in operators:
+            assert row.arrivals == row.blocked + row.served_home + row.served_transferred
+        # The operator rows partition the global one: every count sums exactly.
+        for count in ("arrivals", "blocked", "served_home", "served_transferred"):
+            assert sum(getattr(row, count) for row in operators) == getattr(overall, count)
         guests = sum(ledger.income_guests for ledger in result.ledgers.values())
         paid = sum(ledger.cost_paid for ledger in result.ledgers.values())
         assert math.isclose(guests, paid, rel_tol=1e-9, abs_tol=1e-9)

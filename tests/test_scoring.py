@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +12,11 @@ from accessim.model import (
     Technology,
     UserPreferences,
     default_scenario,
+    load_scenario,
 )
-from accessim.selection import AdmissionTable, candidate_score, user_score
+from accessim.selection import AdmissionTable, candidate_score, meets_bounds, user_score
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 CONV = ServiceKind.CONVERSATIONAL
 CONV_WEIGHTS = (0.05, 0.45, 0.45, 0.05)
@@ -31,10 +35,10 @@ def _table(networks=None, demand=None, requirements=None):
                           requirements or scenario.requirements)
 
 
-def _candidate(table, cand_id, kind=CONV):
-    """The table's entry for ``cand_id`` on the route of some other home operator."""
+def _candidate(table, cand_id):
+    """The table's conversational entry for ``cand_id`` on some other home's route."""
     home_id = next(net.id for net in table if net.id != cand_id)
-    return next(cand for cand in table.routes[home_id, kind].candidates
+    return next(cand for cand in table.routes[home_id, CONV].candidates
                 if cand.net.id == cand_id)
 
 
@@ -45,29 +49,28 @@ def test_bandwidth_normalization_is_uncapped():
     assert n_bw > 1.0
 
 
-def test_cost_criteria_saturate_at_one():
-    # Op2 meets or beats every real-time bound, so jitter/delay/BER all pin to 1.
-    cand = _candidate(_table(), 2)
-    assert (cand.n_jitter, cand.n_delay, cand.n_ber) == (1.0, 1.0, 1.0)
-
-
-def test_cost_criterion_below_requirement_scales():
-    # UMTS BER 1e-3 against the non-real-time 1e-5 bound: two orders short.
-    assert _candidate(_table(), 1, ServiceKind.INTERACTIVE).n_ber == pytest.approx(0.01)
-    networks = [replace(net, jitter_ms=10.0) if net.id == 1 else net
-                for net in default_scenario().operators]
-    tight = {CONV: ClassRequirements(jitter_req=6.0, delay_req=100.0, ber_req=1e-3),
-             ServiceKind.INTERACTIVE: default_scenario().requirements[ServiceKind.INTERACTIVE]}
-    assert _candidate(_table(networks, requirements=tight), 1).n_jitter \
-        == pytest.approx(0.6)
+@pytest.mark.parametrize("name", ["default", "calibrated"])
+def test_every_route_holds_exactly_the_operators_that_meet_the_bounds(name):
+    # candidate_score takes the jitter, delay and BER terms as 1, which holds
+    # only for a candidate within every bound of the class.
+    scenario = load_scenario(SCENARIO_DIR / f"{name}.json")
+    table = _table(scenario.operators, scenario.demand, scenario.requirements)
+    for (home_id, kind), route in table.routes.items():
+        bounds = scenario.requirements[kind]
+        assert [cand.net.id for cand in route.candidates] == sorted(
+            net.id for net in scenario.operators
+            if net.id != home_id and meets_bounds(net, bounds))
+    # The UMTS network misses the interactive BER bound, so no interactive route has it.
+    assert all(cand.net.id != 1 for (_, kind), route in table.routes.items()
+               for cand in route.candidates if kind is ServiceKind.INTERACTIVE)
 
 
 def test_zero_divisors_rejected():
+    # The candidate's bit rate is the score's only divisor.  Jitter, delay and
+    # BER are only compared with the bounds, so a zero there is no divisor.
     for field in ("jitter_ms", "delay_ms", "ber"):
-        networks = [replace(net, **{field: 0.0}) if net.id == 1 else net
-                    for net in default_scenario().operators]
-        with pytest.raises(ValueError):
-            _table(networks)
+        _table([replace(net, **{field: 0.0}) if net.id == 1 else net
+                for net in default_scenario().operators])
     rates = dict(default_scenario().demand.rates)
     rates[CONV, Technology.WLAN] = 0.0
     with pytest.raises(ValueError):
@@ -138,6 +141,7 @@ def test_sp_max_must_be_positive():
 
 def test_random_offers_stay_finite_and_bounded():
     rng = random.Random(99)
+    scored = 0
     for _ in range(300):
         net = replace(
             _ops()[2],
@@ -156,12 +160,13 @@ def test_random_offers_stay_finite_and_bounded():
                         for kind in ServiceKind}
         table = AdmissionTable([home, net], demand, requirements)
         assert table.sp_max == 2.0
-        cand = _candidate(table, 2)
-        assert all(math.isfinite(v) for v in (cand.n_jitter, cand.n_delay, cand.n_ber,
-                                              cand.sp_norm, cand.cs_norm))
-        assert 0.0 < cand.n_jitter <= 1.0
-        assert 0.0 < cand.n_delay <= 1.0
-        assert 0.0 < cand.n_ber <= 1.0
+        candidates = table.routes[1, CONV].candidates
+        assert len(candidates) == meets_bounds(net, requirements[CONV])
+        if not candidates:
+            continue
+        [cand] = candidates
+        scored += 1
+        assert all(math.isfinite(v) for v in (cand.sp_norm, cand.cs_norm))
         assert candidate_score(cand, *BANDWIDTH_ONLY) >= 0.0
         weights = [rng.uniform(0.01, 1.0) for _ in range(4)]
         total = sum(weights)
@@ -171,3 +176,4 @@ def test_random_offers_stay_finite_and_bounded():
         s_tqos = candidate_score(cand, qos_weights, UserPreferences(1.0, 0.0))
         assert math.isfinite(s_t) and s_t >= 0.0
         assert math.isfinite(s_tqos) and s_tqos >= 0.0
+    assert scored >= 20

@@ -59,7 +59,7 @@ def _admits_alone(net, kind=ServiceKind.CONVERSATIONAL, bounds=None):
         requirements[kind] = bounds
     decision = admit(_request(home=net.id, kind=kind), _table([net], requirements),
                      cooperation=False)
-    return decision.served
+    return decision.outcome is not Outcome.BLOCKED
 
 
 def test_feasible_on_empty_network():
@@ -152,9 +152,8 @@ def test_forced_route_between_wlans_for_loss_sensitive_class():
     decision = admit(_request(home=2, kind=ServiceKind.INTERACTIVE), table, cooperation=True)
     assert decision.outcome is Outcome.SERVED_TRANSFER
     assert decision.serving_op == 3
-    # The UMTS operator fails the BER gate whatever its load.
-    assert [c.net.id for c in table.routes[2, ServiceKind.INTERACTIVE].candidates
-            if not c.in_bounds] == [1]
+    # The UMTS operator fails the BER gate whatever its load, so it is no candidate.
+    assert [c.net.id for c in table.routes[2, ServiceKind.INTERACTIVE].candidates] == [3]
 
     ops = list(scenario.operators)
     ops[2] = replace(ops[2], used_kbps=ops[2].capacity_kbps)
@@ -162,8 +161,7 @@ def test_forced_route_between_wlans_for_loss_sensitive_class():
     decision = admit(_request(home=3, kind=ServiceKind.INTERACTIVE), table, cooperation=True)
     assert decision.outcome is Outcome.SERVED_TRANSFER
     assert decision.serving_op == 2
-    assert [c.net.id for c in table.routes[3, ServiceKind.INTERACTIVE].candidates
-            if not c.in_bounds] == [1]
+    assert [c.net.id for c in table.routes[3, ServiceKind.INTERACTIVE].candidates] == [2]
 
 
 def test_blocked_when_no_candidate_is_feasible(monkeypatch):
@@ -307,7 +305,7 @@ def test_served_decisions_carry_the_serving_rate():
         request, networks, demand, requirements = random_instance(rng)
         decision = admit(request, AdmissionTable(networks, demand, requirements),
                          cooperation=True)
-        if not decision.served:
+        if decision.outcome is Outcome.BLOCKED:
             assert decision.rate_kbps is None
             continue
         serving = next(net for net in networks if net.id == decision.serving_op)
