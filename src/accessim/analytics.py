@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 from .model import (
@@ -57,8 +56,7 @@ def accrue(session: Session, networks: Mapping[int, OperatorNetwork],
 # --------------------------------------------------------------------------
 # exchange direction
 
-@dataclass
-class ExchangeMatrix:
+class ExchangeMatrix(NamedTuple):
     """Transferred-session counts by (home, serving, service kind), summed over replications."""
 
     op_ids: tuple[int, ...]
@@ -143,8 +141,7 @@ def scope_rows(result: ReplicationResult, op_ids) -> dict[str, ScopeRow]:
     return rows
 
 
-@dataclass
-class ScopeStats:
+class ScopeStats(NamedTuple):
     """Per-replication values of one metric plus mean / stddev / 95% interval."""
 
     values: tuple[float, ...]
@@ -183,8 +180,7 @@ def report_rows(report: MetricsReport) -> list[dict[str, ScopeRow]]:
     return [scope_rows(result, op_ids) for result in report.results]
 
 
-@dataclass
-class BlockingStats:
+class BlockingStats(NamedTuple):
     overall: ScopeStats
     per_operator: dict[int, ScopeStats]
 

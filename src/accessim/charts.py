@@ -7,7 +7,7 @@ seed reproduces the files byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 WIDTH = 640
 HEIGHT = 400
@@ -22,8 +22,7 @@ PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(NamedTuple):
     """One labelled polyline: points are (x, y) pairs in data space."""
 
     label: str

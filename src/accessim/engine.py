@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from math import inf, log
 from typing import Callable, NamedTuple
 
@@ -44,8 +44,7 @@ class CapacityAccountingError(RuntimeError):
     """Occupancy went negative, past capacity or off its background load: an engine bug."""
 
 
-@dataclass
-class RngStreams:
+class RngStreams(NamedTuple):
     """Independent substreams so that policy toggles never perturb the traffic draws."""
 
     interarrival: random.Random

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple
 
 WEIGHT_SUM_TOL = 1e-9
-# Most arrivals a replication may expect: at a few µs each, under a minute of work.
+# Most arrivals an experiment may expect: at a few µs each, under a minute of work.
 MAX_EXPECTED_ARRIVALS = 10_000_000
 
 
@@ -107,8 +107,7 @@ class ServiceRequest(NamedTuple):
     price_paid: float  # what the client pays its home operator, unit/kByte
 
 
-@dataclass(frozen=True)
-class DemandTable:
+class DemandTable(NamedTuple):
     """Constant bit rate consumed per (service kind, technology), kb/s."""
 
     rates: Mapping[tuple[ServiceKind, Technology], float]
@@ -201,8 +200,7 @@ class OperatorLedger:
         return self.income_own + self.income_transferred + self.income_guests - self.cost_paid
 
 
-@dataclass
-class ReplicationResult:
+class ReplicationResult(NamedTuple):
     """Raw outcome of a single replication; ``analytics.scope_rows`` derives its metrics.
 
     Each count is stored once, per operator; the totals are derived from it.
@@ -238,8 +236,7 @@ class ReplicationResult:
         return ()
 
 
-@dataclass
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """All replications of one experiment plus the scenario that produced them."""
 
     scenario: Scenario
@@ -367,9 +364,13 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         v.append(f"non-positive traffic parameter: mean_service_s = {scenario.mean_service_s!r}")
     if scenario.duration_s <= 0:
         v.append(f"non-positive duration: duration_s = {scenario.duration_s!r}")
-    elif scenario.mean_interarrival_s > 0 and expected_arrivals(scenario) > MAX_EXPECTED_ARRIVALS:
-        v.append(f"too many expected arrivals: duration_s / mean_interarrival_s = "
-                 f"{expected_arrivals(scenario):.3g} per replication, above {MAX_EXPECTED_ARRIVALS}")
+    elif scenario.mean_interarrival_s > 0:
+        # Every replication draws its first arrival.  An int compared with a
+        # float is exact, so no replication count overflows here.
+        per_replication = max(expected_arrivals(scenario), 1.0)
+        if max(scenario.replications, 1) > MAX_EXPECTED_ARRIVALS / per_replication:
+            v.append(f"too many expected arrivals: {scenario.replications!r} replications x "
+                     f"{per_replication:.3g} arrivals, above {MAX_EXPECTED_ARRIVALS}")
     if scenario.replications < 1:
         v.append(f"replications out of range: {scenario.replications!r}, expected >= 1")
     if scenario.billing not in ("volume", "per_session"):

@@ -49,6 +49,29 @@ def test_traced_cooperating_experiment_passes_the_trace_check(monkeypatch):
     assert summary["spans"]["model.demand_rate"]["calls"] == table_lookups
 
 
+def test_traced_cli_sweep_patches_the_record_classes(tmp_path, monkeypatch):
+    # The tracer wraps methods and properties in the class dicts of records
+    # (`ScopeStats.mean`, `DemandTable.rate`) as well as module functions.
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import child
+    from tracer import SCOPE_STATS, Tracer
+
+    originals = {name: vars(analytics.ScopeStats)[name] for name in SCOPE_STATS}
+    tracer = Tracer().install()
+    try:
+        assert cli.main(["sweep", "--scenario", str(CALIBRATED), "--out", str(tmp_path),
+                         "--sweep", "2.5,5", "--replications", "2"]) == 0
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert len(tracer.results) == 2 * 2 * 2
+    assert child.check_trace(tracer, summary) == []
+    for name in ("analytics.ScopeStats.mean", "model.demand_rate", "cli.write_csv",
+                 "charts.line_chart"):
+        assert summary["spans"][name]["calls"] > 0, name
+    assert {name: vars(analytics.ScopeStats)[name] for name in SCOPE_STATS} == originals
+
+
 @pytest.mark.parametrize("command", ["sweep", "compare"])
 def test_every_grid_replication_goes_through_cli_run_experiment(command, tmp_path,
                                                                 monkeypatch):

@@ -149,6 +149,16 @@ def test_sweep_value_above_the_arrival_cap_is_rejected(tmp_path):
         assert not (tmp_path / "o").exists(), command
 
 
+def test_replications_above_the_arrival_cap_are_rejected(tmp_path):
+    # 1e9 replications of ~480 arrivals each would run for days.
+    proc = run_cli("run", "--scenario", CALIBRATED, "--out", str(tmp_path / "o"),
+                   "--replications", "1000000000")
+    assert proc.returncode == 2
+    assert [line.split(":")[0] for line in proc.stderr.splitlines()] == [
+        "too many expected arrivals"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_blocks_and_charts(tmp_path):
     out = tmp_path / "sweep"
     proc = run_cli("sweep", "--scenario", CALIBRATED, "--out", str(out),

@@ -369,7 +369,9 @@ def test_non_finite_numbers_in_json_are_rejected(tmp_path):
 def test_expected_arrivals_above_the_cap_are_reported():
     calibrated = load_scenario(SCENARIO_DIR / "calibrated.json")
     assert expected_arrivals(calibrated) == calibrated.duration_s / calibrated.mean_interarrival_s
-    at_cap = replace(calibrated, mean_interarrival_s=calibrated.duration_s / MAX_EXPECTED_ARRIVALS)
+    # The cap bounds the whole experiment, so one replication may take all of it.
+    at_cap = replace(calibrated, replications=1,
+                     mean_interarrival_s=calibrated.duration_s / MAX_EXPECTED_ARRIVALS)
     assert expected_arrivals(at_cap) == MAX_EXPECTED_ARRIVALS
     assert validate_scenario(at_cap) == []
     # 1e-300 s between arrivals would expect ~1.2e303 arrivals per replication,
@@ -380,6 +382,29 @@ def test_expected_arrivals_above_the_cap_are_reported():
                                                mean_interarrival_s=mean_interarrival_s))
         assert len(violations) == 1
         assert violations[0].startswith("too many expected arrivals: ")
+
+
+def test_replications_count_towards_the_arrival_cap(tmp_path):
+    # calibrated.json expects 480 arrivals per replication, so the cap allows
+    # 20,833 replications; 1e9 would run for days and 1e300 would never end.
+    calibrated = load_scenario(SCENARIO_DIR / "calibrated.json")
+    largest = MAX_EXPECTED_ARRIVALS // 480
+    assert validate_scenario(replace(calibrated, replications=largest)) == []
+    for replications in (largest + 1, 10**9, 10**400):
+        violations = validate_scenario(replace(calibrated, replications=replications))
+        assert [v.split(":")[0] for v in violations] == ["too many expected arrivals"]
+    # A replication draws at least its first arrival, however short its horizon.
+    brief = replace(calibrated, duration_s=1e-300, replications=MAX_EXPECTED_ARRIVALS)
+    assert validate_scenario(brief) == []
+    assert validate_scenario(replace(brief, replications=MAX_EXPECTED_ARRIVALS + 1)) != []
+
+    doc = scenario_to_dict(calibrated)
+    doc["replications"] = 1e300   # a JSON float that is a 301-digit integer
+    path = tmp_path / "forever.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert [v.split(":")[0] for v in err.value.violations] == ["too many expected arrivals"]
 
 
 def test_unknown_billing_mode_reported():
