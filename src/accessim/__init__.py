@@ -35,9 +35,9 @@ from .selection import (
     user_score,
 )
 from .engine import (
-    ArrivalDraws,
     CapacityAccountingError,
     RngStreams,
+    arrival_draws,
     generate_arrival,
     run_experiment,
     run_replication,

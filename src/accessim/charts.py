@@ -42,6 +42,11 @@ def _fmt(value: float) -> str:
     return f"{value:.4g}"
 
 
+def _text(label: str) -> str:
+    """A label as SVG character data: ``&``, ``<`` and ``>`` escaped."""
+    return label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def line_chart(title: str, x_label: str, y_label: str, series: list[Series]) -> str:
     """Render labelled series as an SVG document string."""
     drawn = [s for s in series if s.points]
@@ -63,7 +68,8 @@ def line_chart(title: str, x_label: str, y_label: str, series: list[Series]) -> 
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" font-size="15">{title}</text>',
+        f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" font-size="15">'
+        f'{_text(title)}</text>',
     ]
 
     ticks = 5
@@ -85,9 +91,10 @@ def line_chart(title: str, x_label: str, y_label: str, series: list[Series]) -> 
     out.append(f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" '
                f'height="{plot_h}" fill="none" stroke="#333333"/>')
     out.append(f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 12}" '
-               f'text-anchor="middle">{x_label}</text>')
+               f'text-anchor="middle">{_text(x_label)}</text>')
     out.append(f'<text x="18" y="{MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '
-               f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.1f})">{y_label}</text>')
+               f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.1f})">'
+               f'{_text(y_label)}</text>')
 
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
@@ -102,7 +109,7 @@ def line_chart(title: str, x_label: str, y_label: str, series: list[Series]) -> 
         lx = MARGIN_LEFT + plot_w + 12
         out.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" '
                    f'stroke="{color}" stroke-width="2"{dash}/>')
-        out.append(f'<text x="{lx + 28}" y="{ly + 4}">{s.label}</text>')
+        out.append(f'<text x="{lx + 28}" y="{ly + 4}">{_text(s.label)}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -7,12 +7,14 @@ accrual at departure.  Departures due at an arrival's instant go first.
 An experiment's replications share one ``AdmissionTable``; each resets its
 networks' ``used_kbps`` first, so each depends on its seed alone.
 
-Everything an arrival draws from is bound once per replication into an
-``ArrivalDraws``, and ``generate_arrival(clock, draws, user_id)`` makes three
-draws per arrival, one from each of three streams: the gap to it
+Everything an arrival draws from is bound once per replication by
+``arrival_draws``, and ``generate_arrival(clock, draws)`` makes three draws
+per arrival, one from each of three streams: the gap to it
 (``interarrival``), its home operator (``getrandbits`` on
 ``home_assignment``, by ``randrange``'s own rejection loop) and its profile
-(one ``profile.random()`` looked up in the cumulative mix).  Each served
+(one ``profile.random()`` looked up in the cumulative mix).  It returns the
+arrival's time and one of the scenario's ``arrival_requests``, shared by
+every arrival of that home and profile, so it builds no request.  Each served
 arrival then draws its service time from ``service_time``.  Both exponential
 draws inline ``Random.expovariate``'s body, ``-log(1.0 - random()) / rate``.
 """
@@ -24,7 +26,7 @@ import random
 from bisect import bisect_right
 from dataclasses import replace
 from math import inf, log
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import analytics
 from .model import (
@@ -32,10 +34,7 @@ from .model import (
     OperatorLedger,
     ReplicationResult,
     Scenario,
-    ServiceClass,
-    ServiceRequest,
     Session,
-    UserPreferences,
 )
 from .selection import AdmissionTable, Outcome, admit
 
@@ -63,54 +62,45 @@ class RngStreams(NamedTuple):
         )
 
 
-class ArrivalDraws(NamedTuple):
+def arrival_draws(scenario: Scenario, streams: RngStreams) -> tuple:
     """What every arrival of one replication draws from, bound once per replication.
 
-    ``generate_arrival`` unpacks it whole; built by ``ArrivalDraws.build``.
+    A plain tuple, which ``generate_arrival`` unpacks in one specialized step:
+
+        gap_uniform  the interarrival stream's ``random``
+        rate         1 / mean interarrival time
+        home_bits    the home-assignment stream's ``getrandbits``
+        n            number of operators
+        k            ``n.bit_length()``, as ``randrange(n)`` uses
+        uniform      the profile stream's ``random``
+        cums         cumulative profile probabilities, a list
+        requests     ``scenario.arrival_requests``, each row with its last
+                     request repeated
     """
-
-    gap_uniform: Callable[[], float]          # the interarrival stream's random
-    rate: float                               # 1 / mean interarrival time
-    home_bits: Callable[[int], int]           # the home-assignment stream's getrandbits
-    n: int                                    # number of operators
-    k: int                                    # n.bit_length(), as randrange(n) uses
-    homes: tuple[tuple[int, float], ...]      # (id, sp) per operator, in scenario order
-    uniform: Callable[[], float]              # the profile stream's random
-    cums: list[float]                         # cumulative profile probabilities
-    profiles: tuple[tuple[ServiceClass, UserPreferences], ...]  # last pair repeated
-
-    @classmethod
-    def build(cls, scenario: Scenario, streams: RngStreams) -> "ArrivalDraws":
-        n = len(scenario.operators)
-        table = scenario.arrival_profiles
-        profiles = [(service_class, prefs) for _, service_class, prefs in table]
-        # A draw above every cumulative probability takes the last profile: the
-        # rounding fallback, so bisect_right's one-past-the-end index finds it too.
-        profiles.append(profiles[-1])
-        return cls(streams.interarrival.random, 1.0 / scenario.mean_interarrival_s,
-                   streams.home_assignment.getrandbits, n, n.bit_length(),
-                   tuple((net.id, net.sp) for net in scenario.operators),
-                   streams.profile.random, [cumulative for cumulative, _, _ in table],
-                   tuple(profiles))
+    n = len(scenario.operators)
+    # A draw above every cumulative probability takes the last profile: the
+    # rounding fallback, so bisect_right's one-past-the-end index finds it too.
+    requests = tuple(row + row[-1:] for row in scenario.arrival_requests)
+    return (streams.interarrival.random, 1.0 / scenario.mean_interarrival_s,
+            streams.home_assignment.getrandbits, n, n.bit_length(), streams.profile.random,
+            [cumulative for cumulative, _, _ in scenario.arrival_profiles], requests)
 
 
-def generate_arrival(clock, draws: ArrivalDraws, user_id):
-    """Draw the next arrival: its time, home operator, profile and contracted price.
+def generate_arrival(clock, draws):
+    """Draw the next arrival: its time and the shared request of its home and profile.
 
-    Negation is exact, so ``clock - log(...)`` is ``clock + expovariate(rate)``.
-    The home is ``randrange(n)`` made from its own rejection loop on
-    ``getrandbits(k)``, which consumes the stream exactly as ``randrange`` does;
-    the profile is the first whose cumulative probability exceeds the draw.
+    ``draws`` is the replication's ``arrival_draws``.  Negation is exact, so
+    ``clock - log(...)`` is ``clock + expovariate(rate)``.  The home is
+    ``randrange(n)`` made from its own rejection loop on ``getrandbits(k)``,
+    which consumes the stream exactly as ``randrange`` does; the profile is
+    the first whose cumulative probability exceeds the draw.
     """
-    gap_uniform, rate, home_bits, n, k, homes, uniform, cums, profiles = draws
+    gap_uniform, rate, home_bits, n, k, uniform, cums, requests = draws
     t = clock - log(1.0 - gap_uniform()) / rate
     r = home_bits(k)
     while r >= n:
         r = home_bits(k)
-    home_op, sp = homes[r]
-    service_class, prefs = profiles[bisect_right(cums, uniform())]
-    # tuple.__new__ is what NamedTuple._make does, less its length check.
-    return t, tuple.__new__(ServiceRequest, (user_id, home_op, service_class, prefs, sp))
+    return t, requests[r][bisect_right(cums, uniform())]
 
 
 def admission_table(scenario: Scenario) -> AdmissionTable:
@@ -146,7 +136,7 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
     # Assigned, not carried over: an earlier replication's sums may have drifted.
     for net, start in zip(world, scenario.operators):
         net.used_kbps = start.used_kbps
-    draws = ArrivalDraws.build(scenario, streams)
+    draws = arrival_draws(scenario, streams)
     horizon = scenario.duration_s
     cooperation = scenario.cooperation
     billing = scenario.billing
@@ -163,9 +153,8 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
 
     heap = []
     seq = 0
-    user = 1
     clock = 0.0  # the last arrival before the horizon: the sum of the gaps up to it
-    t, request = generate_arrival(clock, draws, user)
+    t, request = generate_arrival(clock, draws)
     while True:
         # Once the next arrival is at or past the horizon, every departure is due.
         due = t if t < horizon else inf
@@ -192,7 +181,7 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
                 raise CapacityAccountingError(
                     f"operator {serving_op} exceeded capacity at t={t}")
             duration = -log(1.0 - service_uniform()) / service_lambda
-            # Positional, as in generate_arrival: NamedTuple._make less its length check.
+            # Positional: what NamedTuple._make does, less its length check.
             session = tuple.__new__(Session, (request, serving_op, rate, t, duration))
             heappush(heap, (t + duration, seq, session, serving))
             seq += 1
@@ -202,8 +191,7 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
                 key = (request.home_op, serving_op, request.service_class.kind)
                 exchange[key] = exchange.get(key, 0) + 1
         clock = t
-        user += 1
-        t, request = generate_arrival(clock, draws, user)
+        t, request = generate_arrival(clock, draws)
 
     for net, start in zip(world, scenario.operators):
         if abs(net.used_kbps - start.used_kbps) > 1e-9:

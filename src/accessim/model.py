@@ -97,14 +97,48 @@ class OperatorNetwork:
     used_kbps: float = 0.0
 
 
-class ServiceRequest(NamedTuple):
-    """A single admission request, immutable for its whole lifetime."""
+class ServiceRequest:
+    """What an arrival asks of admission: its home, service class, preferences and price.
 
-    user_id: int
-    home_op: int
-    service_class: ServiceClass
-    prefs: UserPreferences
-    price_paid: float  # what the client pays its home operator, unit/kByte
+    ``price_paid`` is what the client pays its home operator, unit/kByte.  A
+    request is one of |operators| x |profiles| values, so every arrival of the
+    same (home, profile) shares one object (``Scenario.arrival_requests``) and
+    assigning to it raises ``AttributeError``.  It is a ``__slots__`` class
+    because Python specializes loads of its fields, which it does not do for a
+    named tuple's.
+    """
+
+    __slots__ = ("home_op", "service_class", "prefs", "price_paid")
+
+    def __init__(self, home_op: int, service_class: ServiceClass, prefs: UserPreferences,
+                 price_paid: float):
+        init = object.__setattr__
+        init(self, "home_op", home_op)
+        init(self, "service_class", service_class)
+        init(self, "prefs", prefs)
+        init(self, "price_paid", price_paid)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a ServiceRequest is shared and cannot be changed: {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a ServiceRequest is shared and cannot be changed: {name}")
+
+    def _key(self):
+        return self.home_op, self.service_class, self.prefs, self.price_paid
+
+    def __eq__(self, other):
+        if type(other) is not ServiceRequest:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        home_op, service_class, prefs, price_paid = self._key()
+        return (f"ServiceRequest({home_op=!r}, {service_class=!r}, {prefs=!r}, "
+                f"{price_paid=!r})")
 
 
 class DemandTable(NamedTuple):
@@ -178,6 +212,17 @@ class Scenario:
             acc += profile.probability
             table.append((acc, self.service_class(profile.service), profile.prefs))
         return tuple(table)
+
+    @cached_property
+    def arrival_requests(self) -> tuple[tuple[ServiceRequest, ...], ...]:
+        """The shared request of each (home operator, profile), built once per scenario.
+
+        Indexed ``[operator index][profile index]``, both in scenario order; a
+        client pays its home operator's ``sp``.
+        """
+        return tuple(tuple(ServiceRequest(net.id, service_class, prefs, net.sp)
+                           for _, service_class, prefs in self.arrival_profiles)
+                     for net in self.operators)
 
 
 @dataclass
@@ -257,6 +302,10 @@ class ScenarioError(ValueError):
 def expected_arrivals(scenario: Scenario) -> float:
     """Arrivals one replication expects: its horizon over the mean interarrival time."""
     return scenario.duration_s / scenario.mean_interarrival_s
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_weight_sum(violations, label, values):
@@ -362,16 +411,23 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                  f"= {scenario.mean_interarrival_s!r}")
     if scenario.mean_service_s <= 0:
         v.append(f"non-positive traffic parameter: mean_service_s = {scenario.mean_service_s!r}")
+    # The JSON codec casts these three; a scenario built in Python is checked here.
+    for name in ("replications", "base_seed"):
+        if not _is_int(getattr(scenario, name)):
+            v.append(f"bad type: {name} = {getattr(scenario, name)!r}, expected an integer")
+    if not isinstance(scenario.cooperation, bool):
+        v.append(f"bad type: cooperation = {scenario.cooperation!r}, expected a bool")
+    counted = _is_int(scenario.replications)
     if scenario.duration_s <= 0:
         v.append(f"non-positive duration: duration_s = {scenario.duration_s!r}")
-    elif scenario.mean_interarrival_s > 0:
+    elif scenario.mean_interarrival_s > 0 and counted:
         # Every replication draws its first arrival.  An int compared with a
         # float is exact, so no replication count overflows here.
         per_replication = max(expected_arrivals(scenario), 1.0)
         if max(scenario.replications, 1) > MAX_EXPECTED_ARRIVALS / per_replication:
             v.append(f"too many expected arrivals: {scenario.replications!r} replications x "
                      f"{per_replication:.3g} arrivals, above {MAX_EXPECTED_ARRIVALS}")
-    if scenario.replications < 1:
+    if counted and scenario.replications < 1:
         v.append(f"replications out of range: {scenario.replications!r}, expected >= 1")
     if scenario.billing not in ("volume", "per_session"):
         v.append(f"unknown billing mode: {scenario.billing!r}")

@@ -21,10 +21,13 @@ exactly 1 and the score weighs them by their weights alone.  Prices normalize
 by the highest access price among the networks.
 
 Everything but the networks' occupancy is constant during a run, so an
-``AdmissionTable`` compiles it once per replication: which candidates meet
+``AdmissionTable`` compiles it once per experiment: which candidates meet
 the bounds, their normalized prices and every served decision.  Each
 admission then reads only the live ``used_kbps``, scores the candidates that
-have room and returns a shared decision, so it allocates none.  The gates
+have room and returns a shared decision, so it allocates none.  The table's
+``Route`` and ``Candidate`` records, like the engine's shared
+``ServiceRequest``, are ``__slots__`` classes: Python specializes their field
+loads, which it does not do for a named tuple's.  The gates
 compute the spare capacity ``capacity_kbps - used_kbps`` inline; a
 precomputed ``capacity - rate`` threshold could round the other way.
 """
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .model import (
     ClassRequirements,
@@ -78,24 +81,32 @@ def transfer_objective(home: OperatorNetwork, s_u: float, s_t: float,
     return home.w_u * abs(s_u - s_t) - home.w_op * (p_norm - cs_norm)
 
 
-class Candidate(NamedTuple):
+class Candidate:
     """A cooperating operator that meets the bounds of one (home, service kind) route."""
 
-    net: OperatorNetwork
-    rate: float                # kb/s a session of the kind takes on this network
-    sp_norm: float             # access price over the table's sp_max
-    cs_norm: float             # settlement price over the table's sp_max
-    served: AdmissionDecision  # the shared SERVED_TRANSFER decision to this network
+    __slots__ = ("net", "rate", "sp_norm", "cs_norm", "served")
+
+    def __init__(self, net: OperatorNetwork, rate: float, sp_norm: float, cs_norm: float,
+                 served: AdmissionDecision):
+        self.net = net
+        self.rate = rate          # kb/s a session of the kind takes on this network
+        self.sp_norm = sp_norm    # access price over the table's sp_max
+        self.cs_norm = cs_norm    # settlement price over the table's sp_max
+        self.served = served      # the shared SERVED_TRANSFER decision to this network
 
 
-class Route(NamedTuple):
+class Route:
     """Admission constants of one (home operator, service kind) pair."""
 
-    home: OperatorNetwork
-    rate: float
-    in_bounds: bool
-    served: AdmissionDecision  # the shared SERVED_HOME decision
-    candidates: tuple[Candidate, ...]  # every other operator that meets the bounds, by id
+    __slots__ = ("home", "rate", "in_bounds", "served", "candidates")
+
+    def __init__(self, home: OperatorNetwork, rate: float, in_bounds: bool,
+                 served: AdmissionDecision, candidates: tuple[Candidate, ...]):
+        self.home = home
+        self.rate = rate
+        self.in_bounds = in_bounds
+        self.served = served            # the shared SERVED_HOME decision
+        self.candidates = candidates    # every other operator that meets the bounds, by id
 
 
 class AdmissionTable:

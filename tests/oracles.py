@@ -109,7 +109,6 @@ def random_instance(rng: random.Random):
     w_qos = rng.uniform(0.05, 0.95)
     home = rng.choice(networks)
     request = ServiceRequest(
-        user_id=1,
         home_op=home.id,
         service_class=ServiceClass(kind=kind,
                                    qos_weights=tuple(w / total for w in raw)),
@@ -135,7 +134,7 @@ def oracle_arrivals(scenario, seed, count):
         cumulative.append((acc, scenario.service_class(profile.service), profile.prefs))
     arrivals = []
     clock = 0.0
-    for user_id in range(1, count + 1):
+    for _ in range(count):
         gap = streams.interarrival.expovariate(1.0 / scenario.mean_interarrival_s)
         home = scenario.operators[streams.home_assignment.randrange(len(scenario.operators))]
         u = streams.profile.random()
@@ -143,6 +142,5 @@ def oracle_arrivals(scenario, seed, count):
             if u < bound:
                 break
         clock = clock + gap
-        arrivals.append((clock, ServiceRequest(user_id, home.id, service_class, prefs,
-                                               home.sp)))
+        arrivals.append((clock, ServiceRequest(home.id, service_class, prefs, home.sp)))
     return arrivals

@@ -102,7 +102,7 @@ def test_criterion_3_reference_transfer_picks_op3():
     networks = list(scenario.operators)
     networks[0] = replace(networks[0], used_kbps=networks[0].capacity_kbps)
     request = ServiceRequest(
-        user_id=1, home_op=1,
+        home_op=1,
         service_class=scenario.service_class(ServiceKind.CONVERSATIONAL),
         prefs=UserPreferences(0.7, 0.3), price_paid=networks[0].sp)
     decision = admit(request,

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import xml.dom.minidom
+from dataclasses import replace
 from pathlib import Path
 
 import accessim
@@ -173,6 +175,23 @@ def test_sweep_blocks_and_charts(tmp_path):
     assert (out / "blocking.svg").exists()
     assert (out / "profits.svg").exists()
     assert (out / "blocking.svg").read_text().startswith("<svg")
+
+
+def test_charts_escape_operator_names(tmp_path):
+    # An operator's name is chart text: "AT&T" must be written as "AT&amp;T".
+    scenario = accessim.load_scenario(CALIBRATED)
+    operators = (replace(scenario.operators[0], name="AT&T"), *scenario.operators[1:])
+    path = tmp_path / "named.json"
+    accessim.save_scenario(replace(scenario, operators=operators, duration_s=120.0), path)
+    out = tmp_path / "sweep"
+    proc = run_cli("sweep", "--scenario", str(path), "--out", str(out),
+                   "--replications", "1", "--sweep", "2.5,5")
+    assert proc.returncode == 0, proc.stderr
+    for chart in ("blocking.svg", "profits.svg"):
+        xml.dom.minidom.parse(str(out / chart))
+    labels = {node.firstChild.data for node in
+              xml.dom.minidom.parse(str(out / "profits.svg")).getElementsByTagName("text")}
+    assert {"AT&T on", "AT&T off"} <= labels
 
 
 def test_no_svg_flag_suppresses_charts(tmp_path):

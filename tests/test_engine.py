@@ -7,9 +7,9 @@ import pytest
 from accessim import engine
 from accessim.analytics import scope_rows
 from accessim.engine import (
-    ArrivalDraws,
     RngStreams,
     admission_table,
+    arrival_draws,
     generate_arrival,
     replication_seeds,
     run_experiment,
@@ -79,8 +79,8 @@ def _scripted_run(monkeypatch, scenario, arrival_times, service_uniforms=()):
     """
     times = list(arrival_times)
 
-    def scripted(clock, draws, user_id):
-        _, request = generate_arrival(clock, draws, user_id)
+    def scripted(clock, draws):
+        _, request = generate_arrival(clock, draws)
         return times.pop(0), request
 
     monkeypatch.setattr(engine, "generate_arrival", scripted)
@@ -149,8 +149,10 @@ def test_zero_length_session_frees_capacity_for_an_arrival_at_its_instant(monkey
     result, sessions = _scripted_run(monkeypatch, scenario, [1.0, 1.0, 9999.0],
                                      service_uniforms=[0.0, 0.25])
     assert (result.arrivals, result.served_home, result.blocked) == (2, 2, 0)
-    assert [(s.request.user_id, s.start_s, s.duration_s) for s in sessions] == [
-        (1, 1.0, 0.0), (2, 1.0, _service_s(scenario, 0.25))]
+    # Both start at 1.0; service times are drawn in admission order, so the
+    # zero-length session is the first admitted, and it is accrued first.
+    assert [(s.start_s, s.duration_s) for s in sessions] == [
+        (1.0, 0.0), (1.0, _service_s(scenario, 0.25))]
 
 
 def test_sessions_ending_together_are_accrued_in_admission_order(monkeypatch):
@@ -166,7 +168,7 @@ def test_sessions_ending_together_are_accrued_in_admission_order(monkeypatch):
                                      service_uniforms=uniforms)
     assert (result.served_home, result.blocked) == (4, 0)
     assert {s.start_s + s.duration_s for s in sessions} == {1000.0}
-    assert [s.request.user_id for s in sessions] == [1, 2, 3, 4]
+    assert [s.start_s for s in sessions] == starts
 
 
 def test_busy_network_blocks_second_arrival(monkeypatch):
@@ -250,18 +252,20 @@ def test_inline_exponential_draws_equal_expovariate():
     gap_rate = 1.0 / scenario.mean_interarrival_s
     service_rate = 1.0 / scenario.mean_service_s
     for seed in range(50):
-        draws = ArrivalDraws.build(scenario, RngStreams.from_seed(seed))
+        draws = arrival_draws(scenario, RngStreams.from_seed(seed))
         reference = RngStreams.from_seed(seed).interarrival
         clock = 0.0
-        for user_id in range(1, 201):
+        for arrival in range(200):
             expected = clock + reference.expovariate(gap_rate)
-            clock, _ = generate_arrival(clock, draws, user_id)
-            assert clock == expected, (seed, user_id)
+            clock, _ = generate_arrival(clock, draws)
+            assert clock == expected, (seed, arrival)
 
         result, log = run_logged(run_replication, scenario, seed)
-        # Served arrivals draw their service times in admission order.
-        served = sorted(log(result), key=lambda s: s.request.user_id)
+        # Served arrivals draw their service times in admission order, which
+        # is start order: no two arrivals of a real run share a start.
+        served = sorted(log(result), key=lambda s: s.start_s)
         assert served
+        assert len({s.start_s for s in served}) == len(served)
         reference = RngStreams.from_seed(seed).service_time
         assert [s.duration_s for s in served] == [
             reference.expovariate(service_rate) for _ in served], seed
@@ -291,8 +295,8 @@ def test_each_home_counts_every_arrival_drawn_for_it(monkeypatch):
     # replication derives arrivals_by_home from.
     drawn = []
 
-    def recorded(clock, draws, user_id):
-        t, request = generate_arrival(clock, draws, user_id)
+    def recorded(clock, draws):
+        t, request = generate_arrival(clock, draws)
         drawn.append((t, request.home_op))
         return t, request
 
@@ -325,14 +329,14 @@ def test_pooled_interarrival_mean_matches_rate():
 
 def test_generated_traffic_matches_profile_mix():
     scenario = default_scenario()
-    draws = ArrivalDraws.build(scenario, RngStreams.from_seed(123))
+    draws = arrival_draws(scenario, RngStreams.from_seed(123))
     profile_counts = {i: 0 for i in range(len(scenario.profile_mix))}
     home_counts = {net.id: 0 for net in scenario.operators}
     sp_by_id = {net.id: net.sp for net in scenario.operators}
     arrivals = 12000
     lookup = {(p.service, p.prefs.w_qos): i for i, p in enumerate(scenario.profile_mix)}
-    for user_id in range(arrivals):
-        _, request = generate_arrival(0.0, draws, user_id)
+    for _ in range(arrivals):
+        _, request = generate_arrival(0.0, draws)
         profile_counts[lookup[(request.service_class.kind, request.prefs.w_qos)]] += 1
         home_counts[request.home_op] += 1
         assert request.price_paid == sp_by_id[request.home_op]
@@ -356,11 +360,11 @@ def test_compiled_arrivals_match_the_plain_generator(n_ops):
     # half the raw bits at worst; 3 and 5 reject some; all must consume alike.
     scenario = _n_op_scenario(n_ops)
     for seed in range(50):
-        draws = ArrivalDraws.build(scenario, RngStreams.from_seed(seed))
+        draws = arrival_draws(scenario, RngStreams.from_seed(seed))
         clock = 0.0
         compiled = []
-        for user_id in range(1, 2001):
-            clock, request = generate_arrival(clock, draws, user_id)
+        for _ in range(2000):
+            clock, request = generate_arrival(clock, draws)
             compiled.append((clock, request))
         assert compiled == oracle_arrivals(scenario, seed, 2000), (n_ops, seed)
 
@@ -378,8 +382,8 @@ def _requests_drawn(scenario, uniforms, homes=None):
     homes = [0] * len(uniforms) if homes is None else homes
     streams = _fake_streams(interarrivals=[0.0] * len(uniforms), homes=homes,
                             profiles=uniforms)
-    draws = ArrivalDraws.build(scenario, streams)
-    return [generate_arrival(0.0, draws, user_id)[1] for user_id in range(len(uniforms))]
+    draws = arrival_draws(scenario, streams)
+    return [generate_arrival(0.0, draws)[1] for _ in uniforms]
 
 
 def test_a_draw_equal_to_a_cumulative_probability_takes_the_next_profile():
@@ -516,9 +520,13 @@ def test_cooperation_serves_a_superset_of_non_cooperative_users():
     scenario = replace(load_scenario(SCENARIO_DIR / "calibrated.json"),
                        replications=4)
     def served_ids(log, result):
+        # Both modes draw the same arrival times, and no two arrivals of a
+        # real run share one, so a start time names an arrival.
         sessions = log(result)
         assert sessions
-        return {s.request.user_id for s in sessions}
+        starts = {s.start_s for s in sessions}
+        assert len(starts) == len(sessions)
+        return starts
 
     strict = 0
     for interarrival in (2.5, 5.0):

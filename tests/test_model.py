@@ -81,16 +81,18 @@ def test_remaining_kbps():
 def test_requests_and_sessions_are_immutable():
     s = default_scenario()
     profile = s.profile_mix[0]
-    request = ServiceRequest(user_id=1, home_op=2, service_class=s.service_class(profile.service),
+    request = ServiceRequest(home_op=2, service_class=s.service_class(profile.service),
                              prefs=profile.prefs, price_paid=0.1)
     session = Session(request=request, serving_op=3, rate_kbps=256.0, start_s=1.0,
                       duration_s=2.0)
     for record, field in ((request, "home_op"), (session, "serving_op")):
         with pytest.raises(AttributeError):
             setattr(record, field, 9)
-    moved = request._replace(home_op=9)
-    assert (moved.home_op, request.home_op) == (9, 2)
-    assert moved.user_id == request.user_id
+    with pytest.raises(AttributeError):
+        del request.price_paid
+    assert (request.home_op, request.price_paid) == (2, 0.1)
+    assert request == ServiceRequest(2, s.service_class(profile.service), profile.prefs, 0.1)
+    assert request != ServiceRequest(3, s.service_class(profile.service), profile.prefs, 0.1)
 
 
 def test_demand_rate_missing_pair_raises():
@@ -120,6 +122,12 @@ def test_arrival_profiles_accumulate_in_mix_order():
         assert service_class == s.service_class(profile.service)
         assert prefs is profile.prefs
     assert table[-1][0] == pytest.approx(1.0)
+    # One shared request per (home operator, profile); a client pays its home's sp.
+    requests = s.arrival_requests
+    assert [[(r.home_op, r.service_class, r.prefs, r.price_paid) for r in row]
+            for row in requests] == [[(net.id, service_class, prefs, net.sp)
+                                      for _, service_class, prefs in table]
+                                     for net in s.operators]
 
 
 def _with_operator(scenario, index, **changes):
@@ -181,6 +189,15 @@ def test_profile_mix_probability_sum_checked():
     mix = tuple(replace(p, probability=0.3) for p in s.profile_mix)
     violations = validate_scenario(replace(s, profile_mix=mix))
     assert any("profile_mix probabilities" in v for v in violations)
+
+
+@pytest.mark.parametrize("field, value", [("replications", 2.5), ("replications", True),
+                                          ("base_seed", 1.5), ("cooperation", "no")])
+def test_field_types_of_a_scenario_built_in_python_are_checked(field, value):
+    # The JSON codec casts these fields; a scenario built in Python bypasses it.
+    violations = validate_scenario(replace(default_scenario(), **{field: value}))
+    assert len(violations) == 1
+    assert violations[0].startswith(f"bad type: {field} = {value!r}, expected ")
 
 
 def test_ensure_valid_raises_with_violation_list():

@@ -44,7 +44,6 @@ def _table(networks, requirements=None):
 def _request(home, kind=ServiceKind.CONVERSATIONAL, prefs=(0.7, 0.3), price=None):
     scenario = _scenario()
     return ServiceRequest(
-        user_id=1,
         home_op=home,
         service_class=scenario.service_class(kind),
         prefs=UserPreferences(*prefs),
@@ -196,7 +195,7 @@ def test_decision_ignores_listing_order():
 
 def test_unknown_home_operator_raises():
     scenario = _scenario()
-    stray = _request(home=1)._replace(home_op=9)
+    stray = _request(home=9, price=0.9)
     with pytest.raises(KeyError):
         admit(stray, _table(scenario.operators), True)
 
