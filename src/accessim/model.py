@@ -9,7 +9,7 @@ files can be edited by hand and replayed deterministically.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from functools import cached_property
@@ -304,8 +304,43 @@ def expected_arrivals(scenario: Scenario) -> float:
     return scenario.duration_s / scenario.mean_interarrival_s
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _member_of(enum):
+    values = frozenset(enum)  # a str enum's members equal their values
+    return lambda value: isinstance(value, str) and value in values
+
+
+# What a scalar field accepts, and how a violation names it, keyed by annotation.
+_TYPES = {
+    "float": (lambda x: isinstance(x, (int, float)) and not isinstance(x, bool), "a number"),
+    "int": (lambda x: isinstance(x, int) and not isinstance(x, bool), "an integer"),
+    "bool": (lambda x: isinstance(x, bool), "a bool"),
+    "str": (lambda x: isinstance(x, str), "a string"),
+    "Technology": (_member_of(Technology), f"one of {', '.join(Technology)}"),
+    "ServiceKind": (_member_of(ServiceKind), f"one of {', '.join(ServiceKind)}"),
+}
+
+_POSITIVE, _NON_NEGATIVE, _OPEN_UNIT = (lambda x: x > 0), (lambda x: x >= 0), (lambda x: 0 < x < 1)
+# The bound of each field that is checked on its own, and its violation kind.
+_BOUNDS = {
+    "id": (_POSITIVE, "non-positive operator id"),
+    "capacity_kbps": (_POSITIVE, "non-positive capacity"),
+    "jitter_ms": (_POSITIVE, "non-positive QoS constant"),
+    "delay_ms": (_POSITIVE, "non-positive QoS constant"),
+    "ber": (_OPEN_UNIT, "BER out of range"),
+    "sp": (_POSITIVE, "non-positive price"),
+    "cs": (_POSITIVE, "non-positive price"),
+    "w_u": (_NON_NEGATIVE, "negative strategy weight"),
+    "w_op": (_NON_NEGATIVE, "negative strategy weight"),
+    "jitter_req": (_POSITIVE, "non-positive requirement"),
+    "delay_req": (_POSITIVE, "non-positive requirement"),
+    "ber_req": (_OPEN_UNIT, "BER requirement out of range"),
+    "demand": (_POSITIVE, "non-positive demand rate"),
+    "probability": (_NON_NEGATIVE, "negative probability"),
+    "mean_interarrival_s": (_POSITIVE, "non-positive traffic parameter"),
+    "mean_service_s": (_POSITIVE, "non-positive traffic parameter"),
+    "duration_s": (_POSITIVE, "non-positive duration"),
+    "replications": (lambda n: n >= 1, "replications out of range"),
+}
 
 
 def _check_weight_sum(violations, label, values):
@@ -316,8 +351,8 @@ def _check_weight_sum(violations, label, values):
         violations.append(f"weight-sum violation: {label} sums to {total!r}, expected 1")
 
 
-def _numeric_fields(scenario: Scenario):
-    """Yield (label, value) for every real-valued field of a scenario."""
+def _scalar_fields(scenario: Scenario):
+    """Yield (label, field name, annotation, value) for every scalar of a scenario."""
     records = [(f"operators[{i}].", net) for i, net in enumerate(scenario.operators)]
     records += [(f"requirements[{kind}].", bounds)
                 for kind, bounds in scenario.requirements.items()]
@@ -325,49 +360,44 @@ def _numeric_fields(scenario: Scenario):
     records.append(("", scenario))
     for where, record in records:
         for f, value in _flat_fields(record):
-            if f.type == "float":
-                yield where + f.name, value
+            if f.type in _TYPES:
+                yield where + f.name, f.name, f.type, value
     for (kind, tech), rate in scenario.demand.rates.items():
-        yield f"demand[{kind}][{tech}]", rate
+        yield f"demand[{kind}][{tech}]", "demand", "float", rate
     for kind, weights in scenario.qos_weights.items():
         for j, weight in enumerate(weights):
-            yield f"qos_weights[{kind}][{j}]", weight
+            yield f"qos_weights[{kind}][{j}]", "qos_weights", "float", weight
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Check every model invariant and return all violations found (empty list = valid)."""
-    # NaN fails no comparison below, so finiteness is checked on its own.
-    v: list[str] = [f"non-finite number: {label} = {value!r}"
-                    for label, value in _numeric_fields(scenario)
-                    if not math.isfinite(value)]
+    scalars = list(_scalar_fields(scenario))
+    v: list[str] = [f"bad type: {label} = {value!r}, expected {_TYPES[annotation][1]}"
+                    for label, _, annotation, value in scalars
+                    if not _TYPES[annotation][0](value)]
+    if v:  # as in the JSON codec, alone: every other check compares or sums values
+        return v
+
+    for label, name, annotation, value in scalars:
+        # NaN fails every bound, so it is reported only as non-finite.  Unlike
+        # math.isfinite, abs() also refuses an int too large for a float.
+        if annotation == "float" and not abs(value) <= sys.float_info.max:
+            v.append(f"non-finite number: {label} = {value!r}")
+        elif name in _BOUNDS and not _BOUNDS[name][0](value):
+            v.append(f"{_BOUNDS[name][1]}: {label} = {value!r}")
 
     if not scenario.operators:
         v.append("operators: list is empty, at least one operator is required")
     seen_ids = set()
     for i, net in enumerate(scenario.operators):
-        where = f"operators[{i}]"
         if net.id in seen_ids:
-            v.append(f"duplicate operator id: {where}.id = {net.id}")
+            v.append(f"duplicate operator id: operators[{i}].id = {net.id}")
         seen_ids.add(net.id)
-        if net.id <= 0:
-            v.append(f"non-positive operator id: {where}.id = {net.id}")
-        if net.capacity_kbps <= 0:
-            v.append(f"non-positive capacity: {where}.capacity_kbps = {net.capacity_kbps!r}")
         if not 0 <= net.used_kbps <= net.capacity_kbps:
-            v.append(f"load out of range: {where}.used_kbps = {net.used_kbps!r} "
+            v.append(f"load out of range: operators[{i}].used_kbps = {net.used_kbps!r} "
                      f"not in [0, {net.capacity_kbps!r}]")
-        for name in ("jitter_ms", "delay_ms"):
-            if getattr(net, name) <= 0:
-                v.append(f"non-positive QoS constant: {where}.{name}")
-        if not 0 < net.ber < 1:
-            v.append(f"BER out of range: {where}.ber = {net.ber!r}, expected (0, 1)")
-        if net.sp <= 0:
-            v.append(f"non-positive price: {where}.sp = {net.sp!r}")
-        if net.cs <= 0:
-            v.append(f"non-positive price: {where}.cs = {net.cs!r}")
-        if net.w_u < 0 or net.w_op < 0:
-            v.append(f"negative strategy weight: {where}.w_u/w_op = ({net.w_u!r}, {net.w_op!r})")
 
+    technologies = dict.fromkeys(net.technology for net in scenario.operators)
     for kind in ServiceKind:
         weights = scenario.qos_weights.get(kind)
         if weights is None:
@@ -376,59 +406,28 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             v.append(f"weight-sum violation: qos_weights[{kind}] must have 4 entries")
         else:
             _check_weight_sum(v, f"qos_weights[{kind}]", weights)
-
-        bounds = scenario.requirements.get(kind)
-        if bounds is None:
+        if kind not in scenario.requirements:
             v.append(f"missing requirements entry: requirements[{kind}]")
-        else:
-            if bounds.jitter_req <= 0 or bounds.delay_req <= 0:
-                v.append(f"non-positive requirement: requirements[{kind}] jitter/delay")
-            if not 0 < bounds.ber_req < 1:
-                v.append(f"BER requirement out of range: requirements[{kind}].ber_req "
-                         f"= {bounds.ber_req!r}")
+        v.extend(f"missing demand entry: demand[{kind}][{tech}]"
+                 for tech in technologies if (kind, tech) not in scenario.demand.rates)
 
-        for tech in Technology:
-            rate = scenario.demand.rates.get((kind, tech))
-            if rate is None:
-                v.append(f"missing demand entry: demand[{kind}][{tech}]")
-            elif rate <= 0:
-                v.append(f"non-positive demand rate: demand[{kind}][{tech}] = {rate!r}")
-
-    if not scenario.profile_mix:
-        v.append("profile_mix: list is empty")
     for i, profile in enumerate(scenario.profile_mix):
         _check_weight_sum(v, f"profile_mix[{i}] preference weights",
                           (profile.prefs.w_qos, profile.prefs.w_price))
-        if profile.probability < 0:
-            v.append(f"negative probability: profile_mix[{i}].probability")
-    if scenario.profile_mix:
-        total = sum(p.probability for p in scenario.profile_mix)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            v.append(f"weight-sum violation: profile_mix probabilities sum to {total!r}")
+    total = sum(p.probability for p in scenario.profile_mix)
+    if not scenario.profile_mix:
+        v.append("profile_mix: list is empty")
+    elif abs(total - 1.0) > WEIGHT_SUM_TOL:
+        v.append(f"weight-sum violation: profile_mix probabilities sum to {total!r}")
 
-    if scenario.mean_interarrival_s <= 0:
-        v.append(f"non-positive traffic parameter: mean_interarrival_s "
-                 f"= {scenario.mean_interarrival_s!r}")
-    if scenario.mean_service_s <= 0:
-        v.append(f"non-positive traffic parameter: mean_service_s = {scenario.mean_service_s!r}")
-    # The JSON codec casts these three; a scenario built in Python is checked here.
-    for name in ("replications", "base_seed"):
-        if not _is_int(getattr(scenario, name)):
-            v.append(f"bad type: {name} = {getattr(scenario, name)!r}, expected an integer")
-    if not isinstance(scenario.cooperation, bool):
-        v.append(f"bad type: cooperation = {scenario.cooperation!r}, expected a bool")
-    counted = _is_int(scenario.replications)
-    if scenario.duration_s <= 0:
-        v.append(f"non-positive duration: duration_s = {scenario.duration_s!r}")
-    elif scenario.mean_interarrival_s > 0 and counted:
-        # Every replication draws its first arrival.  An int compared with a
-        # float is exact, so no replication count overflows here.
+    # The cap divides the timing fields, so it needs both positive and finite.  Every
+    # replication draws its first arrival; an int compared with a float is exact.
+    if all(0 < t <= sys.float_info.max for t in (scenario.duration_s,
+                                                  scenario.mean_interarrival_s)):
         per_replication = max(expected_arrivals(scenario), 1.0)
         if max(scenario.replications, 1) > MAX_EXPECTED_ARRIVALS / per_replication:
             v.append(f"too many expected arrivals: {scenario.replications!r} replications x "
                      f"{per_replication:.3g} arrivals, above {MAX_EXPECTED_ARRIVALS}")
-    if counted and scenario.replications < 1:
-        v.append(f"replications out of range: {scenario.replications!r}, expected >= 1")
     if scenario.billing not in ("volume", "per_session"):
         v.append(f"unknown billing mode: {scenario.billing!r}")
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from accessim import model
+from accessim.engine import run_experiment
 from accessim.model import (
     MAX_EXPECTED_ARRIVALS,
     DemandTable,
@@ -191,13 +193,78 @@ def test_profile_mix_probability_sum_checked():
     assert any("profile_mix probabilities" in v for v in violations)
 
 
+def with_scalar(scenario, label, value):
+    """``scenario`` with the scalar that validation calls ``label`` set to ``value``."""
+    section, _, rest = label.partition("[")
+    if not rest:
+        return replace(scenario, **{label: value})
+    key, _, rest = rest.partition("]")  # rest is ".field" or "[key]"
+    if section in ("operators", "profile_mix"):
+        records = list(getattr(scenario, section))
+        record, name = records[int(key)], rest[1:]
+        if name in ("w_qos", "w_price"):
+            records[int(key)] = replace(record, prefs=replace(record.prefs, **{name: value}))
+        else:
+            records[int(key)] = replace(record, **{name: value})
+        return replace(scenario, **{section: tuple(records)})
+    kind = ServiceKind(key)
+    if section == "requirements":
+        bounds = replace(scenario.requirements[kind], **{rest[1:]: value})
+        return replace(scenario, requirements={**scenario.requirements, kind: bounds})
+    if section == "demand":
+        rates = {**scenario.demand.rates, (kind, Technology(rest[1:-1])): value}
+        return replace(scenario, demand=DemandTable(rates))
+    weights = list(scenario.qos_weights[kind])
+    weights[int(rest[1:-1])] = value
+    return replace(scenario, qos_weights={**scenario.qos_weights, kind: tuple(weights)})
+
+
 @pytest.mark.parametrize("field, value", [("replications", 2.5), ("replications", True),
-                                          ("base_seed", 1.5), ("cooperation", "no")])
+                                          ("base_seed", 1.5), ("cooperation", "no"),
+                                          ("duration_s", "10"), ("mean_service_s", None),
+                                          ("operators[0].capacity_kbps", "1700"),
+                                          ("operators[0].technology", "LTE"),
+                                          ("operators[0].id", True),
+                                          ("profile_mix[0].service", "video"),
+                                          ("qos_weights[interactive][0]", "0.16"),
+                                          ("demand[interactive][WLAN]", "1024")])
 def test_field_types_of_a_scenario_built_in_python_are_checked(field, value):
     # The JSON codec casts these fields; a scenario built in Python bypasses it.
-    violations = validate_scenario(replace(default_scenario(), **{field: value}))
+    violations = validate_scenario(with_scalar(default_scenario(), field, value))
     assert len(violations) == 1
     assert violations[0].startswith(f"bad type: {field} = {value!r}, expected ")
+
+
+def test_plain_string_enum_values_validate_and_run():
+    members = replace(default_scenario(), duration_s=100.0, replications=2)
+    strings = with_scalar(members, "operators[1].technology", "WLAN")
+    strings = with_scalar(strings, "profile_mix[0].service", "conversational")
+    assert type(strings.operators[1].technology) is type(strings.profile_mix[0].service) is str
+    assert validate_scenario(strings) == []
+    assert run_experiment(strings).results == run_experiment(members).results
+
+
+def test_demand_is_required_only_for_technologies_in_use():
+    s = default_scenario()
+    # Op1 is the only UMTS network, so without it no UMTS rate is read.
+    rates = {key: rate for key, rate in s.demand.rates.items() if key[1] is Technology.WLAN}
+    wlan_only = replace(s, operators=s.operators[1:], demand=DemandTable(rates),
+                        duration_s=100.0, replications=2)
+    assert validate_scenario(wlan_only) == []
+    for result in run_experiment(wlan_only).results:
+        assert result.arrivals == (result.blocked + result.served_home
+                                   + result.served_transferred) > 0
+    del rates[(ServiceKind.INTERACTIVE, Technology.WLAN)]
+    assert validate_scenario(replace(wlan_only, demand=DemandTable(rates))) == [
+        "missing demand entry: demand[interactive][WLAN]"]
+
+
+def test_every_bound_is_in_the_documented_table():
+    validation = (SCENARIO_DIR.parent / "docs" / "scenario_schema.md").read_text().split(
+        "## Validation", 1)[1]
+    rows = [line for line in validation.splitlines() if line.startswith("| ")]
+    for name, (_, kind) in model._BOUNDS.items():
+        assert any(f"{name}`" in row and f"`{kind}`" in row for row in rows), (name, kind)
 
 
 def test_ensure_valid_raises_with_violation_list():
@@ -369,6 +436,13 @@ def test_non_finite_numbers_are_all_reported():
         assert any(v.startswith(f"non-finite number: {label} =") for v in violations), label
     with pytest.raises(ScenarioError):
         ensure_valid(s)
+
+
+def test_an_int_too_large_for_a_float_is_non_finite():
+    # float() of it overflows, so no run could use it; the JSON codec refuses it too.
+    for label in ("duration_s", "operators[0].capacity_kbps"):
+        violations = validate_scenario(with_scalar(default_scenario(), label, 10**400))
+        assert violations == [f"non-finite number: {label} = {10**400!r}"]
 
 
 def test_non_finite_numbers_in_json_are_rejected(tmp_path):

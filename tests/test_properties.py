@@ -4,7 +4,8 @@ Every scenario drawn here passes validation, so each one must run to
 completion; the runs must conserve arrivals and settle to zero across the
 ledgers, a cooperating run blocks only when no network could take the
 session, and the JSON form must give back the same scenario.  Timing fields
-drawn from the whole positive float range must be rejected or run.
+drawn from the whole positive float range must be rejected or run, and a
+scalar of another type must be reported as a bad type, never raise.
 """
 
 import json
@@ -33,6 +34,7 @@ from accessim.model import (
     validate_scenario,
 )
 from accessim.selection import Outcome, meets_bounds
+from test_model import with_scalar
 
 PROPERTY_SETTINGS = settings(deadline=None, database=None, max_examples=60)
 
@@ -176,3 +178,21 @@ def test_any_timing_is_rejected_or_runs_to_completion(scenario, mean_interarriva
     for result in run_experiment(timed).results:
         assert result.arrivals == (result.blocked + result.served_home
                                    + result.served_transferred)
+
+
+# A value of each JSON type but number: string, null, boolean and array.
+other_json = st.one_of(st.text(), st.none(), st.booleans(), st.lists(st.floats(), max_size=2))
+
+
+def _json_type(value):
+    return str if isinstance(value, str) else type(value)  # an enum member is a str
+
+
+@PROPERTY_SETTINGS
+@given(scenarios(), st.data())
+def test_a_scalar_of_another_type_is_a_bad_type_and_nothing_else(scenario, data):
+    label, _, _, value = data.draw(st.sampled_from(list(model._scalar_fields(scenario))))
+    other = data.draw(other_json.filter(lambda x: _json_type(x) is not _json_type(value)))
+    violations = validate_scenario(with_scalar(scenario, label, other))
+    assert len(violations) == 1
+    assert violations[0].startswith(f"bad type: {label} = {other!r}, expected ")
