@@ -153,8 +153,7 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
 
     heap = []
     seq = 0
-    clock = 0.0  # the last arrival before the horizon: the sum of the gaps up to it
-    t, request = generate_arrival(clock, draws)
+    t, request = generate_arrival(0.0, draws)
     while True:
         # Once the next arrival is at or past the horizon, every departure is due.
         due = t if t < horizon else inf
@@ -190,8 +189,7 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
             else:
                 key = (request.home_op, serving_op, request.service_class.kind)
                 exchange[key] = exchange.get(key, 0) + 1
-        clock = t
-        t, request = generate_arrival(clock, draws)
+        t, request = generate_arrival(t, draws)
 
     for net, start in zip(world, scenario.operators):
         if abs(net.used_kbps - start.used_kbps) > 1e-9:
@@ -205,8 +203,7 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
         arrivals_by_home[home_op] += count
     return ReplicationResult(
         seed=seed, arrivals_by_home=arrivals_by_home, blocked_by_home=blocked_by_home,
-        served_home_by_op=served_home_by_op, exchange=exchange, ledgers=ledgers,
-        interarrival_sum=clock)
+        served_home_by_op=served_home_by_op, exchange=exchange, ledgers=ledgers)
 
 
 def replication_seeds(scenario: Scenario):

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 WEIGHT_SUM_TOL = 1e-9
 # Most arrivals an experiment may expect: at a few µs each, under a minute of work.
@@ -257,7 +258,6 @@ class ReplicationResult(NamedTuple):
     served_home_by_op: dict[int, int]
     exchange: dict[tuple[int, int, ServiceKind], int]  # transfers by (home, serving, kind)
     ledgers: dict[int, OperatorLedger]
-    interarrival_sum: float
 
     @property
     def arrivals(self):
@@ -309,15 +309,34 @@ def _member_of(enum):
     return lambda value: isinstance(value, str) and value in values
 
 
-# What a scalar field accepts, and how a violation names it, keyed by annotation.
+def _is(*classes):
+    return lambda value: isinstance(value, classes)
+
+
+# What a field accepts, how a violation names it, and how the JSON codec builds
+# the value from what it accepts.  Scalars are keyed by annotation; a container
+# has no cast, because the codec builds it and the walk checks it before entering.
 _TYPES = {
-    "float": (lambda x: isinstance(x, (int, float)) and not isinstance(x, bool), "a number"),
-    "int": (lambda x: isinstance(x, int) and not isinstance(x, bool), "an integer"),
-    "bool": (lambda x: isinstance(x, bool), "a bool"),
-    "str": (lambda x: isinstance(x, str), "a string"),
-    "Technology": (_member_of(Technology), f"one of {', '.join(Technology)}"),
-    "ServiceKind": (_member_of(ServiceKind), f"one of {', '.join(ServiceKind)}"),
+    "float": (lambda x: isinstance(x, (int, float)) and not isinstance(x, bool), "a number",
+              float),
+    "int": (lambda x: isinstance(x, int) and not isinstance(x, bool), "an integer", int),
+    "bool": (_is(bool), "a bool", bool),
+    "str": (_is(str), "a string", str),
+    "Technology": (_member_of(Technology), f"one of {', '.join(Technology)}", Technology),
+    "ServiceKind": (_member_of(ServiceKind), f"one of {', '.join(ServiceKind)}", ServiceKind),
+    "sequence": (_is(tuple, list), "a tuple or list", None),
+    "mapping": (_is(Mapping), "a mapping", None),
+    "OperatorNetwork": (_is(OperatorNetwork), "an OperatorNetwork", None),
+    "ClassRequirements": (_is(ClassRequirements), "a ClassRequirements", None),
+    "TrafficProfile": (_is(TrafficProfile), "a TrafficProfile", None),
+    "UserPreferences": (_is(UserPreferences), "a UserPreferences", None),
+    "DemandTable": (_is(DemandTable), "a DemandTable", None),
 }
+# The sections of a scenario that hold entries: their container and what each entry is.
+_SECTIONS = (("operators", "sequence", "OperatorNetwork"),
+             ("requirements", "mapping", "ClassRequirements"),
+             ("profile_mix", "sequence", "TrafficProfile"),
+             ("qos_weights", "mapping", "sequence"))
 
 _POSITIVE, _NON_NEGATIVE, _OPEN_UNIT = (lambda x: x > 0), (lambda x: x >= 0), (lambda x: 0 < x < 1)
 # The bound of each field that is checked on its own, and its violation kind.
@@ -343,7 +362,18 @@ _BOUNDS = {
 }
 
 
+def _fits(annotation, value):
+    return _TYPES[annotation][0](value)
+
+
+def _is_finite(number):
+    """Unlike math.isfinite, also refuses an int too large for a float."""
+    return abs(number) <= sys.float_info.max
+
+
 def _check_weight_sum(violations, label, values):
+    if not all(map(_is_finite, values)):
+        return  # already reported as a non-finite number
     total = sum(values)
     if any(v < 0 for v in values):
         violations.append(f"weight-sum violation: {label} has a negative entry {tuple(values)}")
@@ -352,36 +382,53 @@ def _check_weight_sum(violations, label, values):
 
 
 def _scalar_fields(scenario: Scenario):
-    """Yield (label, field name, annotation, value) for every scalar of a scenario."""
-    records = [(f"operators[{i}].", net) for i, net in enumerate(scenario.operators)]
-    records += [(f"requirements[{kind}].", bounds)
-                for kind, bounds in scenario.requirements.items()]
-    records += [(f"profile_mix[{i}].", profile) for i, profile in enumerate(scenario.profile_mix)]
+    """Yield (label, field name, annotation, value) for every scalar of a scenario.
+
+    Each container is checked before the walk enters it: one that is not what
+    its field holds is yielded once, under its ``_TYPES`` key, and skipped.
+    """
+    records, qos_weights = [], []
+    for name, container, entry in _SECTIONS:
+        section = getattr(scenario, name)
+        if not _fits(container, section):
+            yield name, name, container, section
+            continue
+        for key, value in section.items() if container == "mapping" else enumerate(section):
+            if not _fits(entry, value):
+                yield f"{name}[{key}]", name, entry, value
+            elif name == "qos_weights":
+                qos_weights.append((f"{name}[{key}]", value))
+            else:
+                records.append((f"{name}[{key}].", value))
     records.append(("", scenario))
     for where, record in records:
         for f, value in _flat_fields(record):
-            if f.type in _TYPES:
+            # A scalar, or a record (the demand table, a profile's prefs) that is not one.
+            if f.type in _TYPES and (_TYPES[f.type][2] or not _fits(f.type, value)):
                 yield where + f.name, f.name, f.type, value
-    for (kind, tech), rate in scenario.demand.rates.items():
+    rates = scenario.demand.rates if _fits("DemandTable", scenario.demand) else {}
+    if not _fits("mapping", rates):
+        yield "demand.rates", "demand", "mapping", rates
+        rates = {}
+    for (kind, tech), rate in rates.items():
         yield f"demand[{kind}][{tech}]", "demand", "float", rate
-    for kind, weights in scenario.qos_weights.items():
+    for where, weights in qos_weights:
         for j, weight in enumerate(weights):
-            yield f"qos_weights[{kind}][{j}]", "qos_weights", "float", weight
+            yield f"{where}[{j}]", "qos_weights", "float", weight
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Check every model invariant and return all violations found (empty list = valid)."""
     scalars = list(_scalar_fields(scenario))
     v: list[str] = [f"bad type: {label} = {value!r}, expected {_TYPES[annotation][1]}"
-                    for label, _, annotation, value in scalars
-                    if not _TYPES[annotation][0](value)]
+                    for label, _, annotation, value in scalars if not _fits(annotation, value)]
     if v:  # as in the JSON codec, alone: every other check compares or sums values
         return v
 
     for label, name, annotation, value in scalars:
-        # NaN fails every bound, so it is reported only as non-finite.  Unlike
-        # math.isfinite, abs() also refuses an int too large for a float.
-        if annotation == "float" and not abs(value) <= sys.float_info.max:
+        # NaN fails every bound, so it is reported only as non-finite, and the
+        # checks that span fields below skip every non-finite value.
+        if annotation == "float" and not _is_finite(value):
             v.append(f"non-finite number: {label} = {value!r}")
         elif name in _BOUNDS and not _BOUNDS[name][0](value):
             v.append(f"{_BOUNDS[name][1]}: {label} = {value!r}")
@@ -393,9 +440,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if net.id in seen_ids:
             v.append(f"duplicate operator id: operators[{i}].id = {net.id}")
         seen_ids.add(net.id)
-        if not 0 <= net.used_kbps <= net.capacity_kbps:
-            v.append(f"load out of range: operators[{i}].used_kbps = {net.used_kbps!r} "
-                     f"not in [0, {net.capacity_kbps!r}]")
+        used, capacity = net.used_kbps, net.capacity_kbps
+        if _is_finite(used) and _is_finite(capacity) and not 0 <= used <= capacity:
+            v.append(f"load out of range: operators[{i}].used_kbps = {used!r} "
+                     f"not in [0, {capacity!r}]")
 
     technologies = dict.fromkeys(net.technology for net in scenario.operators)
     for kind in ServiceKind:
@@ -414,10 +462,11 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     for i, profile in enumerate(scenario.profile_mix):
         _check_weight_sum(v, f"profile_mix[{i}] preference weights",
                           (profile.prefs.w_qos, profile.prefs.w_price))
-    total = sum(p.probability for p in scenario.profile_mix)
+    probabilities = [p.probability for p in scenario.profile_mix]
+    total = sum(probabilities)
     if not scenario.profile_mix:
         v.append("profile_mix: list is empty")
-    elif abs(total - 1.0) > WEIGHT_SUM_TOL:
+    elif all(map(_is_finite, probabilities)) and abs(total - 1.0) > WEIGHT_SUM_TOL:
         v.append(f"weight-sum violation: profile_mix probabilities sum to {total!r}")
 
     # The cap divides the timing fields, so it needs both positive and finite.  Every
@@ -483,10 +532,10 @@ def default_scenario() -> Scenario:
 # JSON serialization: the dataclass fields are the schema (docs/scenario_schema.md)
 
 def _flat_fields(record):
-    """(field, value) pairs of a record, with a nested record's pairs in its place."""
+    """(field, value) pairs of a record, with a nested record of its field's type in its place."""
     for f in fields(record):
         value = getattr(record, f.name)
-        if is_dataclass(value):
+        if is_dataclass(value) and type(value).__name__ == f.type:
             yield from _flat_fields(value)
         else:
             yield f, value
@@ -518,40 +567,21 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def _strict_float(raw) -> float:
-    """A JSON number as a float; unlike float(), refuses "0.1", booleans and overflow."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise TypeError(f"expected a number, got {raw!r}")
+def _cast(annotation, raw):
+    """A JSON value as a field of type ``annotation``, under the rule validation applies.
+
+    JSON has one number type, so an integral float is taken for an int where
+    an int is due; 2.7, "3", true and infinity are still refused.
+    """
+    if annotation == "int" and isinstance(raw, float) and raw.is_integer():
+        raw = int(raw)
+    accepts, description, cast = _TYPES[annotation]
+    if not accepts(raw):
+        raise TypeError(f"expected {description}, got {raw!r}")
     try:
-        return float(raw)
-    except OverflowError:
+        return cast(raw)
+    except OverflowError:  # float() of an int beyond the float range
         raise ValueError("integer too large") from None
-
-
-def _strict_int(raw) -> int:
-    """An integral JSON number; unlike int(), refuses 2.7, "2" and booleans."""
-    if not _strict_float(raw).is_integer():
-        raise ValueError(f"expected an integer, got {raw!r}")
-    return int(raw)
-
-
-def _strict_bool(raw) -> bool:
-    """A JSON boolean; unlike bool(), refuses "false", 0 and null."""
-    if not isinstance(raw, bool):
-        raise TypeError(f"expected true or false, got {raw!r}")
-    return raw
-
-
-def _strict_str(raw) -> str:
-    """A JSON string; unlike str(), refuses 5 and null."""
-    if not isinstance(raw, str):
-        raise TypeError(f"expected a string, got {raw!r}")
-    return raw
-
-
-# Field annotations are strings under `from __future__ import annotations`.
-_CASTS = {"float": _strict_float, "int": _strict_int, "bool": _strict_bool, "str": _strict_str,
-          "Technology": Technology, "ServiceKind": ServiceKind}
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -585,7 +615,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 continue
             if f.name in entry:
                 try:
-                    given[f.name] = _CASTS[f.type](entry[f.name])
+                    given[f.name] = _cast(f.type, entry[f.name])
                 except (TypeError, ValueError) as exc:
                     problems.append(f"bad {what} {where}{f.name}: {exc}")
             elif f.default is MISSING:
@@ -610,26 +640,29 @@ def scenario_from_dict(doc: dict) -> Scenario:
         where = f"demand[{kind_name}]"
         for tech_name, rate in expect(per_tech, dict, f"bad demand entry {where}").items():
             try:
-                rates[(ServiceKind(kind_name), Technology(tech_name))] = _strict_float(rate)
+                key = (_cast("ServiceKind", kind_name), _cast("Technology", tech_name))
+                rates[key] = _cast("float", rate)
             except (TypeError, ValueError) as exc:
                 problems.append(f"bad demand entry {where}[{tech_name}]: {exc}")
 
     qos_weights = {}
     for kind_name, weights in expect(doc.get("qos_weights", {}), dict,
                                      "bad field qos_weights").items():
+        where = f"bad qos_weights[{kind_name}]"
         try:
-            qos_weights[ServiceKind(kind_name)] = tuple(_strict_float(w) for w in weights)
+            qos_weights[_cast("ServiceKind", kind_name)] = tuple(
+                _cast("float", w) for w in expect(weights, list, where))
         except (TypeError, ValueError) as exc:
-            problems.append(f"bad qos_weights[{kind_name}]: {exc}")
+            problems.append(f"{where}: {exc}")
 
     requirements = {}
     for kind_name, entry in expect(doc.get("requirements", {}), dict,
                                    "bad field requirements").items():
         where = f"requirements[{kind_name}]."
         try:
-            requirements[ServiceKind(kind_name)] = record(
+            requirements[_cast("ServiceKind", kind_name)] = record(
                 ClassRequirements, entry, "requirements entry", where)
-        except ValueError as exc:
+        except TypeError as exc:
             problems.append(f"bad requirements entry {where[:-1]}: {exc}")
         reject_unknown(entry, where, ClassRequirements)
 

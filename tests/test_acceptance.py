@@ -34,7 +34,7 @@ from accessim.selection import AdmissionTable, Outcome, admit
 from oracles import oracle_admit, random_instance
 from session_log import SessionLog
 from test_cli import run_cli
-from test_engine import replay_capacity
+from test_engine import recorded_gaps, replay_capacity
 from test_selection import hand_scored
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -217,7 +217,7 @@ def test_criterion_7_selection_is_scale_invariant_and_matches_oracle():
              "rescaling (w_u, w_op) (required: 0 and 0)")
 
 
-def test_criterion_8_determinism_and_arrival_statistics(tmp_path, default_on_reports):
+def test_criterion_8_determinism_and_arrival_statistics(tmp_path, monkeypatch):
     for name in ("a", "b"):
         proc = run_cli("run", "--scenario", str(SCENARIO_DIR / "default.json"),
                        "--out", str(tmp_path / name), "--seed", "42")
@@ -225,9 +225,11 @@ def test_criterion_8_determinism_and_arrival_statistics(tmp_path, default_on_rep
     identical = all(
         (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
         for f in ("metrics.csv", "summary.csv"))
-    report = default_on_reports[2.5]
-    pooled = (sum(r.interarrival_sum for r in report.results)
-              / sum(r.arrivals for r in report.results))
+    scenario = default_scenario()
+    gaps = recorded_gaps(monkeypatch, scenario.duration_s)
+    report = run_experiment(scenario)
+    assert len(gaps) == sum(r.arrivals for r in report.results)
+    pooled = sum(gaps) / len(gaps)
     stat_ok = abs(pooled - 2.5) / 2.5 <= 0.05
     _verdict(identical and stat_ok, 8,
              f"same seed reproduces CSVs byte for byte ({identical}); pooled mean "

@@ -149,7 +149,6 @@ def _result(seed, arrivals_per_op, blocked_by_home=None, exchange=None, ledgers=
         served_home_by_op={i: arrivals_per_op - blocked_by_home[i] for i in ids},
         exchange=exchange or {},
         ledgers=ledgers or {i: OperatorLedger() for i in ids},
-        interarrival_sum=0.0,
     )
 
 

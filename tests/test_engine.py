@@ -69,17 +69,20 @@ def _fake_streams(interarrivals, services=(), homes=(), profiles=()):
     )
 
 
-def _scripted_run(monkeypatch, scenario, arrival_times, service_uniforms=()):
+def _scripted_run(monkeypatch, scenario, arrival_times, service_uniforms=(), clocks=None):
     """One replication whose arrivals land at exactly ``arrival_times``.
 
     The times go through the engine's ``generate_arrival`` seam; each arrival
     still draws its home and profile (both 0 here) from the streams.  Served
     arrivals draw their service times from ``service_uniforms`` in admission
-    order.  Returns the result and its session log.
+    order.  The clock the engine passes to each draw is appended to ``clocks``
+    when it is given.  Returns the result and its session log.
     """
     times = list(arrival_times)
 
     def scripted(clock, draws):
+        if clocks is not None:
+            clocks.append(clock)
         _, request = generate_arrival(clock, draws)
         return times.pop(0), request
 
@@ -118,24 +121,28 @@ def _single_op_scenario(capacity=256.0, cooperation=False):
 
 
 def test_no_arrivals_before_horizon_means_empty_run(monkeypatch):
-    result, sessions = _scripted_run(monkeypatch, _single_op_scenario(), [5000.0])
+    clocks = []
+    result, sessions = _scripted_run(monkeypatch, _single_op_scenario(), [5000.0],
+                                     clocks=clocks)
     assert result.arrivals == 0
     assert result.blocked == 0
     assert sessions == []
-    assert result.interarrival_sum == 0.0
+    assert clocks == [0.0]
 
 
 def test_departure_frees_capacity_for_simultaneous_arrival(monkeypatch):
     # One-session network: session 1 ends exactly when arrival 2 lands.
     scenario = _single_op_scenario()
     first, second = _service_s(scenario, 0.5), _service_s(scenario, 0.25)
+    clocks = []
     result, _ = _scripted_run(monkeypatch, scenario, [1.0, 1.0 + first, 9999.0],
-                              service_uniforms=[0.5, 0.25])
+                              service_uniforms=[0.5, 0.25], clocks=clocks)
     assert result.arrivals == 2
     assert result.blocked == 0
     assert result.served_home == 2
-    # The gaps up to the last arrival before the horizon telescope to its time.
-    assert result.interarrival_sum == 1.0 + first
+    # Each draw starts from the last arrival, so the gaps up to the last arrival
+    # before the horizon telescope to its time.
+    assert clocks == [0.0, 1.0, 1.0 + first]
     # 256 kbit/s for each session's duration at 0.9 per kByte.
     expected = 0.9 * (256.0 * first / 8.0) + 0.9 * (256.0 * second / 8.0)
     assert result.ledgers[1].income_own == pytest.approx(expected)
@@ -320,11 +327,26 @@ def test_arrival_volume_matches_poisson_rate():
     assert mean_arrivals == pytest.approx(1200.0 / 2.5, rel=0.05)
 
 
-def test_pooled_interarrival_mean_matches_rate():
-    report = run_experiment(default_scenario())
-    total_gap = sum(r.interarrival_sum for r in report.results)
-    total_arrivals = sum(r.arrivals for r in report.results)
-    assert total_gap / total_arrivals == pytest.approx(2.5, rel=0.05)
+def recorded_gaps(monkeypatch, horizon):
+    """A list that gets the gap before each arrival the engine draws before ``horizon``."""
+    gaps = []
+
+    def recorded(clock, draws):
+        t, request = generate_arrival(clock, draws)
+        if t < horizon:
+            gaps.append(t - clock)
+        return t, request
+
+    monkeypatch.setattr(engine, "generate_arrival", recorded)
+    return gaps
+
+
+def test_pooled_interarrival_mean_matches_rate(monkeypatch):
+    scenario = default_scenario()
+    gaps = recorded_gaps(monkeypatch, scenario.duration_s)
+    report = run_experiment(scenario)
+    assert len(gaps) == sum(r.arrivals for r in report.results)
+    assert sum(gaps) / len(gaps) == pytest.approx(2.5, rel=0.05)
 
 
 def test_generated_traffic_matches_profile_mix():

@@ -235,6 +235,62 @@ def test_field_types_of_a_scenario_built_in_python_are_checked(field, value):
     assert violations[0].startswith(f"bad type: {field} = {value!r}, expected ")
 
 
+def with_container(scenario, label, value):
+    """``scenario`` with the container or record that validation calls ``label`` set to ``value``."""
+    if label == "demand.rates":
+        return replace(scenario, demand=DemandTable(value))
+    section, _, rest = label.partition("[")
+    if not rest:
+        return replace(scenario, **{section: value})
+    key, _, name = rest.partition("]")  # name is "" or ".prefs"
+    entries = getattr(scenario, section)
+    if section in ("operators", "profile_mix"):
+        entries = list(entries)
+        entries[int(key)] = replace(entries[int(key)], prefs=value) if name else value
+        return replace(scenario, **{section: tuple(entries)})
+    return replace(scenario, **{section: {**entries, ServiceKind(key): value}})
+
+
+@pytest.mark.parametrize("label, value", [("operators", None), ("profile_mix", None),
+                                          ("requirements", None), ("qos_weights", None),
+                                          ("demand", None), ("demand.rates", None),
+                                          ("operators[1]", None), ("profile_mix[0]", None),
+                                          ("profile_mix[0].prefs", None),
+                                          ("requirements[interactive]", (20.0, 150.0, 1e-5)),
+                                          ("qos_weights[interactive]", None),
+                                          ("qos_weights[interactive]", 0.5)])
+def test_a_malformed_container_is_one_bad_type(label, value):
+    # Validation checks each container before it reads what the container holds.
+    violations = validate_scenario(with_container(default_scenario(), label, value))
+    assert len(violations) == 1
+    assert violations[0].startswith(f"bad type: {label} = {value!r}, expected ")
+
+
+@pytest.mark.parametrize("label, path, raw", [
+    ("mean_service_s", ("mean_service_s",), "240"),
+    ("replications", ("replications",), "3"),
+    ("cooperation", ("cooperation",), "no"),
+    ("billing", ("billing",), 5),
+    ("operators[0].technology", ("operators", 0, "technology"), "LTE"),
+    ("profile_mix[0].service", ("profile_mix", 0, "service"), "video"),
+])
+def test_both_entry_paths_word_a_type_breach_alike(label, path, raw):
+    # One float, int, bool, str, Technology and ServiceKind field.
+    prefix = f"bad type: {label} = {raw!r}, expected "
+    [python] = validate_scenario(with_scalar(default_scenario(), label, raw))
+    assert python.startswith(prefix)
+    doc = scenario_to_dict(default_scenario())
+    *parents, key = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[key] = raw
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    [from_json] = err.value.violations
+    assert from_json.endswith(f": expected {python.removeprefix(prefix)}, got {raw!r}")
+
+
 def test_plain_string_enum_values_validate_and_run():
     members = replace(default_scenario(), duration_s=100.0, replications=2)
     strings = with_scalar(members, "operators[1].technology", "WLAN")
@@ -415,6 +471,16 @@ def test_values_must_have_their_json_type(path, raw, section):
     assert any(section in v for v in err.value.violations), err.value.violations
 
 
+@pytest.mark.parametrize("raw", [None, 0.5, "1234", {"a": 1}])
+def test_json_qos_weights_entries_must_be_arrays(raw):
+    doc = scenario_to_dict(default_scenario())
+    doc["qos_weights"]["interactive"] = raw
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert err.value.violations == [
+        f"bad qos_weights[interactive]: expected an array, got {raw!r}"]
+
+
 def test_integral_json_number_loads_as_float():
     doc = scenario_to_dict(default_scenario())
     doc["operators"][0]["capacity_kbps"] = 1700
@@ -436,6 +502,20 @@ def test_non_finite_numbers_are_all_reported():
         assert any(v.startswith(f"non-finite number: {label} =") for v in violations), label
     with pytest.raises(ScenarioError):
         ensure_valid(s)
+
+
+@pytest.mark.parametrize("label, value", [
+    ("operators[0].used_kbps", math.nan), ("operators[0].used_kbps", math.inf),
+    ("operators[0].used_kbps", -math.inf),
+    pytest.param("operators[0].used_kbps", 10**400, id="operators[0].used_kbps-10**400"),
+    ("operators[0].capacity_kbps", math.nan), ("qos_weights[interactive][0]", math.inf),
+    ("qos_weights[interactive][0]", -math.inf), ("profile_mix[0].probability", math.inf),
+    ("profile_mix[0].w_qos", math.inf), ("profile_mix[0].w_price", -math.inf),
+])
+def test_a_non_finite_number_is_reported_once(label, value):
+    # The checks that span fields (load, weight sums) skip it.
+    violations = validate_scenario(with_scalar(default_scenario(), label, value))
+    assert violations == [f"non-finite number: {label} = {value!r}"]
 
 
 def test_an_int_too_large_for_a_float_is_non_finite():

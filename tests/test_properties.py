@@ -5,7 +5,8 @@ completion; the runs must conserve arrivals and settle to zero across the
 ledgers, a cooperating run blocks only when no network could take the
 session, and the JSON form must give back the same scenario.  Timing fields
 drawn from the whole positive float range must be rejected or run, and a
-scalar of another type must be reported as a bad type, never raise.
+scalar, container or record of another type must be reported as a bad
+type, never raise.
 """
 
 import json
@@ -34,7 +35,7 @@ from accessim.model import (
     validate_scenario,
 )
 from accessim.selection import Outcome, meets_bounds
-from test_model import with_scalar
+from test_model import with_container, with_scalar
 
 PROPERTY_SETTINGS = settings(deadline=None, database=None, max_examples=60)
 
@@ -194,5 +195,35 @@ def test_a_scalar_of_another_type_is_a_bad_type_and_nothing_else(scenario, data)
     label, _, _, value = data.draw(st.sampled_from(list(model._scalar_fields(scenario))))
     other = data.draw(other_json.filter(lambda x: _json_type(x) is not _json_type(value)))
     violations = validate_scenario(with_scalar(scenario, label, other))
+    assert len(violations) == 1
+    assert violations[0].startswith(f"bad type: {label} = {other!r}, expected ")
+
+
+# Values of each JSON kind but an array, and each but an object.
+not_an_array = st.one_of(st.text(max_size=4), st.integers(), st.floats(), st.none(),
+                         st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+not_an_object = st.one_of(st.text(max_size=4), st.integers(), st.floats(), st.none(),
+                          st.lists(st.integers(), max_size=2))
+
+
+def _container_slots(scenario):
+    """(label, what a wrong value is drawn from) for each container and record of a scenario."""
+    slots = [("operators", not_an_array), ("profile_mix", not_an_array),
+             ("requirements", not_an_object), ("qos_weights", not_an_object),
+             ("demand", not_an_object), ("demand.rates", not_an_object)]
+    slots += [(f"operators[{i}]", not_an_object) for i in range(len(scenario.operators))]
+    for i in range(len(scenario.profile_mix)):
+        slots += [(f"profile_mix[{i}]", not_an_object), (f"profile_mix[{i}].prefs", not_an_object)]
+    slots += [(f"requirements[{kind}]", not_an_object) for kind in scenario.requirements]
+    slots += [(f"qos_weights[{kind}]", not_an_array) for kind in scenario.qos_weights]
+    return slots
+
+
+@PROPERTY_SETTINGS
+@given(scenarios(), st.data())
+def test_a_container_of_another_type_is_a_bad_type_and_nothing_else(scenario, data):
+    label, others = data.draw(st.sampled_from(_container_slots(scenario)))
+    other = data.draw(others)
+    violations = validate_scenario(with_container(scenario, label, other))
     assert len(violations) == 1
     assert violations[0].startswith(f"bad type: {label} = {other!r}, expected ")
