@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Mapping
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -45,12 +45,63 @@ DEFAULT_QOS_WEIGHTS = {
 }
 
 
-@dataclass(frozen=True)
-class ServiceClass:
+class _Record:
+    """Equality, hash and repr by the fields in ``__slots__``, as a dataclass has them.
+
+    The records outside the scenario schema are ``__slots__`` classes with a
+    hand-written ``__init__`` rather than dataclasses: creating one costs
+    microseconds at import where a dataclass costs about a millisecond, and
+    Python specializes loads of its fields, which it does not do for a named
+    tuple's.
+    """
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({values})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which takes the fields in slot order;
+        # the default sets each slot, which a shared record refuses.
+        return type(self), self._values()
+
+
+class _SharedRecord(_Record):
+    """A record shared between arrivals, read-only as a frozen dataclass is.
+
+    Assigning or deleting a field raises ``FrozenInstanceError``, so ``__init__``
+    sets each field with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class ServiceClass(_SharedRecord):
     """A QoS class: its kind plus the criteria weights used when scoring."""
 
-    kind: ServiceKind
-    qos_weights: tuple[float, float, float, float]
+    __slots__ = ("kind", "qos_weights")
+
+    def __init__(self, kind: ServiceKind, qos_weights: tuple[float, float, float, float]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "qos_weights", qos_weights)
 
 
 @dataclass(frozen=True)
@@ -98,15 +149,12 @@ class OperatorNetwork:
     used_kbps: float = 0.0
 
 
-class ServiceRequest:
+class ServiceRequest(_SharedRecord):
     """What an arrival asks of admission: its home, service class, preferences and price.
 
     ``price_paid`` is what the client pays its home operator, unit/kByte.  A
     request is one of |operators| x |profiles| values, so every arrival of the
-    same (home, profile) shares one object (``Scenario.arrival_requests``) and
-    assigning to it raises ``AttributeError``.  It is a ``__slots__`` class
-    because Python specializes loads of its fields, which it does not do for a
-    named tuple's.
+    same (home, profile) shares one object (``Scenario.arrival_requests``).
     """
 
     __slots__ = ("home_op", "service_class", "prefs", "price_paid")
@@ -118,28 +166,6 @@ class ServiceRequest:
         init(self, "service_class", service_class)
         init(self, "prefs", prefs)
         init(self, "price_paid", price_paid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"a ServiceRequest is shared and cannot be changed: {name}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"a ServiceRequest is shared and cannot be changed: {name}")
-
-    def _key(self):
-        return self.home_op, self.service_class, self.prefs, self.price_paid
-
-    def __eq__(self, other):
-        if type(other) is not ServiceRequest:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        home_op, service_class, prefs, price_paid = self._key()
-        return (f"ServiceRequest({home_op=!r}, {service_class=!r}, {prefs=!r}, "
-                f"{price_paid=!r})")
 
 
 class DemandTable(NamedTuple):
@@ -226,20 +252,27 @@ class Scenario:
                      for net in self.operators)
 
 
-@dataclass
-class OperatorLedger:
+class OperatorLedger(_Record):
     """Money flows of one operator, in price units (unit/kByte x kBytes).
 
     income_own          revenue from own clients served at home
     income_transferred  revenue from own clients served elsewhere (client still pays home)
     income_guests       settlement received for serving other operators' clients
     cost_paid           settlement paid out for own clients served elsewhere
+
+    It is written on every departure, so it keeps ``object.__setattr__``; it is
+    mutable, so it is unhashable.
     """
 
-    income_own: float = 0.0
-    income_transferred: float = 0.0
-    income_guests: float = 0.0
-    cost_paid: float = 0.0
+    __slots__ = ("income_own", "income_transferred", "income_guests", "cost_paid")
+    __hash__ = None
+
+    def __init__(self, income_own: float = 0.0, income_transferred: float = 0.0,
+                 income_guests: float = 0.0, cost_paid: float = 0.0):
+        self.income_own = income_own
+        self.income_transferred = income_transferred
+        self.income_guests = income_guests
+        self.cost_paid = cost_paid
 
     @property
     def profit(self):
@@ -331,6 +364,9 @@ _TYPES = {
     "TrafficProfile": (_is(TrafficProfile), "a TrafficProfile", None),
     "UserPreferences": (_is(UserPreferences), "a UserPreferences", None),
     "DemandTable": (_is(DemandTable), "a DemandTable", None),
+    "demand key": (lambda key: (isinstance(key, tuple) and len(key) == 2
+                                and _fits("ServiceKind", key[0]) and _fits("Technology", key[1])),
+                   "a (ServiceKind, Technology) pair", None),
 }
 # The sections of a scenario that hold entries: their container and what each entry is.
 _SECTIONS = (("operators", "sequence", "OperatorNetwork"),
@@ -410,8 +446,11 @@ def _scalar_fields(scenario: Scenario):
     if not _fits("mapping", rates):
         yield "demand.rates", "demand", "mapping", rates
         rates = {}
-    for (kind, tech), rate in rates.items():
-        yield f"demand[{kind}][{tech}]", "demand", "float", rate
+    for key, rate in rates.items():
+        if not _fits("demand key", key):
+            yield "demand.rates key", "demand", "demand key", key
+        else:
+            yield f"demand[{key[0]}][{key[1]}]", "demand", "float", rate
     for where, weights in qos_weights:
         for j, weight in enumerate(weights):
             yield f"{where}[{j}]", "qos_weights", "float", weight
@@ -638,10 +677,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
     rates = {}
     for kind_name, per_tech in expect(doc.get("demand", {}), dict, "bad field demand").items():
         where = f"demand[{kind_name}]"
+        try:
+            kind = _cast("ServiceKind", kind_name)
+        except TypeError as exc:
+            problems.append(f"bad demand entry {where}: {exc}")
+            continue
         for tech_name, rate in expect(per_tech, dict, f"bad demand entry {where}").items():
             try:
-                key = (_cast("ServiceKind", kind_name), _cast("Technology", tech_name))
-                rates[key] = _cast("float", rate)
+                rates[kind, _cast("Technology", tech_name)] = _cast("float", rate)
             except (TypeError, ValueError) as exc:
                 problems.append(f"bad demand entry {where}[{tech_name}]: {exc}")
 

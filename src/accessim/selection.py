@@ -25,16 +25,17 @@ Everything but the networks' occupancy is constant during a run, so an
 the bounds, their normalized prices and every served decision.  Each
 admission then reads only the live ``used_kbps``, scores the candidates that
 have room and returns a shared decision, so it allocates none.  The table's
-``Route`` and ``Candidate`` records, like the engine's shared
-``ServiceRequest``, are ``__slots__`` classes: Python specializes their field
-loads, which it does not do for a named tuple's.  The gates
+``Route`` and ``Candidate`` records and every ``AdmissionDecision``, like the
+engine's shared ``ServiceRequest``, are ``__slots__`` classes: Python
+specializes their field loads, which it does not do for a named tuple's, and
+creating one at import costs microseconds where a dataclass costs about a
+millisecond.  A decision, like a request, is read-only.  The gates
 compute the spare capacity ``capacity_kbps - used_kbps`` inline; a
 precomputed ``capacity - rate`` threshold could round the other way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -45,6 +46,7 @@ from .model import (
     ServiceKind,
     ServiceRequest,
     UserPreferences,
+    _SharedRecord,
 )
 
 # Objectives closer than this are treated as tied and broken by lowest operator id.
@@ -57,11 +59,16 @@ class Outcome(Enum):
     BLOCKED = "blocked"
 
 
-@dataclass(frozen=True)
-class AdmissionDecision:
-    outcome: Outcome
-    serving_op: int | None = None
-    rate_kbps: float | None = None  # what the session takes on serving_op
+class AdmissionDecision(_SharedRecord):
+    """What admission decided: every decision is built with the table and shared."""
+
+    __slots__ = ("outcome", "serving_op", "rate_kbps")
+
+    def __init__(self, outcome: Outcome, serving_op: int | None = None,
+                 rate_kbps: float | None = None):
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "serving_op", serving_op)
+        object.__setattr__(self, "rate_kbps", rate_kbps)  # what the session takes on serving_op
 
 
 # Every blocked request, at home or after a failed transfer, gets this one decision.

@@ -1,17 +1,20 @@
 """Which records are dataclasses, which are named tuples and which are slot classes.
 
-The scenario schema, the one mutable ledger and two records read on every
-arrival are dataclasses: the schema's fields drive the JSON codec, the
-ledger is written in place, and Python specializes a dataclass's attribute
-loads where it does not specialize a named tuple's.  The request, route and
-candidate read on every arrival are plain ``__slots__`` classes, for the
-same specialization without a dataclass's import cost.  Every other record
-is a ``typing.NamedTuple``, which is several times cheaper to create at
-import.
+Only the scenario schema is made of dataclasses, because its fields drive
+the JSON codec.  The records read on every arrival (the request, its
+service class, the route, its candidates and the decisions) and the
+mutable ledger are plain ``__slots__`` classes: Python specializes their
+field loads, which it does not do for a named tuple's, and such a class
+costs microseconds to create at import where a dataclass costs about a
+millisecond.  The request, its service class and the decisions are shared,
+so they are read-only.  Every other record is a ``typing.NamedTuple``,
+which is also cheap to create at import.
 """
 
+import copy
 import inspect
-from dataclasses import is_dataclass
+import pickle
+from dataclasses import FrozenInstanceError, is_dataclass
 from enum import Enum
 
 import pytest
@@ -20,8 +23,9 @@ from accessim import analytics, charts, cli, engine, model, selection
 from accessim.model import default_scenario
 
 DATACLASSES = {"ClassRequirements", "UserPreferences", "OperatorNetwork", "TrafficProfile",
-               "Scenario", "OperatorLedger", "ServiceClass", "AdmissionDecision"}
-SLOT_CLASSES = {"ServiceRequest", "Route", "Candidate"}
+               "Scenario"}
+SLOT_CLASSES = {"ServiceRequest", "Route", "Candidate", "OperatorLedger", "ServiceClass",
+                "AdmissionDecision"}
 CONVERTED = {"ReplicationResult", "MetricsReport", "DemandTable", "RngStreams",
              "ExchangeMatrix", "ScopeStats", "BlockingStats", "Series"}
 
@@ -56,6 +60,74 @@ def test_per_arrival_slot_records_have_no_instance_dict():
     for record in (request, route, route.candidates[0]):
         assert type(record).__name__ in SLOT_CLASSES
         assert not hasattr(record, "__dict__")
+
+
+def test_value_records_compare_hash_and_print_as_dataclasses_did():
+    kind = model.ServiceKind.INTERACTIVE
+    service_class = model.ServiceClass(kind=kind, qos_weights=(0.16, 0.04, 0.16, 0.64))
+    prefs = model.UserPreferences(w_qos=0.7, w_price=0.3)
+    request = model.ServiceRequest(2, service_class, prefs, 0.1)
+    decision = selection.AdmissionDecision(selection.Outcome.SERVED_TRANSFER, serving_op=3,
+                                           rate_kbps=1024.0)
+    ledger = model.OperatorLedger(income_own=100.0)
+    assert repr(service_class) == ("ServiceClass(kind=<ServiceKind.INTERACTIVE: 'interactive'>, "
+                                   "qos_weights=(0.16, 0.04, 0.16, 0.64))")
+    assert repr(request) == (f"ServiceRequest(home_op=2, service_class={service_class!r}, "
+                             "prefs=UserPreferences(w_qos=0.7, w_price=0.3), price_paid=0.1)")
+    assert repr(decision) == ("AdmissionDecision(outcome=<Outcome.SERVED_TRANSFER: "
+                              "'served_transfer'>, serving_op=3, rate_kbps=1024.0)")
+    assert repr(selection.BLOCKED) == ("AdmissionDecision(outcome=<Outcome.BLOCKED: 'blocked'>, "
+                                       "serving_op=None, rate_kbps=None)")
+    assert repr(ledger) == ("OperatorLedger(income_own=100.0, income_transferred=0.0, "
+                            "income_guests=0.0, cost_paid=0.0)")
+
+    # Equal by value, and only to a record of the same type.
+    same_class = model.ServiceClass(kind, (0.16, 0.04, 0.16, 0.64))
+    assert service_class == same_class and hash(service_class) == hash(same_class)
+    assert service_class != model.ServiceClass(kind, (0.25, 0.25, 0.25, 0.25))
+    same_request = model.ServiceRequest(2, same_class, prefs, 0.1)
+    assert request == same_request and hash(request) == hash(same_request)
+    assert request != model.ServiceRequest(3, service_class, prefs, 0.1)
+    assert decision == selection.AdmissionDecision(selection.Outcome.SERVED_TRANSFER, 3, 1024.0)
+    assert len({decision, selection.AdmissionDecision(selection.Outcome.SERVED_TRANSFER, 3,
+                                                      1024.0)}) == 1
+    assert decision != selection.BLOCKED
+    assert selection.BLOCKED == selection.AdmissionDecision(selection.Outcome.BLOCKED)
+    assert ledger == model.OperatorLedger(100.0, 0.0, 0.0, 0.0)
+    assert ledger != model.OperatorLedger(income_own=100.0, cost_paid=1.0)
+    assert ledger != (100.0, 0.0, 0.0, 0.0)
+    with pytest.raises(TypeError):
+        hash(model.OperatorLedger())
+
+    # A read-only record still copies and pickles, as a frozen dataclass does.
+    for record in (service_class, request, decision, ledger):
+        for clone in (copy.copy(record), copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert type(clone) is type(record) and clone == record
+    assert copy.copy(ledger) is not ledger
+
+
+def test_shared_records_are_read_only_and_the_ledger_is_written_in_place():
+    scenario = default_scenario()
+    request = scenario.arrival_requests[0][0]
+    shared = (request, request.service_class, selection.BLOCKED)
+    for record in shared:
+        assert type(record).__name__ in SLOT_CLASSES
+        assert not hasattr(record, "__dict__")
+        name = type(record).__slots__[0]
+        before = getattr(record, name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, name)
+        assert getattr(record, name) is before
+    ledger = model.OperatorLedger()
+    assert not hasattr(ledger, "__dict__")
+    assert type(ledger).__setattr__ is object.__setattr__
+    ledger.income_own += 2.5
+    assert ledger.profit == 2.5
+    with pytest.raises(AttributeError):
+        ledger.income = 1.0
 
 
 def test_arrivals_return_the_scenario_shared_requests():
