@@ -13,7 +13,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -346,9 +346,9 @@ def _is(*classes):
     return lambda value: isinstance(value, classes)
 
 
-# What a field accepts, how a violation names it, and how the JSON codec builds
+# What a field accepts, how a violation names it, and how the JSON reader builds
 # the value from what it accepts.  Scalars are keyed by annotation; a container
-# has no cast, because the codec builds it and the walk checks it before entering.
+# has no cast, because the reader builds it and the walk checks it before entering.
 _TYPES = {
     "float": (lambda x: isinstance(x, (int, float)) and not isinstance(x, bool), "a number",
               float),
@@ -364,8 +364,7 @@ _TYPES = {
     "TrafficProfile": (_is(TrafficProfile), "a TrafficProfile", None),
     "UserPreferences": (_is(UserPreferences), "a UserPreferences", None),
     "DemandTable": (_is(DemandTable), "a DemandTable", None),
-    "demand key": (lambda key: (isinstance(key, tuple) and len(key) == 2
-                                and _fits("ServiceKind", key[0]) and _fits("Technology", key[1])),
+    "demand key": (lambda key: isinstance(key, tuple) and len(key) == 2,
                    "a (ServiceKind, Technology) pair", None),
 }
 # The sections of a scenario that hold entries: their container and what each entry is.
@@ -395,6 +394,7 @@ _BOUNDS = {
     "mean_service_s": (_POSITIVE, "non-positive traffic parameter"),
     "duration_s": (_POSITIVE, "non-positive duration"),
     "replications": (lambda n: n >= 1, "replications out of range"),
+    "billing": (lambda b: b in ("volume", "per_session"), "unknown billing mode"),
 }
 
 
@@ -421,7 +421,9 @@ def _scalar_fields(scenario: Scenario):
     """Yield (label, field name, annotation, value) for every scalar of a scenario.
 
     Each container is checked before the walk enters it: one that is not what
-    its field holds is yielded once, under its ``_TYPES`` key, and skipped.
+    its field holds is yielded once, under its ``_TYPES`` key, and skipped.  So
+    is each mapping key that is not a ``ServiceKind`` (for ``demand``, a class
+    that is not one is yielded once however many technologies it lists).
     """
     records, qos_weights = [], []
     for name, container, entry in _SECTIONS:
@@ -429,8 +431,11 @@ def _scalar_fields(scenario: Scenario):
         if not _fits(container, section):
             yield name, name, container, section
             continue
-        for key, value in section.items() if container == "mapping" else enumerate(section):
-            if not _fits(entry, value):
+        mapping = container == "mapping"
+        for key, value in section.items() if mapping else enumerate(section):
+            if mapping and not _fits("ServiceKind", key):
+                yield f"{name}[{key}]", name, "ServiceKind", key
+            elif not _fits(entry, value):
                 yield f"{name}[{key}]", name, entry, value
             elif name == "qos_weights":
                 qos_weights.append((f"{name}[{key}]", value))
@@ -446,9 +451,16 @@ def _scalar_fields(scenario: Scenario):
     if not _fits("mapping", rates):
         yield "demand.rates", "demand", "mapping", rates
         rates = {}
+    bad_kinds = set()
     for key, rate in rates.items():
         if not _fits("demand key", key):
             yield "demand.rates key", "demand", "demand key", key
+        elif not _fits("ServiceKind", key[0]):
+            if key[0] not in bad_kinds:
+                bad_kinds.add(key[0])
+                yield f"demand[{key[0]}]", "demand", "ServiceKind", key[0]
+        elif not _fits("Technology", key[1]):
+            yield f"demand[{key[0]}][{key[1]}]", "demand", "Technology", key[1]
         else:
             yield f"demand[{key[0]}][{key[1]}]", "demand", "float", rate
     for where, weights in qos_weights:
@@ -461,7 +473,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     scalars = list(_scalar_fields(scenario))
     v: list[str] = [f"bad type: {label} = {value!r}, expected {_TYPES[annotation][1]}"
                     for label, _, annotation, value in scalars if not _fits(annotation, value)]
-    if v:  # as in the JSON codec, alone: every other check compares or sums values
+    if v:  # alone: every other check compares or sums values
         return v
 
     for label, name, annotation, value in scalars:
@@ -516,9 +528,6 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if max(scenario.replications, 1) > MAX_EXPECTED_ARRIVALS / per_replication:
             v.append(f"too many expected arrivals: {scenario.replications!r} replications x "
                      f"{per_replication:.3g} arrivals, above {MAX_EXPECTED_ARRIVALS}")
-    if scenario.billing not in ("volume", "per_session"):
-        v.append(f"unknown billing mode: {scenario.billing!r}")
-
     return v
 
 
@@ -570,65 +579,96 @@ def default_scenario() -> Scenario:
 # --------------------------------------------------------------------------
 # JSON serialization: the dataclass fields are the schema (docs/scenario_schema.md)
 
+@cache
+def _nested_record(annotation):
+    """The schema record class a field of this annotation holds in its parent's object, or None."""
+    cls = globals().get(annotation)
+    return cls if is_dataclass(cls) else None
+
+
 def _flat_fields(record):
     """(field, value) pairs of a record, with a nested record of its field's type in its place."""
     for f in fields(record):
         value = getattr(record, f.name)
-        if is_dataclass(value) and type(value).__name__ == f.type:
+        if type(value) is _nested_record(f.type):
             yield from _flat_fields(value)
         else:
             yield f, value
 
 
-def _record_to_dict(record) -> dict:
-    return {f.name: value.value if isinstance(value, Enum) else value
-            for f, value in _flat_fields(record)}
+def scenario_to_dict(value):
+    """A scenario, or any part of one, as the JSON data of docs/scenario_schema.md."""
+    if is_dataclass(value):
+        return {f.name: scenario_to_dict(item) for f, item in _flat_fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, DemandTable):
+        return {kind.value: {tech.value: value.rates[kind, tech]
+                             for tech in Technology if (kind, tech) in value.rates}
+                for kind in ServiceKind}
+    if isinstance(value, Mapping):
+        return {scenario_to_dict(key): scenario_to_dict(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [scenario_to_dict(item) for item in value]
+    return value
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "operators": [_record_to_dict(net) for net in scenario.operators],
-        "demand": {
-            kind.value: {
-                tech.value: scenario.demand.rates[(kind, tech)]
-                for tech in Technology if (kind, tech) in scenario.demand.rates
-            }
-            for kind in ServiceKind
-        },
-        "qos_weights": {
-            kind.value: list(weights) for kind, weights in scenario.qos_weights.items()
-        },
-        "requirements": {
-            kind.value: _record_to_dict(bounds) for kind, bounds in scenario.requirements.items()
-        },
-        "profile_mix": [_record_to_dict(p) for p in scenario.profile_mix],
-        **{f.name: getattr(scenario, f.name) for f in fields(Scenario) if f.default is not MISSING},
-    }
+def _read(annotation, raw):
+    """A JSON value as a field of type ``annotation`` when ``_TYPES`` accepts it, else as it is.
 
-
-def _cast(annotation, raw):
-    """A JSON value as a field of type ``annotation``, under the rule validation applies.
-
-    JSON has one number type, so an integral float is taken for an int where
-    an int is due; 2.7, "3", true and infinity are still refused.
+    JSON has one number type, so an integral float is read as an int where an
+    int is due.  ``validate_scenario`` names a value left as it is; an int too
+    large for a float stays an int, which it reports as a non-finite number.
     """
     if annotation == "int" and isinstance(raw, float) and raw.is_integer():
-        raw = int(raw)
-    accepts, description, cast = _TYPES[annotation]
-    if not accepts(raw):
-        raise TypeError(f"expected {description}, got {raw!r}")
-    try:
-        return cast(raw)
-    except OverflowError:  # float() of an int beyond the float range
-        raise ValueError("integer too large") from None
+        return int(raw)
+    accepts, _, cast = _TYPES[annotation]
+    # float() of an int beyond the float range would overflow.
+    return cast(raw) if accepts(raw) and (cast is not float or _is_finite(raw)) else raw
+
+
+@cache
+def _keys(cls) -> frozenset:
+    """The keys of a ``cls`` object in a document: its fields, a nested record's in its place."""
+    keys = set()
+    for f in fields(cls):
+        nested = _nested_record(f.type)
+        keys |= _keys(nested) if nested else {f.name}
+    return frozenset(keys)
+
+
+def _read_record(cls, entry, where, problems, given):
+    """``cls`` read from the object ``entry``, or None when a field is missing.
+
+    A schema record that ``cls`` holds is read from the same object, as
+    ``_flat_fields`` writes it.  Fields in ``given`` are taken as they are, and
+    an absent field takes its default.
+    """
+    values, found = dict(given), len(problems)
+    for f in fields(cls):
+        if f.name in values:
+            continue
+        nested = _nested_record(f.type)
+        if nested:
+            values[f.name] = _read_record(nested, entry, where, problems, {})
+        elif f.name in entry:
+            values[f.name] = _read(f.type, entry[f.name])
+        elif f.default is MISSING:
+            problems.append(f"missing field: {where}{f.name}")
+    return cls(**values) if len(problems) == found else None
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Build a Scenario from a parsed JSON document; structural problems raise ScenarioError."""
-    problems: list[str] = []
+    """Read a Scenario from a parsed JSON document and validate it; raise ScenarioError.
 
+    What only a document can get wrong is reported alone: a container of the
+    wrong JSON type, a missing field or an unknown one.  Otherwise
+    ``validate_scenario`` judges every value and key, as it does for a
+    scenario built in Python.
+    """
     if not isinstance(doc, dict):
         raise ScenarioError(["scenario document must be a JSON object"])
+    problems: list[str] = []
 
     def expect(value, kind, label):
         """``value`` if it is a ``kind`` (dict or list), else a violation and an empty one."""
@@ -639,92 +679,47 @@ def scenario_from_dict(doc: dict) -> Scenario:
         return kind()
 
     def record(cls, entry, what, where, **given):
-        """Build ``cls`` from the object ``entry``, casting each field by its annotation.
-
-        Fields in ``given`` are used as they are and absent fields take the
-        dataclass default.  A non-object entry or a bad or missing field is
-        recorded as a violation, and then no record is built (None).
-        """
+        """``cls`` read from the object ``entry``, whose every key must be one of its fields."""
         if not isinstance(entry, dict):
             problems.append(f"bad {what} {where[:-1]}: expected an object, got {entry!r}")
             return None
-        found = len(problems)
-        for f in fields(cls):
-            if f.name in given:
-                continue
-            if f.name in entry:
-                try:
-                    given[f.name] = _cast(f.type, entry[f.name])
-                except (TypeError, ValueError) as exc:
-                    problems.append(f"bad {what} {where}{f.name}: {exc}")
-            elif f.default is MISSING:
-                problems.append(f"missing field: {where}{f.name}")
-        return cls(**given) if len(problems) == found else None
-
-    def reject_unknown(entry, where, *classes, spliced=()):
-        """Report every key of the object ``entry`` that is no field of ``classes``."""
-        if isinstance(entry, dict):
-            known = {f.name for cls in classes for f in fields(cls)} - set(spliced)
-            problems.extend(f"unknown field: {where}{key}" for key in entry if key not in known)
+        read = _read_record(cls, entry, where, problems, given)
+        problems.extend(f"unknown field: {where}{key}" for key in entry if key not in _keys(cls))
+        return read
 
     operators = []
     for i, entry in enumerate(expect(doc.get("operators", []), list, "bad field operators")):
         if isinstance(entry, dict) and "name" not in entry:
             entry = {**entry, "name": f"Op{entry.get('id', i)}"}
         operators.append(record(OperatorNetwork, entry, "operator entry", f"operators[{i}]."))
-        reject_unknown(entry, f"operators[{i}].", OperatorNetwork)
 
     rates = {}
-    for kind_name, per_tech in expect(doc.get("demand", {}), dict, "bad field demand").items():
-        where = f"demand[{kind_name}]"
-        try:
-            kind = _cast("ServiceKind", kind_name)
-        except TypeError as exc:
-            problems.append(f"bad demand entry {where}: {exc}")
-            continue
-        for tech_name, rate in expect(per_tech, dict, f"bad demand entry {where}").items():
-            try:
-                rates[kind, _cast("Technology", tech_name)] = _cast("float", rate)
-            except (TypeError, ValueError) as exc:
-                problems.append(f"bad demand entry {where}[{tech_name}]: {exc}")
+    for kind, per_tech in expect(doc.get("demand", {}), dict, "bad field demand").items():
+        for tech, rate in expect(per_tech, dict, f"bad demand entry demand[{kind}]").items():
+            rates[_read("ServiceKind", kind), _read("Technology", tech)] = _read("float", rate)
 
-    qos_weights = {}
-    for kind_name, weights in expect(doc.get("qos_weights", {}), dict,
-                                     "bad field qos_weights").items():
-        where = f"bad qos_weights[{kind_name}]"
-        try:
-            qos_weights[_cast("ServiceKind", kind_name)] = tuple(
-                _cast("float", w) for w in expect(weights, list, where))
-        except (TypeError, ValueError) as exc:
-            problems.append(f"{where}: {exc}")
+    qos_weights = {
+        _read("ServiceKind", kind): tuple(
+            _read("float", w) for w in expect(weights, list, f"bad qos_weights[{kind}]"))
+        for kind, weights in expect(doc.get("qos_weights", {}), dict,
+                                    "bad field qos_weights").items()}
 
-    requirements = {}
-    for kind_name, entry in expect(doc.get("requirements", {}), dict,
-                                   "bad field requirements").items():
-        where = f"requirements[{kind_name}]."
-        try:
-            requirements[_cast("ServiceKind", kind_name)] = record(
-                ClassRequirements, entry, "requirements entry", where)
-        except TypeError as exc:
-            problems.append(f"bad requirements entry {where[:-1]}: {exc}")
-        reject_unknown(entry, where, ClassRequirements)
+    requirements = {
+        _read("ServiceKind", kind): record(ClassRequirements, entry, "requirements entry",
+                                           f"requirements[{kind}].")
+        for kind, entry in expect(doc.get("requirements", {}), dict,
+                                  "bad field requirements").items()}
 
-    profile_mix = []
-    for i, entry in enumerate(expect(doc.get("profile_mix", []), list, "bad field profile_mix")):
-        where = f"profile_mix[{i}]."
-        prefs = (record(UserPreferences, entry, "profile entry", where)
-                 if isinstance(entry, dict) else None)
-        profile_mix.append(record(TrafficProfile, entry, "profile entry", where, prefs=prefs))
-        # The preference weights sit in the profile object itself, not under "prefs".
-        reject_unknown(entry, where, TrafficProfile, UserPreferences, spliced=("prefs",))
+    profile_mix = [record(TrafficProfile, entry, "profile entry", f"profile_mix[{i}].")
+                   for i, entry in enumerate(expect(doc.get("profile_mix", []), list,
+                                                    "bad field profile_mix"))]
 
     scenario = record(Scenario, doc, "field", "", operators=tuple(operators),
                       demand=DemandTable(rates=rates), qos_weights=qos_weights,
                       requirements=requirements, profile_mix=tuple(profile_mix))
-    reject_unknown(doc, "", Scenario)
     if problems:
         raise ScenarioError(problems)
-    return scenario
+    return ensure_valid(scenario)
 
 
 def load_scenario(path) -> Scenario:
@@ -733,7 +728,7 @@ def load_scenario(path) -> Scenario:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"not valid JSON: {path}: {exc}"]) from exc
-    return ensure_valid(scenario_from_dict(doc))
+    return scenario_from_dict(doc)
 
 
 def save_scenario(scenario: Scenario, path):

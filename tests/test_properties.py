@@ -6,7 +6,8 @@ ledgers, a cooperating run blocks only when no network could take the
 session, and the JSON form must give back the same scenario.  Timing fields
 drawn from the whole positive float range must be rejected or run, and a
 scalar, container or record of another type must be reported as a bad
-type, never raise.
+type, never raise, and a file must report it exactly as a scenario built in
+Python does.
 """
 
 import json
@@ -14,6 +15,7 @@ import math
 from dataclasses import replace
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +27,7 @@ from accessim.model import (
     DemandTable,
     OperatorNetwork,
     Scenario,
+    ScenarioError,
     ServiceKind,
     Technology,
     TrafficProfile,
@@ -35,7 +38,7 @@ from accessim.model import (
     validate_scenario,
 )
 from accessim.selection import Outcome, meets_bounds
-from test_model import with_container, with_scalar
+from test_model import json_with, with_container, with_scalar
 
 PROPERTY_SETTINGS = settings(deadline=None, database=None, max_examples=60)
 
@@ -181,11 +184,15 @@ def test_any_timing_is_rejected_or_runs_to_completion(scenario, mean_interarriva
                                    + result.served_transferred)
 
 
-# A value of each JSON type but number: string, null, boolean and array.
-other_json = st.one_of(st.text(), st.none(), st.booleans(), st.lists(st.floats(), max_size=2))
+# A value of each JSON type: number, string, null, boolean, array and object.
+json_values = st.one_of(st.integers(), st.floats(), st.text(max_size=4), st.none(),
+                        st.booleans(), st.lists(st.floats(), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
 
 
 def _json_type(value):
+    if type(value) in (int, float):  # not a bool
+        return float
     return str if isinstance(value, str) else type(value)  # an enum member is a str
 
 
@@ -193,10 +200,25 @@ def _json_type(value):
 @given(scenarios(), st.data())
 def test_a_scalar_of_another_type_is_a_bad_type_and_nothing_else(scenario, data):
     label, _, _, value = data.draw(st.sampled_from(list(model._scalar_fields(scenario))))
-    other = data.draw(other_json.filter(lambda x: _json_type(x) is not _json_type(value)))
+    other = data.draw(json_values.filter(lambda x: _json_type(x) is not _json_type(value)))
     violations = validate_scenario(with_scalar(scenario, label, other))
     assert len(violations) == 1
     assert violations[0].startswith(f"bad type: {label} = {other!r}, expected ")
+
+
+@PROPERTY_SETTINGS
+@given(scenarios(), st.data())
+def test_a_breach_in_a_file_reads_as_the_same_breach_built_in_python(scenario, data):
+    # Every label of a scalar is its path in the document.
+    label, _, annotation, value = data.draw(st.sampled_from(list(model._scalar_fields(scenario))))
+    others = json_values.filter(lambda x: _json_type(x) is not _json_type(value))
+    if annotation == "int":
+        others |= st.sampled_from((2.7, math.inf))
+    other = data.draw(others)
+    python = validate_scenario(with_scalar(scenario, label, other))
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(json_with(scenario, label, other))
+    assert err.value.violations == python
 
 
 # Values of each JSON kind but an array, and each but an object.
