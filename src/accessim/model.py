@@ -367,11 +367,12 @@ _TYPES = {
     "demand key": (lambda key: isinstance(key, tuple) and len(key) == 2,
                    "a (ServiceKind, Technology) pair", None),
 }
-# The sections of a scenario that hold entries: their container and what each entry is.
-_SECTIONS = (("operators", "sequence", "OperatorNetwork"),
-             ("requirements", "mapping", "ClassRequirements"),
-             ("profile_mix", "sequence", "TrafficProfile"),
-             ("qos_weights", "mapping", "sequence"))
+# The sections of a scenario that hold entries: their container, what each entry
+# is, and the words a document's entry of the wrong JSON type is reported with.
+_SECTIONS = (("operators", "sequence", "OperatorNetwork", "bad operator entry "),
+             ("requirements", "mapping", "ClassRequirements", "bad requirements entry "),
+             ("profile_mix", "sequence", "TrafficProfile", "bad profile entry "),
+             ("qos_weights", "mapping", "sequence", "bad "))
 
 _POSITIVE, _NON_NEGATIVE, _OPEN_UNIT = (lambda x: x > 0), (lambda x: x >= 0), (lambda x: 0 < x < 1)
 # The bound of each field that is checked on its own, and its violation kind.
@@ -426,7 +427,7 @@ def _scalar_fields(scenario: Scenario):
     that is not one is yielded once however many technologies it lists).
     """
     records, qos_weights = [], []
-    for name, container, entry in _SECTIONS:
+    for name, container, entry, _ in _SECTIONS:
         section = getattr(scenario, name)
         if not _fits(container, section):
             yield name, name, container, section
@@ -627,35 +628,41 @@ def _read(annotation, raw):
     return cast(raw) if accepts(raw) and (cast is not float or _is_finite(raw)) else raw
 
 
-@cache
-def _keys(cls) -> frozenset:
-    """The keys of a ``cls`` object in a document: its fields, a nested record's in its place."""
-    keys = set()
-    for f in fields(cls):
-        nested = _nested_record(f.type)
-        keys |= _keys(nested) if nested else {f.name}
-    return frozenset(keys)
+def _expect(value, kind, label, problems):
+    """``value`` if it is a ``kind`` (dict or list), else None and a violation under ``label``."""
+    if isinstance(value, kind):
+        return value
+    problems.append(f"{label}: expected {'an object' if kind is dict else 'an array'}, "
+                    f"got {value!r}")
+    return None
 
 
 def _read_record(cls, entry, where, problems, given):
-    """``cls`` read from the object ``entry``, or None when a field is missing.
+    """``cls`` read from the JSON object ``entry``, or None when a field is missing.
 
-    A schema record that ``cls`` holds is read from the same object, as
-    ``_flat_fields`` writes it.  Fields in ``given`` are taken as they are, and
-    an absent field takes its default.
+    Each field is popped from a copy of ``entry`` as it is read, and a schema
+    record that ``cls`` holds is read from the same copy, as ``_flat_fields``
+    writes it.  Fields in ``given`` are taken as they are, an absent field
+    takes its default, and every key left over is an unknown field.
     """
-    values, found = dict(given), len(problems)
-    for f in fields(cls):
-        if f.name in values:
-            continue
-        nested = _nested_record(f.type)
-        if nested:
-            values[f.name] = _read_record(nested, entry, where, problems, {})
-        elif f.name in entry:
-            values[f.name] = _read(f.type, entry[f.name])
-        elif f.default is MISSING:
-            problems.append(f"missing field: {where}{f.name}")
-    return cls(**values) if len(problems) == found else None
+    rest, found = dict(entry), len(problems)
+
+    def read(cls, values):
+        for f in fields(cls):
+            nested = _nested_record(f.type)
+            if f.name in values:
+                continue
+            if nested:
+                values[f.name] = read(nested, {})
+            elif f.name in rest:
+                values[f.name] = _read(f.type, rest.pop(f.name))
+            elif f.default is MISSING:
+                problems.append(f"missing field: {where}{f.name}")
+        return cls(**values) if len(problems) == found else None
+
+    record = read(cls, dict(given))
+    problems.extend(f"unknown field: {where}{key}" for key in rest)
+    return record
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -668,65 +675,42 @@ def scenario_from_dict(doc: dict) -> Scenario:
     """
     if not isinstance(doc, dict):
         raise ScenarioError(["scenario document must be a JSON object"])
-    problems: list[str] = []
+    doc, problems, given = dict(doc), [], {}
+    for name, container, entry, words in _SECTIONS:
+        json_type, cls = (dict if container == "mapping" else list), _nested_record(entry)
+        section = (_expect(doc.pop(name, json_type()), json_type, f"bad field {name}", problems)
+                   or json_type())
+        read = {}
+        for key, raw in section.items() if json_type is dict else enumerate(section):
+            where = f"{name}[{key}]"
+            if _expect(raw, dict if cls else list, words + where, problems) is None:
+                continue
+            if name == "operators" and "name" not in raw:
+                raw = {**raw, "name": f"Op{_read('int', raw.get('id'))}"}
+            read[_read("ServiceKind", key) if json_type is dict else key] = (
+                _read_record(cls, raw, f"{where}.", problems, {}) if cls
+                else tuple(_read("float", w) for w in raw))
+        given[name] = read if json_type is dict else tuple(read.values())
 
-    def expect(value, kind, label):
-        """``value`` if it is a ``kind`` (dict or list), else a violation and an empty one."""
-        if isinstance(value, kind):
-            return value
-        json_kind = "an object" if kind is dict else "an array"
-        problems.append(f"{label}: expected {json_kind}, got {value!r}")
-        return kind()
-
-    def record(cls, entry, what, where, **given):
-        """``cls`` read from the object ``entry``, whose every key must be one of its fields."""
-        if not isinstance(entry, dict):
-            problems.append(f"bad {what} {where[:-1]}: expected an object, got {entry!r}")
-            return None
-        read = _read_record(cls, entry, where, problems, given)
-        problems.extend(f"unknown field: {where}{key}" for key in entry if key not in _keys(cls))
-        return read
-
-    operators = []
-    for i, entry in enumerate(expect(doc.get("operators", []), list, "bad field operators")):
-        if isinstance(entry, dict) and "name" not in entry:
-            entry = {**entry, "name": f"Op{entry.get('id', i)}"}
-        operators.append(record(OperatorNetwork, entry, "operator entry", f"operators[{i}]."))
-
+    # A document nests demand rates by class; a DemandTable keys them by pair.
     rates = {}
-    for kind, per_tech in expect(doc.get("demand", {}), dict, "bad field demand").items():
-        for tech, rate in expect(per_tech, dict, f"bad demand entry demand[{kind}]").items():
+    demand = _expect(doc.pop("demand", {}), dict, "bad field demand", problems) or {}
+    for kind, per_tech in demand.items():
+        per_tech = _expect(per_tech, dict, f"bad demand entry demand[{kind}]", problems) or {}
+        for tech, rate in per_tech.items():
             rates[_read("ServiceKind", kind), _read("Technology", tech)] = _read("float", rate)
 
-    qos_weights = {
-        _read("ServiceKind", kind): tuple(
-            _read("float", w) for w in expect(weights, list, f"bad qos_weights[{kind}]"))
-        for kind, weights in expect(doc.get("qos_weights", {}), dict,
-                                    "bad field qos_weights").items()}
-
-    requirements = {
-        _read("ServiceKind", kind): record(ClassRequirements, entry, "requirements entry",
-                                           f"requirements[{kind}].")
-        for kind, entry in expect(doc.get("requirements", {}), dict,
-                                  "bad field requirements").items()}
-
-    profile_mix = [record(TrafficProfile, entry, "profile entry", f"profile_mix[{i}].")
-                   for i, entry in enumerate(expect(doc.get("profile_mix", []), list,
-                                                    "bad field profile_mix"))]
-
-    scenario = record(Scenario, doc, "field", "", operators=tuple(operators),
-                      demand=DemandTable(rates=rates), qos_weights=qos_weights,
-                      requirements=requirements, profile_mix=tuple(profile_mix))
+    scenario = _read_record(Scenario, doc, "", problems, {**given, "demand": DemandTable(rates)})
     if problems:
         raise ScenarioError(problems)
     return ensure_valid(scenario)
 
 
 def load_scenario(path) -> Scenario:
-    """Read, parse and fully validate a scenario JSON file."""
+    """Read, parse and fully validate a scenario JSON file in UTF-8, -16 or -32."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_bytes())  # json detects the encoding, not the locale
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
         raise ScenarioError([f"not valid JSON: {path}: {exc}"]) from exc
     return scenario_from_dict(doc)
 

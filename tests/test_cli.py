@@ -124,6 +124,17 @@ def test_unknown_scenario_key_exits_2_without_partial_outputs(tmp_path):
     assert not out.exists()
 
 
+def test_scenario_that_is_not_json_text_exits_2_without_partial_outputs(tmp_path):
+    for raw in (b"\xc3\x28", b"\xff\xfe{}"):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        out = tmp_path / "never"
+        proc = run_cli("run", "--scenario", str(bad), "--out", str(out))
+        assert proc.returncode == 2, raw
+        assert "not valid JSON" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+        assert not out.exists(), raw
+
+
 def test_unreadable_scenario_exits_1(tmp_path):
     proc = run_cli("run", "--scenario", str(tmp_path / "missing.json"),
                    "--out", str(tmp_path / "out"))

@@ -425,6 +425,24 @@ def test_load_rejects_invalid_json(tmp_path):
     assert any("not valid JSON" in v for v in err.value.violations)
 
 
+@pytest.mark.parametrize("raw", [b"\xc3\x28", b"\xff\xfe{}"], ids=["bad-utf8", "utf16-bom"])
+def test_load_rejects_bytes_that_are_not_json_text(tmp_path, raw):
+    # Invalid UTF-8, and a UTF-16 byte-order mark before two bytes that decode to one CJK letter.
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    [violation] = err.value.violations
+    assert violation.startswith(f"not valid JSON: {path}: ")
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32-be"])
+def test_load_reads_json_text_in_any_utf_encoding(tmp_path, encoding):
+    path = tmp_path / "calibrated.json"
+    path.write_text((SCENARIO_DIR / "calibrated.json").read_text(), encoding=encoding)
+    assert load_scenario(path) == load_scenario(SCENARIO_DIR / "calibrated.json")
+
+
 def test_load_rejects_invalid_scenario(tmp_path):
     doc = scenario_to_dict(default_scenario())
     doc["operators"][0]["capacity_kbps"] = -1.0
@@ -463,15 +481,30 @@ def test_unknown_keys_are_all_reported():
     doc["profile_mix"][2]["wqos"] = 0.5
     # A profile's preference weights are its own keys; there is no "prefs" object.
     doc["profile_mix"][0]["prefs"] = {"w_qos": 0.5, "w_price": 0.5}
+    # A nested record's field is a key of its parent's object and of no other.
+    doc["w_qos"] = 0.5
+    doc["operators"][1]["w_price"] = 0.5
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(doc)
     assert sorted(err.value.violations) == [
         "unknown field: cooperaton",
         "unknown field: operators[0].wop",
+        "unknown field: operators[1].w_price",
         "unknown field: profile_mix[0].prefs",
         "unknown field: profile_mix[2].wqos",
         "unknown field: requirements[interactive].ber",
+        "unknown field: w_qos",
     ]
+
+
+def test_operator_name_defaults_to_op_and_the_id_as_read():
+    doc = scenario_to_dict(default_scenario())
+    for entry in doc["operators"]:
+        del entry["name"]
+    doc["operators"][0]["id"] = 1.0
+    s = scenario_from_dict(doc)
+    assert [(net.id, net.name) for net in s.operators] == [(1, "Op1"), (2, "Op2"), (3, "Op3")]
+    assert s == default_scenario()
 
 
 @pytest.mark.parametrize("raw", ["false", "true", 0, 1, None])
