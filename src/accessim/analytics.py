@@ -12,6 +12,7 @@ from .model import (
     ReplicationResult,
     ServiceKind,
     Session,
+    _FrozenRecord,
 )
 
 
@@ -56,7 +57,7 @@ def accrue(session: Session, networks: Mapping[int, OperatorNetwork],
 # --------------------------------------------------------------------------
 # exchange direction
 
-class ExchangeMatrix(NamedTuple):
+class ExchangeMatrix(_FrozenRecord):
     """Transferred-session counts by (home, serving, service kind), summed over replications."""
 
     op_ids: tuple[int, ...]
@@ -141,7 +142,7 @@ def scope_rows(result: ReplicationResult, op_ids) -> dict[str, ScopeRow]:
     return rows
 
 
-class ScopeStats(NamedTuple):
+class ScopeStats(_FrozenRecord):
     """Per-replication values of one metric plus mean / stddev / 95% interval."""
 
     values: tuple[float, ...]
@@ -180,7 +181,7 @@ def report_rows(report: MetricsReport) -> list[dict[str, ScopeRow]]:
     return [scope_rows(result, op_ids) for result in report.results]
 
 
-class BlockingStats(NamedTuple):
+class BlockingStats(_FrozenRecord):
     overall: ScopeStats
     per_operator: dict[int, ScopeStats]
 

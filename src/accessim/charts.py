@@ -7,7 +7,7 @@ seed reproduces the files byte for byte.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from .model import _FrozenRecord
 
 WIDTH = 640
 HEIGHT = 400
@@ -22,7 +22,7 @@ PALETTE = (
 )
 
 
-class Series(NamedTuple):
+class Series(_FrozenRecord):
     """One labelled polyline: points are (x, y) pairs in data space."""
 
     label: str

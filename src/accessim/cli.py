@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import analytics
@@ -26,6 +25,7 @@ from .model import (
     default_scenario,
     ensure_valid,
     load_scenario,
+    replace,
     validate_scenario,
 )
 

@@ -24,9 +24,7 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_right
-from dataclasses import replace
 from math import inf, log
-from typing import NamedTuple
 
 from . import analytics
 from .model import (
@@ -35,6 +33,8 @@ from .model import (
     ReplicationResult,
     Scenario,
     Session,
+    _FrozenRecord,
+    replace,
 )
 from .selection import AdmissionTable, Outcome, admit
 
@@ -43,7 +43,7 @@ class CapacityAccountingError(RuntimeError):
     """Occupancy went negative, past capacity or off its background load: an engine bug."""
 
 
-class RngStreams(NamedTuple):
+class RngStreams(_FrozenRecord):
     """Independent substreams so that policy toggles never perturb the traffic draws."""
 
     interarrival: random.Random

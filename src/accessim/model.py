@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Mapping
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
+from dataclasses import FrozenInstanceError
 from enum import Enum
 from functools import cache, cached_property
 from pathlib import Path
@@ -45,20 +45,48 @@ DEFAULT_QOS_WEIGHTS = {
 }
 
 
-class _Record:
-    """Equality, hash and repr by the fields in ``__slots__``, as a dataclass has them.
+class _Missing:
+    def __repr__(self):
+        return "MISSING"
 
-    The records outside the scenario schema are ``__slots__`` classes with a
-    hand-written ``__init__`` rather than dataclasses: creating one costs
-    microseconds at import where a dataclass costs about a millisecond, and
-    Python specializes loads of its fields, which it does not do for a named
-    tuple's.
+
+MISSING = _Missing()  # the default of a record field that has none
+
+
+class _Record:
+    """Fields, construction, equality, hash and repr, as a dataclass has them.
+
+    A record's fields are its annotated class body, with class-level defaults,
+    or the annotated parameters of an ``__init__`` it writes itself (the
+    per-arrival records and the ledger, over ``__slots__``).  They are read
+    once, when the class is created: microseconds, where a dataclass or a
+    ``typing.NamedTuple`` costs up to a millisecond at import.
     """
 
     __slots__ = ()
+    _fields = ()  # (name, annotation, default or MISSING) per field, in declaration order
+
+    def __init_subclass__(cls):
+        init = vars(cls).get("__init__")
+        notes = (init or cls).__annotations__
+        defaults = (dict(zip([*notes][::-1], (init.__defaults__ or ())[::-1])) if init
+                    else vars(cls))
+        cls._fields = tuple((name, note, defaults.get(name, MISSING))
+                            for name, note in notes.items())
+
+    def __init__(self, *args, **kwargs):
+        # object.__setattr__ passes a frozen record's guard and keeps the values inline.
+        fields, name = self._fields, type(self).__name__
+        for i, (field, _, default) in enumerate(fields):
+            value = args[i] if i < len(args) else kwargs.pop(field, default)
+            if value is MISSING:
+                raise TypeError(f"{name}() missing argument {field!r}")
+            object.__setattr__(self, field, value)
+        if kwargs or len(args) > len(fields):
+            raise TypeError(f"{name}() got unexpected arguments {[*args[len(fields):], *kwargs]}")
 
     def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name, _, _ in self._fields)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -69,21 +97,16 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self):
-        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name, _, _ in self._fields)
         return f"{type(self).__name__}({values})"
 
     def __reduce__(self):
-        # copy and pickle rebuild through __init__, which takes the fields in slot order;
-        # the default sets each slot, which a shared record refuses.
+        # copy and pickle rebuild through __init__: a frozen record refuses the default.
         return type(self), self._values()
 
 
-class _SharedRecord(_Record):
-    """A record shared between arrivals, read-only as a frozen dataclass is.
-
-    Assigning or deleting a field raises ``FrozenInstanceError``, so ``__init__``
-    sets each field with ``object.__setattr__``.
-    """
+class _FrozenRecord(_Record):
+    """A read-only record: assigning or deleting a field raises ``FrozenInstanceError``."""
 
     __slots__ = ()
 
@@ -94,7 +117,17 @@ class _SharedRecord(_Record):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-class ServiceClass(_SharedRecord):
+def fields(record):
+    """(name, annotation string, default or ``MISSING``) of each field of a record or its class."""
+    return record._fields
+
+
+def replace(record, **changes):
+    """A copy of ``record`` with ``changes``, built by ``__init__``; a TypeError on a non-field."""
+    return type(record)(**{name: getattr(record, name) for name, _, _ in fields(record)} | changes)
+
+
+class ServiceClass(_FrozenRecord):
     """A QoS class: its kind plus the criteria weights used when scoring."""
 
     __slots__ = ("kind", "qos_weights")
@@ -104,8 +137,7 @@ class ServiceClass(_SharedRecord):
         object.__setattr__(self, "qos_weights", qos_weights)
 
 
-@dataclass(frozen=True)
-class ClassRequirements:
+class ClassRequirements(_FrozenRecord):
     """Per-class QoS thresholds; bandwidth is technology-dependent so it lives in DemandTable."""
 
     jitter_req: float
@@ -119,21 +151,21 @@ DEFAULT_REQUIREMENTS = {
 }
 
 
-@dataclass(frozen=True)
-class UserPreferences:
+class UserPreferences(_FrozenRecord):
     """Preference split between QoS and price; the two weights sum to one."""
 
     w_qos: float
     w_price: float
 
 
-@dataclass
-class OperatorNetwork:
+class OperatorNetwork(_Record):
     """One operator and the single radio access network it manages.
 
     ``used_kbps`` is the only mutable piece of simulation state; the engine
     owns it and everything else stays constant during a run.
     """
+
+    __hash__ = None  # mutable, so unhashable
 
     id: int
     name: str
@@ -149,7 +181,7 @@ class OperatorNetwork:
     used_kbps: float = 0.0
 
 
-class ServiceRequest(_SharedRecord):
+class ServiceRequest(_FrozenRecord):
     """What an arrival asks of admission: its home, service class, preferences and price.
 
     ``price_paid`` is what the client pays its home operator, unit/kByte.  A
@@ -168,7 +200,7 @@ class ServiceRequest(_SharedRecord):
         init(self, "price_paid", price_paid)
 
 
-class DemandTable(NamedTuple):
+class DemandTable(_FrozenRecord):
     """Constant bit rate consumed per (service kind, technology), kb/s."""
 
     rates: Mapping[tuple[ServiceKind, Technology], float]
@@ -186,8 +218,7 @@ DEFAULT_DEMAND = DemandTable(rates={
 })
 
 
-@dataclass(frozen=True)
-class TrafficProfile:
+class TrafficProfile(_FrozenRecord):
     """One cell of the arrival mix: a service kind, a preference pair, a probability."""
 
     service: ServiceKind
@@ -205,8 +236,7 @@ class Session(NamedTuple):
     duration_s: float
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_FrozenRecord):
     """Complete, self-contained description of one experiment."""
 
     operators: tuple[OperatorNetwork, ...]
@@ -279,7 +309,7 @@ class OperatorLedger(_Record):
         return self.income_own + self.income_transferred + self.income_guests - self.cost_paid
 
 
-class ReplicationResult(NamedTuple):
+class ReplicationResult(_FrozenRecord):
     """Raw outcome of a single replication; ``analytics.scope_rows`` derives its metrics.
 
     Each count is stored once, per operator; the totals are derived from it.
@@ -314,7 +344,7 @@ class ReplicationResult(NamedTuple):
         return ()
 
 
-class MetricsReport(NamedTuple):
+class MetricsReport(_FrozenRecord):
     """All replications of one experiment plus the scenario that produced them."""
 
     scenario: Scenario
@@ -444,10 +474,10 @@ def _scalar_fields(scenario: Scenario):
                 records.append((f"{name}[{key}].", value))
     records.append(("", scenario))
     for where, record in records:
-        for f, value in _flat_fields(record):
+        for name, annotation, value in _flat_fields(record):
             # A scalar, or a record (the demand table, a profile's prefs) that is not one.
-            if f.type in _TYPES and (_TYPES[f.type][2] or not _fits(f.type, value)):
-                yield where + f.name, f.name, f.type, value
+            if annotation in _TYPES and (_TYPES[annotation][2] or not _fits(annotation, value)):
+                yield where + name, name, annotation, value
     rates = scenario.demand.rates if _fits("DemandTable", scenario.demand) else {}
     if not _fits("mapping", rates):
         yield "demand.rates", "demand", "mapping", rates
@@ -578,35 +608,37 @@ def default_scenario() -> Scenario:
 
 
 # --------------------------------------------------------------------------
-# JSON serialization: the dataclass fields are the schema (docs/scenario_schema.md)
+# JSON serialization: the schema records' fields are the schema (docs/scenario_schema.md)
 
 @cache
 def _nested_record(annotation):
     """The schema record class a field of this annotation holds in its parent's object, or None."""
     cls = globals().get(annotation)
-    return cls if is_dataclass(cls) else None
+    # The demand table is a record too, but a document nests its rates by class.
+    return (cls if isinstance(cls, type) and issubclass(cls, _Record) and cls is not DemandTable
+            else None)
 
 
 def _flat_fields(record):
-    """(field, value) pairs of a record, with a nested record of its field's type in its place."""
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if type(value) is _nested_record(f.type):
+    """(name, annotation, value) of each field of a record, a nested record's in its place."""
+    for name, annotation, _ in fields(record):
+        value = getattr(record, name)
+        if type(value) is _nested_record(annotation):
             yield from _flat_fields(value)
         else:
-            yield f, value
+            yield name, annotation, value
 
 
 def scenario_to_dict(value):
     """A scenario, or any part of one, as the JSON data of docs/scenario_schema.md."""
-    if is_dataclass(value):
-        return {f.name: scenario_to_dict(item) for f, item in _flat_fields(value)}
-    if isinstance(value, Enum):
-        return value.value
     if isinstance(value, DemandTable):
         return {kind.value: {tech.value: value.rates[kind, tech]
                              for tech in Technology if (kind, tech) in value.rates}
                 for kind in ServiceKind}
+    if isinstance(value, _Record):
+        return {name: scenario_to_dict(item) for name, _, item in _flat_fields(value)}
+    if isinstance(value, Enum):
+        return value.value
     if isinstance(value, Mapping):
         return {scenario_to_dict(key): scenario_to_dict(item) for key, item in value.items()}
     if isinstance(value, (tuple, list)):
@@ -637,6 +669,21 @@ def _expect(value, kind, label, problems):
     return None
 
 
+class _Object(dict):
+    """A JSON object as ``load_scenario`` parses it; ``repeated`` lists the keys it repeats."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        keys = [key for key, _ in pairs]
+        self.repeated = ([key for key in self if keys.count(key) > 1] if len(self) < len(keys)
+                         else ())
+
+
+def _repeats(obj, prefix, suffix=""):
+    """A violation for each key that the parsed JSON object ``obj`` repeats."""
+    return [f"duplicate field: {prefix}{key}{suffix}" for key in getattr(obj, "repeated", ())]
+
+
 def _read_record(cls, entry, where, problems, given):
     """``cls`` read from the JSON object ``entry``, or None when a field is missing.
 
@@ -648,16 +695,16 @@ def _read_record(cls, entry, where, problems, given):
     rest, found = dict(entry), len(problems)
 
     def read(cls, values):
-        for f in fields(cls):
-            nested = _nested_record(f.type)
-            if f.name in values:
+        for name, annotation, default in fields(cls):
+            nested = _nested_record(annotation)
+            if name in values:
                 continue
             if nested:
-                values[f.name] = read(nested, {})
-            elif f.name in rest:
-                values[f.name] = _read(f.type, rest.pop(f.name))
-            elif f.default is MISSING:
-                problems.append(f"missing field: {where}{f.name}")
+                values[name] = read(nested, {})
+            elif name in rest:
+                values[name] = _read(annotation, rest.pop(name))
+            elif default is MISSING:
+                problems.append(f"missing field: {where}{name}")
         return cls(**values) if len(problems) == found else None
 
     record = read(cls, dict(given))
@@ -669,22 +716,24 @@ def scenario_from_dict(doc: dict) -> Scenario:
     """Read a Scenario from a parsed JSON document and validate it; raise ScenarioError.
 
     What only a document can get wrong is reported alone: a container of the
-    wrong JSON type, a missing field or an unknown one.  Otherwise
-    ``validate_scenario`` judges every value and key, as it does for a
-    scenario built in Python.
+    wrong JSON type, or a missing, unknown or (in a parsed file) repeated
+    field.  Otherwise ``validate_scenario`` judges every value and key, as it
+    does for a scenario built in Python.
     """
     if not isinstance(doc, dict):
         raise ScenarioError(["scenario document must be a JSON object"])
-    doc, problems, given = dict(doc), [], {}
+    doc, problems, given = dict(doc), _repeats(doc, ""), {}
     for name, container, entry, words in _SECTIONS:
         json_type, cls = (dict if container == "mapping" else list), _nested_record(entry)
         section = (_expect(doc.pop(name, json_type()), json_type, f"bad field {name}", problems)
                    or json_type())
+        problems.extend(_repeats(section, f"{name}[", "]"))
         read = {}
         for key, raw in section.items() if json_type is dict else enumerate(section):
             where = f"{name}[{key}]"
             if _expect(raw, dict if cls else list, words + where, problems) is None:
                 continue
+            problems.extend(_repeats(raw, f"{where}."))
             if name == "operators" and "name" not in raw:
                 raw = {**raw, "name": f"Op{_read('int', raw.get('id'))}"}
             read[_read("ServiceKind", key) if json_type is dict else key] = (
@@ -695,8 +744,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     # A document nests demand rates by class; a DemandTable keys them by pair.
     rates = {}
     demand = _expect(doc.pop("demand", {}), dict, "bad field demand", problems) or {}
+    problems.extend(_repeats(demand, "demand[", "]"))
     for kind, per_tech in demand.items():
         per_tech = _expect(per_tech, dict, f"bad demand entry demand[{kind}]", problems) or {}
+        problems.extend(_repeats(per_tech, f"demand[{kind}][", "]"))
         for tech, rate in per_tech.items():
             rates[_read("ServiceKind", kind), _read("Technology", tech)] = _read("float", rate)
 
@@ -709,7 +760,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
 def load_scenario(path) -> Scenario:
     """Read, parse and fully validate a scenario JSON file in UTF-8, -16 or -32."""
     try:
-        doc = json.loads(Path(path).read_bytes())  # json detects the encoding, not the locale
+        # json detects the encoding, not the locale.
+        doc = json.loads(Path(path).read_bytes(), object_pairs_hook=_Object)
     except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
         raise ScenarioError([f"not valid JSON: {path}: {exc}"]) from exc
     return scenario_from_dict(doc)

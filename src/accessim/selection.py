@@ -26,11 +26,9 @@ the bounds, their normalized prices and every served decision.  Each
 admission then reads only the live ``used_kbps``, scores the candidates that
 have room and returns a shared decision, so it allocates none.  The table's
 ``Route`` and ``Candidate`` records and every ``AdmissionDecision``, like the
-engine's shared ``ServiceRequest``, are ``__slots__`` classes: Python
-specializes their field loads, which it does not do for a named tuple's, and
-creating one at import costs microseconds where a dataclass costs about a
-millisecond.  A decision, like a request, is read-only.  The gates
-compute the spare capacity ``capacity_kbps - used_kbps`` inline; a
+engine's shared ``ServiceRequest``, are ``__slots__`` classes, because Python
+specializes their field loads.  A decision, like a request, is read-only.
+The gates compute the spare capacity ``capacity_kbps - used_kbps`` inline; a
 precomputed ``capacity - rate`` threshold could round the other way.
 """
 
@@ -46,7 +44,7 @@ from .model import (
     ServiceKind,
     ServiceRequest,
     UserPreferences,
-    _SharedRecord,
+    _FrozenRecord,
 )
 
 # Objectives closer than this are treated as tied and broken by lowest operator id.
@@ -59,7 +57,7 @@ class Outcome(Enum):
     BLOCKED = "blocked"
 
 
-class AdmissionDecision(_SharedRecord):
+class AdmissionDecision(_FrozenRecord):
     """What admission decided: every decision is built with the table and shared."""
 
     __slots__ = ("outcome", "serving_op", "rate_kbps")

@@ -9,7 +9,6 @@ table saturates all three networks, which buries the cooperation effect).
 
 import math
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,6 +27,7 @@ from accessim.model import (
     UserPreferences,
     default_scenario,
     load_scenario,
+    replace,
 )
 from accessim.selection import AdmissionTable, Outcome, admit
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,6 +31,7 @@ from accessim.model import (
     default_scenario,
     ensure_valid,
     load_scenario,
+    replace,
 )
 
 from session_log import run_logged

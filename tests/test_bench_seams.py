@@ -10,13 +10,12 @@ so the sweep and compare grids must run through that name.
 """
 
 import csv
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from accessim import analytics, cli, engine
-from accessim.model import default_scenario
+from accessim.model import default_scenario, replace
 from accessim.selection import meets_bounds
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -4,10 +4,10 @@ import os
 import subprocess
 import sys
 import xml.dom.minidom
-from dataclasses import replace
 from pathlib import Path
 
 import accessim
+from accessim.model import replace
 
 # The CLI child process imports accessim from where this process found it,
 # so the tests also run from a checkout without an install.
@@ -121,6 +121,17 @@ def test_unknown_scenario_key_exits_2_without_partial_outputs(tmp_path):
     proc = run_cli("run", "--scenario", str(bad), "--out", str(out))
     assert proc.returncode == 2
     assert "unknown field: cooperaton" in proc.stderr
+    assert not out.exists()
+
+
+def test_repeated_scenario_key_exits_2_without_partial_outputs(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(Path(CALIBRATED).read_text().replace(
+        '"cooperation": true', '"cooperation": false, "cooperation": true', 1))
+    out = tmp_path / "never"
+    proc = run_cli("run", "--scenario", str(bad), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["duplicate field: cooperation"]
     assert not out.exists()
 
 
@@ -319,7 +330,7 @@ def test_run_sweep_and_compare_agree_on_the_same_experiment(tmp_path):
 # may load one.
 POOL_GUARD = """
 import json, sys
-from dataclasses import replace
+from accessim.model import replace
 
 POOL = ("concurrent.futures", "multiprocessing")
 steps = {}

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,6 +25,7 @@ from accessim.model import (
     default_scenario,
     ensure_valid,
     load_scenario,
+    replace,
 )
 
 from oracles import oracle_arrivals

@@ -2,7 +2,6 @@ import json
 import math
 import random
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,6 +20,7 @@ from accessim.model import (
     ensure_valid,
     expected_arrivals,
     load_scenario,
+    replace,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -495,6 +495,35 @@ def test_unknown_keys_are_all_reported():
         "unknown field: requirements[interactive].ber",
         "unknown field: w_qos",
     ]
+
+
+def test_repeated_keys_are_reported_alone(tmp_path):
+    text = (SCENARIO_DIR / "calibrated.json").read_text()
+    path = tmp_path / "repeated.json"
+    # json keeps the last value of a repeated key, which here is the file's own.
+    for edit in (('"cooperation": true', '"cooperation": false, "cooperation": true'),
+                 ('"capacity_kbps": 11000.0', '"capacity_kbps": -1.0, "capacity_kbps": 11000.0')):
+        path.write_text(text.replace(*edit, 1))
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert err.value.violations == [
+            "duplicate field: cooperation" if "cooperation" in edit[0]
+            else "duplicate field: operators[1].capacity_kbps"]
+    # Reported with the other problems only a document can have, before any value is judged.
+    path.write_text(text.replace('"interactive": {', '"interactive": {"WLAN": 1, ', 1)
+                    .replace('"cooperation": true', '"cooperation": 0, "cooperation": 0, "x": 1', 1)
+                    .replace('"capacity_kbps": 1700.0', '"capacity_kbps": -1.0', 1)
+                    .replace('"requirements": {', '"requirements": {"interactive": {}, ', 1))
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert sorted(err.value.violations) == [
+        "duplicate field: cooperation",
+        "duplicate field: demand[interactive][WLAN]",
+        "duplicate field: requirements[interactive]",
+        "unknown field: x",
+    ]
+    # A document parsed without the hook has no repeated keys to report.
+    assert scenario_from_dict(json.loads(text)) == load_scenario(SCENARIO_DIR / "calibrated.json")
 
 
 def test_operator_name_defaults_to_op_and_the_id_as_read():

@@ -12,7 +12,6 @@ Python does.
 
 import json
 import math
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -33,6 +32,7 @@ from accessim.model import (
     TrafficProfile,
     UserPreferences,
     expected_arrivals,
+    replace,
     scenario_from_dict,
     scenario_to_dict,
     validate_scenario,

@@ -1,14 +1,19 @@
-"""Which records are dataclasses, which are named tuples and which are slot classes.
+"""The record contract: one record base, two named tuples, no dataclass.
 
-Only the scenario schema is made of dataclasses, because its fields drive
-the JSON codec.  The records read on every arrival (the request, its
-service class, the route, its candidates and the decisions) and the
-mutable ledger are plain ``__slots__`` classes: Python specializes their
-field loads, which it does not do for a named tuple's, and such a class
-costs microseconds to create at import where a dataclass costs about a
-millisecond.  The request, its service class and the decisions are shared,
-so they are read-only.  Every other record is a ``typing.NamedTuple``,
-which is also cheap to create at import.
+Every record but two is a ``model._Record``, which builds its field tuple
+from the annotated class body (or from the record's own ``__init__``) once,
+when the class is created: that costs microseconds at import where a
+dataclass or a ``typing.NamedTuple`` costs up to a millisecond.  The
+records read on every arrival (the request, its service class, the route,
+its candidates and the decisions) and the mutable ledger are plain
+``__slots__`` classes, because Python specializes their field loads; the
+request, its service class and the decisions are shared, so they are
+read-only.  The engine's ``Session`` and the reports' ``ScopeRow`` stay
+named tuples, which the engine builds with ``tuple.__new__`` and the
+reports zip, slice and ``_make``.  The schema records and the records that
+were named tuples keep what a dataclass or a named tuple gave them:
+keywords and defaults, read-only fields (but a network's ``used_kbps``),
+equality, hash and repr by field, copy and pickle.
 """
 
 import copy
@@ -20,10 +25,10 @@ from enum import Enum
 import pytest
 
 from accessim import analytics, charts, cli, engine, model, selection
-from accessim.model import default_scenario
+from accessim.model import MISSING, default_scenario, replace
 
-DATACLASSES = {"ClassRequirements", "UserPreferences", "OperatorNetwork", "TrafficProfile",
-               "Scenario"}
+SCHEMA = {"ClassRequirements", "UserPreferences", "OperatorNetwork", "TrafficProfile",
+          "Scenario"}
 SLOT_CLASSES = {"ServiceRequest", "Route", "Candidate", "OperatorLedger", "ServiceClass",
                 "AdmissionDecision"}
 CONVERTED = {"ReplicationResult", "MetricsReport", "DemandTable", "RngStreams",
@@ -40,16 +45,143 @@ def _records():
                 yield name, cls
 
 
-def test_records_are_dataclasses_slot_classes_or_named_tuples():
+def test_records_share_one_base_and_only_two_are_named_tuples():
     records = dict(_records())
-    assert {name for name, cls in records.items() if is_dataclass(cls)} == DATACLASSES
+    assert not any(is_dataclass(cls) for cls in records.values())
+    assert {name for name, cls in records.items() if issubclass(cls, tuple)} == {"Session",
+                                                                              "ScopeRow"}
     slotted = {name for name, cls in records.items()
                if "__slots__" in vars(cls) and not issubclass(cls, tuple)}
     assert slotted == SLOT_CLASSES
-    named_tuples = {name for name, cls in records.items()
-                    if issubclass(cls, tuple) and hasattr(cls, "_fields")}
-    assert named_tuples == set(records) - DATACLASSES - SLOT_CLASSES
-    assert CONVERTED <= named_tuples
+    on_base = {name for name, cls in records.items() if issubclass(cls, model._Record)}
+    assert on_base == SCHEMA | CONVERTED | SLOT_CLASSES - {"Route", "Candidate"}
+    assert on_base | {"Session", "ScopeRow", "Route", "Candidate"} == set(records)
+
+
+def _samples():
+    """One instance of each schema and converted record, its repr as a dataclass or a
+    named tuple printed it, and whether it hashed there."""
+    conversational, interactive = model.ServiceKind
+    requirements = model.ClassRequirements(jitter_req=10.0, delay_req=100.0, ber_req=1e-3)
+    prefs = model.UserPreferences(w_qos=0.7, w_price=0.3)
+    network = default_scenario().operators[0]
+    profile = model.TrafficProfile(service=interactive, prefs=prefs, probability=0.25)
+    demand = model.DemandTable(rates={(interactive, model.Technology.WLAN): 1024.0})
+    scenario = model.Scenario(operators=(network,), demand=demand,
+                              qos_weights={interactive: (0.25, 0.25, 0.25, 0.25)},
+                              requirements={interactive: requirements},
+                              profile_mix=(profile,), replications=2)
+    ledger = model.OperatorLedger(income_own=2.5)
+    result = model.ReplicationResult(seed=3, arrivals_by_home={1: 2}, blocked_by_home={1: 1},
+                                     served_home_by_op={1: 1}, exchange={}, ledgers={1: ledger})
+    report = model.MetricsReport(scenario=scenario, results=[result])
+    streams = engine.RngStreams.from_seed(7)
+    matrix = analytics.ExchangeMatrix(op_ids=(1, 2), counts={(1, 2, conversational): 3})
+    stats = analytics.ScopeStats(values=(1.0, 3.0))
+    blocking = analytics.BlockingStats(overall=stats, per_operator={1: stats})
+    series = charts.Series(label="a", points=((1.0, 2.0),))
+    return [
+        (requirements, "ClassRequirements(jitter_req=10.0, delay_req=100.0, ber_req=0.001)",
+         True),
+        (prefs, "UserPreferences(w_qos=0.7, w_price=0.3)", True),
+        (network, "OperatorNetwork(id=1, name='Op1', technology=<Technology.UMTS: 'UMTS'>, "
+                  "capacity_kbps=1700.0, jitter_ms=6.0, delay_ms=19.0, ber=0.001, sp=0.9, "
+                  "cs=0.9, w_u=1.0, w_op=1.0, used_kbps=0.0)", False),
+        (profile, "TrafficProfile(service=<ServiceKind.INTERACTIVE: 'interactive'>, "
+                  "prefs=UserPreferences(w_qos=0.7, w_price=0.3), probability=0.25)", True),
+        (demand, "DemandTable(rates={(<ServiceKind.INTERACTIVE: 'interactive'>, "
+                 "<Technology.WLAN: 'WLAN'>): 1024.0})", False),
+        (scenario, f"Scenario(operators=({network!r},), demand={demand!r}, "
+                   "qos_weights={<ServiceKind.INTERACTIVE: 'interactive'>: "
+                   "(0.25, 0.25, 0.25, 0.25)}, requirements={<ServiceKind.INTERACTIVE: "
+                   f"'interactive'>: {requirements!r}}}, profile_mix=({profile!r},), "
+                   "mean_interarrival_s=2.5, mean_service_s=240.0, duration_s=1200.0, "
+                   "replications=2, base_seed=42, cooperation=True, billing='volume')", False),
+        (result, "ReplicationResult(seed=3, arrivals_by_home={1: 2}, blocked_by_home={1: 1}, "
+                 "served_home_by_op={1: 1}, exchange={}, ledgers={1: OperatorLedger("
+                 "income_own=2.5, income_transferred=0.0, income_guests=0.0, cost_paid=0.0)})",
+         False),
+        (report, f"MetricsReport(scenario={scenario!r}, results=[{result!r}])", False),
+        (streams, f"RngStreams(interarrival={streams.interarrival!r}, "
+                  f"service_time={streams.service_time!r}, profile={streams.profile!r}, "
+                  f"home_assignment={streams.home_assignment!r})", True),
+        (matrix, "ExchangeMatrix(op_ids=(1, 2), counts={(1, 2, <ServiceKind.CONVERSATIONAL: "
+                 "'conversational'>): 3})", False),
+        (stats, "ScopeStats(values=(1.0, 3.0))", True),
+        (blocking, "BlockingStats(overall=ScopeStats(values=(1.0, 3.0)), "
+                   "per_operator={1: ScopeStats(values=(1.0, 3.0))})", False),
+        (series, "Series(label='a', points=((1.0, 2.0),), dashed=False)", True),
+    ]
+
+
+def _same(clone, record):
+    """Equal, or for the random streams (equal only to themselves) in the same states."""
+    if isinstance(record, engine.RngStreams):
+        return all(getattr(clone, name).getstate() == getattr(record, name).getstate()
+                   for name, _, _ in model.fields(record))
+    return clone == record
+
+
+def test_samples_cover_every_schema_and_converted_record():
+    assert {type(record).__name__ for record, _, _ in _samples()} == SCHEMA | CONVERTED
+
+
+@pytest.mark.parametrize("index", range(13))
+def test_records_keep_what_a_dataclass_or_named_tuple_gave_them(index):
+    record, printed, hashable = _samples()[index]
+    cls = type(record)
+    assert repr(record) == printed
+    values = {name: getattr(record, name) for name, _, _ in model.fields(record)}
+    assert model.fields(record) == model.fields(cls)
+
+    # Built by keyword or by position; replace builds a new, equal record.
+    assert cls(**values) == record and cls(*values.values()) == record
+    copied = replace(record)
+    assert copied == record and copied is not record
+    with pytest.raises(TypeError):
+        replace(record, no_such_field=1)
+    with pytest.raises(TypeError):
+        cls(**values, no_such_field=1)
+    with pytest.raises(TypeError):
+        cls(*values.values(), None)
+    with pytest.raises(TypeError):
+        cls()
+
+    # Read-only but for a network, which the engine writes in place.
+    name = next(iter(values))
+    if cls is model.OperatorNetwork:
+        assert cls.__setattr__ is object.__setattr__
+        copied.used_kbps = 5.0
+        assert copied.used_kbps == 5.0 and copied != record
+    else:
+        for field in (name, "no_such_field"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, field, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, name)
+        assert getattr(record, name) is values[name]
+
+    # Hashable exactly where it was: by field, so an equal record hashes the same.
+    if hashable:
+        assert hash(copied) == hash(record)
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls and _same(clone, record)
+
+
+def test_a_network_lists_its_fields_in_declaration_order():
+    assert model.fields(model.OperatorNetwork) == (
+        ("id", "int", MISSING), ("name", "str", MISSING),
+        ("technology", "Technology", MISSING), ("capacity_kbps", "float", MISSING),
+        ("jitter_ms", "float", MISSING), ("delay_ms", "float", MISSING),
+        ("ber", "float", MISSING), ("sp", "float", MISSING), ("cs", "float", MISSING),
+        ("w_u", "float", 1.0), ("w_op", "float", 1.0), ("used_kbps", "float", 0.0))
+    net = default_scenario().operators[0]
+    assert type(net).__setattr__ is object.__setattr__
+    assert repr(MISSING) == "MISSING"
 
 
 def test_per_arrival_slot_records_have_no_instance_dict():
@@ -149,15 +281,15 @@ def test_arrivals_return_the_scenario_shared_requests():
 def test_converted_records_keep_keywords_defaults_and_replace():
     series = charts.Series(label="a", points=((1.0, 2.0),))
     assert series.dashed is False
-    assert series._replace(dashed=True) == charts.Series("a", ((1.0, 2.0),), True)
+    assert replace(series, dashed=True) == charts.Series("a", ((1.0, 2.0),), True)
     stats = analytics.ScopeStats(values=(1.0, 3.0))
-    assert (stats.mean, stats._replace(values=(2.0,)).mean) == (2.0, 2.0)
+    assert (stats.mean, replace(stats, values=(2.0,)).mean) == (2.0, 2.0)
     demand = model.DemandTable(rates={("interactive", "WLAN"): 1024.0})
     assert demand.rate(model.ServiceKind.INTERACTIVE, model.Technology.WLAN) == 1024.0
     matrix = analytics.ExchangeMatrix(op_ids=(1, 2), counts={(1, 2, "interactive"): 3})
     assert matrix.count(1, 2, "interactive") == 3
     streams = engine.RngStreams.from_seed(7)
-    assert streams._replace(profile=None).interarrival is streams.interarrival
+    assert replace(streams, profile=None).interarrival is streams.interarrival
 
 
 def test_two_runs_give_equal_replication_results():
@@ -165,5 +297,5 @@ def test_two_runs_give_equal_replication_results():
     first = engine.run_replication(scenario, 3)
     again = engine.run_replication(scenario, 3)
     assert first == again
-    assert first != first._replace(seed=4)
+    assert first != replace(first, seed=4)
     assert first.sessions == ()

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +12,7 @@ from accessim.model import (
     UserPreferences,
     default_scenario,
     load_scenario,
+    replace,
 )
 from accessim.selection import AdmissionTable, candidate_score, meets_bounds, user_score
 

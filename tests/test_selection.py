@@ -1,5 +1,5 @@
 import random
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -10,6 +10,7 @@ from accessim.model import (
     ServiceRequest,
     UserPreferences,
     default_scenario,
+    replace,
 )
 from accessim.selection import (
     BLOCKED,
