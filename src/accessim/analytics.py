@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 
 from .model import (
     MetricsReport,
@@ -94,23 +95,15 @@ def exchange_matrix(results: Iterable[ReplicationResult], op_ids) -> ExchangeMat
 # --------------------------------------------------------------------------
 # per-scope metrics and their statistics
 
-class ScopeRow(NamedTuple):
-    """The metrics.csv columns after ``scope``, for one scope.
+ScopeRow = namedtuple("ScopeRow", (
+    "arrivals blocked blocking_probability served_home served_transferred "
+    "income_own income_transferred income_guests cost_paid profit"))
+ScopeRow.__doc__ = """The metrics.csv columns after ``scope``, for one scope.
 
-    ``scope_rows`` fills it with one replication's values, ``scope_stats``
-    with each metric's ``ScopeStats`` over the replications.
-    """
-
-    arrivals: int
-    blocked: int
-    blocking_probability: float
-    served_home: int
-    served_transferred: int
-    income_own: float
-    income_transferred: float
-    income_guests: float
-    cost_paid: float
-    profit: float
+The four counts are ints and the rest floats.  ``scope_rows`` fills it with
+one replication's values, ``scope_stats`` with each metric's ``ScopeStats``
+over the replications.
+"""
 
 
 def _row(arrivals, blocked, served_home, served_transferred, ledgers) -> ScopeRow:

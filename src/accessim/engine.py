@@ -180,7 +180,7 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
                 raise CapacityAccountingError(
                     f"operator {serving_op} exceeded capacity at t={t}")
             duration = -log(1.0 - service_uniform()) / service_lambda
-            # Positional: what NamedTuple._make does, less its length check.
+            # Positional: what namedtuple._make does, less its length check.
             session = tuple.__new__(Session, (request, serving_op, rate, t, duration))
             heappush(heap, (t + duration, seq, session, serving))
             seq += 1

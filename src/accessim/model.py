@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import FrozenInstanceError
 from enum import Enum
 from functools import cache, cached_property
 from pathlib import Path
-from typing import NamedTuple
 
 WEIGHT_SUM_TOL = 1e-9
 # Most arrivals an experiment may expect: at a few µs each, under a minute of work.
@@ -56,11 +55,12 @@ MISSING = _Missing()  # the default of a record field that has none
 class _Record:
     """Fields, construction, equality, hash and repr, as a dataclass has them.
 
-    A record's fields are its annotated class body, with class-level defaults,
-    or the annotated parameters of an ``__init__`` it writes itself (the
-    per-arrival records and the ledger, over ``__slots__``).  They are read
-    once, when the class is created: microseconds, where a dataclass or a
-    ``typing.NamedTuple`` costs up to a millisecond at import.
+    A record's fields are its annotated class body, with class-level defaults.
+    They are read once, when the class is created: microseconds, where a
+    dataclass or a ``typing.NamedTuple`` costs up to a millisecond at import.
+    The ledger alone writes its own ``__init__`` over ``__slots__``, so that a
+    write to a misspelt field raises; its fields are that ``__init__``'s
+    annotated parameters.
     """
 
     __slots__ = ()
@@ -111,9 +111,11 @@ class _FrozenRecord(_Record):
     __slots__ = ()
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # loaded only on this error path
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
@@ -130,11 +132,8 @@ def replace(record, **changes):
 class ServiceClass(_FrozenRecord):
     """A QoS class: its kind plus the criteria weights used when scoring."""
 
-    __slots__ = ("kind", "qos_weights")
-
-    def __init__(self, kind: ServiceKind, qos_weights: tuple[float, float, float, float]):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "qos_weights", qos_weights)
+    kind: ServiceKind
+    qos_weights: tuple[float, float, float, float]
 
 
 class ClassRequirements(_FrozenRecord):
@@ -189,15 +188,10 @@ class ServiceRequest(_FrozenRecord):
     same (home, profile) shares one object (``Scenario.arrival_requests``).
     """
 
-    __slots__ = ("home_op", "service_class", "prefs", "price_paid")
-
-    def __init__(self, home_op: int, service_class: ServiceClass, prefs: UserPreferences,
-                 price_paid: float):
-        init = object.__setattr__
-        init(self, "home_op", home_op)
-        init(self, "service_class", service_class)
-        init(self, "prefs", prefs)
-        init(self, "price_paid", price_paid)
+    home_op: int
+    service_class: ServiceClass
+    prefs: UserPreferences
+    price_paid: float
 
 
 class DemandTable(_FrozenRecord):
@@ -226,14 +220,8 @@ class TrafficProfile(_FrozenRecord):
     probability: float
 
 
-class Session(NamedTuple):
-    """An admitted request bound to a serving operator for a drawn duration."""
-
-    request: ServiceRequest
-    serving_op: int
-    rate_kbps: float
-    start_s: float
-    duration_s: float
+Session = namedtuple("Session", "request serving_op rate_kbps start_s duration_s")
+Session.__doc__ = "An admitted request bound to a serving operator for a drawn duration."
 
 
 class Scenario(_FrozenRecord):
@@ -291,7 +279,8 @@ class OperatorLedger(_Record):
     cost_paid           settlement paid out for own clients served elsewhere
 
     It is written on every departure, so it keeps ``object.__setattr__``; it is
-    mutable, so it is unhashable.
+    mutable, so it is unhashable.  It is the one record that writes its own
+    ``__init__``, over ``__slots__``, so that a write to a misspelt field raises.
     """
 
     __slots__ = ("income_own", "income_transferred", "income_guests", "cost_paid")

@@ -26,16 +26,15 @@ the bounds, their normalized prices and every served decision.  Each
 admission then reads only the live ``used_kbps``, scores the candidates that
 have room and returns a shared decision, so it allocates none.  The table's
 ``Route`` and ``Candidate`` records and every ``AdmissionDecision``, like the
-engine's shared ``ServiceRequest``, are ``__slots__`` classes, because Python
-specializes their field loads.  A decision, like a request, is read-only.
+engine's shared ``ServiceRequest``, are read-only records.
 The gates compute the spare capacity ``capacity_kbps - used_kbps`` inline; a
 precomputed ``capacity - rate`` threshold could round the other way.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from enum import Enum
-from typing import Iterable, Mapping
 
 from .model import (
     ClassRequirements,
@@ -60,13 +59,9 @@ class Outcome(Enum):
 class AdmissionDecision(_FrozenRecord):
     """What admission decided: every decision is built with the table and shared."""
 
-    __slots__ = ("outcome", "serving_op", "rate_kbps")
-
-    def __init__(self, outcome: Outcome, serving_op: int | None = None,
-                 rate_kbps: float | None = None):
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "serving_op", serving_op)
-        object.__setattr__(self, "rate_kbps", rate_kbps)  # what the session takes on serving_op
+    outcome: Outcome
+    serving_op: int | None = None
+    rate_kbps: float | None = None  # what the session takes on serving_op
 
 
 # Every blocked request, at home or after a failed transfer, gets this one decision.
@@ -86,32 +81,28 @@ def transfer_objective(home: OperatorNetwork, s_u: float, s_t: float,
     return home.w_u * abs(s_u - s_t) - home.w_op * (p_norm - cs_norm)
 
 
-class Candidate:
+class Candidate(_FrozenRecord):
     """A cooperating operator that meets the bounds of one (home, service kind) route."""
 
-    __slots__ = ("net", "rate", "sp_norm", "cs_norm", "served")
+    __hash__ = None  # it holds a live network, so unhashable
 
-    def __init__(self, net: OperatorNetwork, rate: float, sp_norm: float, cs_norm: float,
-                 served: AdmissionDecision):
-        self.net = net
-        self.rate = rate          # kb/s a session of the kind takes on this network
-        self.sp_norm = sp_norm    # access price over the table's sp_max
-        self.cs_norm = cs_norm    # settlement price over the table's sp_max
-        self.served = served      # the shared SERVED_TRANSFER decision to this network
+    net: OperatorNetwork
+    rate: float                 # kb/s a session of the kind takes on this network
+    sp_norm: float              # access price over the table's sp_max
+    cs_norm: float              # settlement price over the table's sp_max
+    served: AdmissionDecision   # the shared SERVED_TRANSFER decision to this network
 
 
-class Route:
+class Route(_FrozenRecord):
     """Admission constants of one (home operator, service kind) pair."""
 
-    __slots__ = ("home", "rate", "in_bounds", "served", "candidates")
+    __hash__ = None  # it holds a live network, so unhashable
 
-    def __init__(self, home: OperatorNetwork, rate: float, in_bounds: bool,
-                 served: AdmissionDecision, candidates: tuple[Candidate, ...]):
-        self.home = home
-        self.rate = rate
-        self.in_bounds = in_bounds
-        self.served = served            # the shared SERVED_HOME decision
-        self.candidates = candidates    # every other operator that meets the bounds, by id
+    home: OperatorNetwork
+    rate: float
+    in_bounds: bool
+    served: AdmissionDecision             # the shared SERVED_HOME decision
+    candidates: tuple[Candidate, ...]     # every other operator that meets the bounds, by id
 
 
 class AdmissionTable:

@@ -325,18 +325,20 @@ def test_run_sweep_and_compare_agree_on_the_same_experiment(tmp_path):
             assert compared[f"profit_op{op}_mean"] == summary[f"op{op}", "profit"]["mean"]
 
 
-# Run in a fresh interpreter: prints, after each step, which process-pool
-# modules are loaded.  accessim runs every replication in-process, so no step
-# may load one.
-POOL_GUARD = """
+# Run in a fresh interpreter: prints, after each step, which of the heavy
+# modules it loaded since the snapshot taken before accessim was imported.
+# accessim runs every replication in-process and declares its records without
+# dataclasses or typing, so no step may load one.  Comparing with the snapshot
+# keeps the guard true where the interpreter's site hooks preload typing.
+IMPORT_GUARD = """
 import json, sys
-from accessim.model import replace
 
-POOL = ("concurrent.futures", "multiprocessing")
+HEAVY = ("dataclasses", "inspect", "typing", "concurrent.futures", "multiprocessing")
+before = set(sys.modules)
 steps = {}
 
 def check(step):
-    steps[step] = [name for name in POOL if name in sys.modules]
+    steps[step] = [name for name in HEAVY if name in sys.modules and name not in before]
 
 import accessim
 check("import accessim")
@@ -345,6 +347,7 @@ check("import accessim.cli")
 status = cli.main(["run", "--scenario", sys.argv[1], "--replications", "2",
                    "--out", sys.argv[2]])
 check("accessim run")
+from accessim.model import replace
 scenario = replace(accessim.load_scenario(sys.argv[1]), replications=1)
 accessim.run_experiment(scenario)
 check("run_experiment")
@@ -352,8 +355,8 @@ print(json.dumps({"status": status, "steps": steps}))
 """
 
 
-def test_serial_runs_never_import_the_process_pool(tmp_path):
-    proc = subprocess.run([sys.executable, "-c", POOL_GUARD, CALIBRATED,
+def test_runs_never_import_dataclasses_typing_or_the_process_pool(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, CALIBRATED,
                            str(tmp_path / "out")],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": CHILD_PYTHONPATH})

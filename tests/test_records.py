@@ -1,19 +1,18 @@
 """The record contract: one record base, two named tuples, no dataclass.
 
 Every record but two is a ``model._Record``, which builds its field tuple
-from the annotated class body (or from the record's own ``__init__``) once,
-when the class is created: that costs microseconds at import where a
-dataclass or a ``typing.NamedTuple`` costs up to a millisecond.  The
-records read on every arrival (the request, its service class, the route,
-its candidates and the decisions) and the mutable ledger are plain
-``__slots__`` classes, because Python specializes their field loads; the
-request, its service class and the decisions are shared, so they are
-read-only.  The engine's ``Session`` and the reports' ``ScopeRow`` stay
-named tuples, which the engine builds with ``tuple.__new__`` and the
-reports zip, slice and ``_make``.  The schema records and the records that
-were named tuples keep what a dataclass or a named tuple gave them:
-keywords and defaults, read-only fields (but a network's ``used_kbps``),
-equality, hash and repr by field, copy and pickle.
+from the annotated class body once, when the class is created: that costs
+microseconds at import where a dataclass or a ``typing.NamedTuple`` costs up
+to a millisecond.  The records read on every arrival (the request, its
+service class, the route, its candidates and the decisions) are read-only
+records like the rest.  Only the mutable ledger writes its own ``__init__``
+over ``__slots__``, so that a write to a misspelt field raises.  The
+engine's ``Session`` and the reports' ``ScopeRow`` are
+``collections.namedtuple`` rows, which the engine builds with
+``tuple.__new__`` and the reports zip, slice and ``_make``.  The schema
+records and the records that were named tuples keep what a dataclass or a
+named tuple gave them: keywords and defaults, read-only fields (but a
+network's ``used_kbps``), equality, hash and repr by field, copy and pickle.
 """
 
 import copy
@@ -29,8 +28,8 @@ from accessim.model import MISSING, default_scenario, replace
 
 SCHEMA = {"ClassRequirements", "UserPreferences", "OperatorNetwork", "TrafficProfile",
           "Scenario"}
-SLOT_CLASSES = {"ServiceRequest", "Route", "Candidate", "OperatorLedger", "ServiceClass",
-                "AdmissionDecision"}
+PER_ARRIVAL = {"ServiceRequest", "ServiceClass", "AdmissionDecision", "Route", "Candidate"}
+SLOT_CLASSES = {"OperatorLedger"}
 CONVERTED = {"ReplicationResult", "MetricsReport", "DemandTable", "RngStreams",
              "ExchangeMatrix", "ScopeStats", "BlockingStats", "Series"}
 
@@ -54,8 +53,10 @@ def test_records_share_one_base_and_only_two_are_named_tuples():
                if "__slots__" in vars(cls) and not issubclass(cls, tuple)}
     assert slotted == SLOT_CLASSES
     on_base = {name for name, cls in records.items() if issubclass(cls, model._Record)}
-    assert on_base == SCHEMA | CONVERTED | SLOT_CLASSES - {"Route", "Candidate"}
-    assert on_base | {"Session", "ScopeRow", "Route", "Candidate"} == set(records)
+    assert on_base == SCHEMA | CONVERTED | PER_ARRIVAL | SLOT_CLASSES
+    assert on_base | {"Session", "ScopeRow"} == set(records)
+    assert {name for name in on_base if "__init__" in vars(records[name])} == SLOT_CLASSES
+    assert all(issubclass(records[name], model._FrozenRecord) for name in PER_ARRIVAL)
 
 
 def _samples():
@@ -184,14 +185,27 @@ def test_a_network_lists_its_fields_in_declaration_order():
     assert repr(MISSING) == "MISSING"
 
 
-def test_per_arrival_slot_records_have_no_instance_dict():
-    scenario = default_scenario()
-    table = engine.admission_table(scenario)
-    route = table.routes[1, model.ServiceKind.CONVERSATIONAL]
-    request = scenario.arrival_requests[0][0]
-    for record in (request, route, route.candidates[0]):
-        assert type(record).__name__ in SLOT_CLASSES
-        assert not hasattr(record, "__dict__")
+def test_routes_and_candidates_are_frozen_unhashable_records():
+    route = engine.admission_table(default_scenario()).routes[1, model.ServiceKind.CONVERSATIONAL]
+    candidate = route.candidates[0]
+    assert repr(candidate) == (
+        f"Candidate(net={candidate.net!r}, rate=256.0, sp_norm={0.1 / 0.9!r}, "
+        f"cs_norm={0.1 / 0.9!r}, served=AdmissionDecision(outcome=<Outcome.SERVED_TRANSFER: "
+        "'served_transfer'>, serving_op=2, rate_kbps=256.0))")
+    assert repr(route) == (f"Route(home={route.home!r}, rate=256.0, in_bounds=True, "
+                           f"served={route.served!r}, candidates={route.candidates!r})")
+    for record in (route, candidate):
+        name = model.fields(type(record))[0][0]
+        before = getattr(record, name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, name)
+        assert getattr(record, name) is before
+        copied = replace(record)
+        assert copied == record and copied is not record
+        with pytest.raises(TypeError):
+            hash(record)
 
 
 def test_value_records_compare_hash_and_print_as_dataclasses_did():
@@ -244,9 +258,8 @@ def test_shared_records_are_read_only_and_the_ledger_is_written_in_place():
     request = scenario.arrival_requests[0][0]
     shared = (request, request.service_class, selection.BLOCKED)
     for record in shared:
-        assert type(record).__name__ in SLOT_CLASSES
-        assert not hasattr(record, "__dict__")
-        name = type(record).__slots__[0]
+        assert type(record).__name__ in PER_ARRIVAL
+        name = model.fields(type(record))[0][0]
         before = getattr(record, name)
         with pytest.raises(FrozenInstanceError):
             setattr(record, name, None)
