@@ -120,7 +120,8 @@ def scope_rows(result: ReplicationResult, op_ids) -> dict[str, ScopeRow]:
     """One replication's metrics: the ``global`` row, then one ``op<id>`` row per operator.
 
     An operator's row counts its own clients (a block or a transfer belongs
-    to the home operator) and holds its own ledger.
+    to the home operator) and holds its own ledger.  Each of its clients was
+    blocked, served at home or transferred, so their sum is its arrivals.
     """
     ledgers = result.ledgers
     transferred = dict.fromkeys(op_ids, 0)
@@ -129,9 +130,9 @@ def scope_rows(result: ReplicationResult, op_ids) -> dict[str, ScopeRow]:
     rows = {"global": _row(result.arrivals, result.blocked, result.served_home,
                            result.served_transferred, tuple(ledgers.values()))}
     for op in op_ids:
-        rows[f"op{op}"] = _row(result.arrivals_by_home[op], result.blocked_by_home[op],
-                               result.served_home_by_op[op], transferred[op],
-                               (ledgers[op],))
+        blocked, served_home = result.blocked_by_home[op], result.served_home_by_op[op]
+        rows[f"op{op}"] = _row(blocked + served_home + transferred[op], blocked, served_home,
+                               transferred[op], (ledgers[op],))
     return rows
 
 

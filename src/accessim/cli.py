@@ -1,5 +1,8 @@
 """Command-line front end: single runs, arrival-rate sweeps, cooperation comparison.
 
+Every command runs a grid of (mean interarrival, cooperation) cells through
+``run_grid``; ``run`` is the one-cell grid at the scenario's own rate.
+
 Exit codes: 0 on success, 1 on I/O failure, 2 on scenario validation failure
 (violations printed to stderr, one per line, with no partial outputs).
 
@@ -23,7 +26,6 @@ from .model import (
     ScenarioError,
     ServiceKind,
     default_scenario,
-    ensure_valid,
     load_scenario,
     replace,
     validate_scenario,
@@ -104,8 +106,28 @@ def _mode_name(cooperation: bool) -> str:
 # --------------------------------------------------------------------------
 # commands
 
-def cmd_run(scenario: Scenario, args, out: Path) -> int:
-    report = run_experiment(scenario)
+def run_grid(scenario: Scenario, sweep, modes) -> dict[tuple[float, bool], MetricsReport]:
+    """One experiment per (mean interarrival, cooperation) cell, rates outer, modes inner.
+
+    Every cell is validated before any runs: a ``ScenarioError`` lists each
+    distinct violation of the cells once.  Every cell keeps the scenario's base
+    seed, so the modes of one rate see the same arrivals (common random
+    numbers).  A rate given twice is run once.  Experiments go through this
+    module's ``run_experiment``, so wrapping that one name sees every
+    replication of the grid.
+    """
+    cells = {(mean_interarrival, cooperation):
+             replace(scenario, mean_interarrival_s=mean_interarrival, cooperation=cooperation)
+             for mean_interarrival in dict.fromkeys(sweep) for cooperation in modes}
+    violations = dict.fromkeys(violation for cell in cells.values()
+                               for violation in validate_scenario(cell))
+    if violations:
+        raise ScenarioError(violations)
+    return {key: run_experiment(cell) for key, cell in cells.items()}
+
+
+def cmd_run(scenario: Scenario, grid, args, out: Path) -> int:
+    [report] = grid.values()
     tables = analytics.report_rows(report)
     _write_csv(out / "metrics.csv", METRICS_HEADER,
                [(index, result.seed, scope, *row)
@@ -115,22 +137,7 @@ def cmd_run(scenario: Scenario, args, out: Path) -> int:
     return 0
 
 
-def run_grid(scenario: Scenario, sweep, modes) -> dict[tuple[float, bool], MetricsReport]:
-    """One experiment per (mean interarrival, cooperation) cell, rates outer, modes inner.
-
-    Every cell keeps the scenario's base seed, so the modes of one rate see the
-    same arrivals (common random numbers).  A rate given twice is run once.
-    Experiments go through this module's ``run_experiment``, so wrapping that
-    one name sees every replication of the grid.
-    """
-    return {(mean_interarrival, cooperation):
-            run_experiment(replace(scenario, mean_interarrival_s=mean_interarrival,
-                                   cooperation=cooperation))
-            for mean_interarrival in dict.fromkeys(sweep) for cooperation in modes}
-
-
-def cmd_sweep(scenario: Scenario, args, out: Path) -> int:
-    grid = run_grid(scenario, args.sweep, _modes(args.cooperation))
+def cmd_sweep(scenario: Scenario, grid, args, out: Path) -> int:
     rows, by_mode = [], {}
     for (mean_interarrival, cooperation), report in grid.items():
         tables = analytics.report_rows(report)
@@ -171,8 +178,7 @@ def _write_sweep_charts(out: Path, scenario: Scenario, by_mode) -> None:
         "mean profit", profit_series))
 
 
-def cmd_compare(scenario: Scenario, args, out: Path) -> int:
-    grid = run_grid(scenario, args.sweep, _modes(args.cooperation))
+def cmd_compare(scenario: Scenario, grid, args, out: Path) -> int:
     rows = []
     for (mean_interarrival, cooperation), report in grid.items():
         overall, *operators = analytics.scope_stats(analytics.report_rows(report)).values()
@@ -228,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(run_p)
     run_p.add_argument("--cooperation", choices=("on", "off"),
                        help="override the scenario's cooperation flag")
-    run_p.set_defaults(func=cmd_run)
+    run_p.set_defaults(func=cmd_run, sweep=())
 
     sweep_p = sub.add_parser(
         "sweep", help="one experiment per arrival rate; writes sweep.csv and charts")
@@ -245,34 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> Scenario:
-    if args.scenario:
-        scenario = load_scenario(args.scenario)
-    else:
-        scenario = ensure_valid(default_scenario())
-    overrides = {}
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if args.replications is not None:
-        overrides["replications"] = args.replications
-    cooperation = getattr(args, "cooperation", None)
-    if cooperation in ("on", "off"):
-        overrides["cooperation"] = cooperation == "on"
-    if overrides:
-        scenario = ensure_valid(replace(scenario, **overrides))
-    # The grid runs the scenario at each sweep value, so each must be valid there.
-    violations = [violation for mean_interarrival in dict.fromkeys(getattr(args, "sweep", ()))
-                  for violation in validate_scenario(
-                      replace(scenario, mean_interarrival_s=mean_interarrival))]
-    if violations:
-        raise ScenarioError(violations)
-    return scenario
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        scenario = _load(args)
+        scenario = load_scenario(args.scenario) if args.scenario else default_scenario()
+        if args.seed is not None:
+            scenario = replace(scenario, base_seed=args.seed)
+        if args.replications is not None:
+            scenario = replace(scenario, replications=args.replications)
+        grid = run_grid(scenario, args.sweep or (scenario.mean_interarrival_s,),
+                        _modes(args.cooperation) if args.cooperation else (scenario.cooperation,))
     except ScenarioError as exc:
         for violation in exc.violations:
             print(violation, file=sys.stderr)
@@ -283,7 +271,7 @@ def main(argv=None) -> int:
     try:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return args.func(scenario, args, out)
+        return args.func(scenario, grid, args, out)
     except OSError as exc:
         print(f"cannot write reports: {exc}", file=sys.stderr)
         return 1

@@ -196,14 +196,9 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
             raise CapacityAccountingError(
                 f"operator {net.id} did not drain to its background load "
                 f"{start.used_kbps}: {net.used_kbps}")
-    # Every arrival ends blocked, served at home or transferred, so its home's
-    # count is the sum of the three tallies the loop already keeps.
-    arrivals_by_home = {i: blocked_by_home[i] + served_home_by_op[i] for i in op_ids}
-    for (home_op, _, _), count in exchange.items():
-        arrivals_by_home[home_op] += count
     return ReplicationResult(
-        seed=seed, arrivals_by_home=arrivals_by_home, blocked_by_home=blocked_by_home,
-        served_home_by_op=served_home_by_op, exchange=exchange, ledgers=ledgers)
+        seed=seed, blocked_by_home=blocked_by_home, served_home_by_op=served_home_by_op,
+        exchange=exchange, ledgers=ledgers)
 
 
 def replication_seeds(scenario: Scenario):

@@ -302,10 +302,11 @@ class ReplicationResult(_FrozenRecord):
     """Raw outcome of a single replication; ``analytics.scope_rows`` derives its metrics.
 
     Each count is stored once, per operator; the totals are derived from it.
+    Every arrival ends blocked, served at home or transferred, so the arrivals
+    are the sum of those three counts.
     """
 
     seed: int
-    arrivals_by_home: dict[int, int]
     blocked_by_home: dict[int, int]
     served_home_by_op: dict[int, int]
     exchange: dict[tuple[int, int, ServiceKind], int]  # transfers by (home, serving, kind)
@@ -313,7 +314,7 @@ class ReplicationResult(_FrozenRecord):
 
     @property
     def arrivals(self):
-        return sum(self.arrivals_by_home.values())
+        return self.blocked + self.served_home + self.served_transferred
 
     @property
     def blocked(self):
@@ -751,7 +752,8 @@ def load_scenario(path) -> Scenario:
     try:
         # json detects the encoding, not the locale.
         doc = json.loads(Path(path).read_bytes(), object_pairs_hook=_Object)
-    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+    # A JSONDecodeError, a UnicodeDecodeError or arrays or objects nested too deep.
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError([f"not valid JSON: {path}: {exc}"]) from exc
     return scenario_from_dict(doc)
 

@@ -12,6 +12,7 @@ from accessim.analytics import (
     blocking_stats,
     exchange_matrix,
     profit_stats,
+    scope_rows,
     session_volume_kbytes,
 )
 from accessim.engine import run_experiment
@@ -140,16 +141,23 @@ def test_exchange_matrix_row_percentages():
 
 
 def _result(seed, arrivals_per_op, blocked_by_home=None, exchange=None, ledgers=None):
+    """A replication in which each of three homes has ``arrivals_per_op`` arrivals:
+    those neither blocked nor transferred are served at home."""
     ids = (1, 2, 3)
     blocked_by_home = blocked_by_home or {i: 0 for i in ids}
-    return ReplicationResult(
+    exchange = exchange or {}
+    transferred = {i: sum(n for (home, _, _), n in exchange.items() if home == i) for i in ids}
+    result = ReplicationResult(
         seed=seed,
-        arrivals_by_home={i: arrivals_per_op for i in ids},
         blocked_by_home=blocked_by_home,
-        served_home_by_op={i: arrivals_per_op - blocked_by_home[i] for i in ids},
-        exchange=exchange or {},
+        served_home_by_op={i: arrivals_per_op - blocked_by_home[i] - transferred[i]
+                           for i in ids},
+        exchange=exchange,
         ledgers=ledgers or {i: OperatorLedger() for i in ids},
     )
+    _, *homes = scope_rows(result, ids).values()
+    assert [row.arrivals for row in homes] == [arrivals_per_op] * len(ids)
+    return result
 
 
 def test_exchange_matrix_aggregates_replications():

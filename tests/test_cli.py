@@ -6,8 +6,11 @@ import sys
 import xml.dom.minidom
 from pathlib import Path
 
+import pytest
+
 import accessim
-from accessim.model import replace
+from accessim import cli
+from accessim.model import MetricsReport, ScenarioError, replace, validate_scenario
 
 # The CLI child process imports accessim from where this process found it,
 # so the tests also run from a checkout without an install.
@@ -146,6 +149,18 @@ def test_scenario_that_is_not_json_text_exits_2_without_partial_outputs(tmp_path
         assert not out.exists(), raw
 
 
+def test_deeply_nested_scenario_exits_2_without_partial_outputs(tmp_path):
+    # json recurses once per nested array; too deep a file is not valid JSON.
+    bad = tmp_path / "deep.json"
+    bad.write_text('{"operators": ' + "[" * 100000 + "]" * 100000 + "}")
+    out = tmp_path / "never"
+    proc = run_cli("run", "--scenario", str(bad), "--out", str(out))
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"not valid JSON: {bad}: ")
+    assert not out.exists()
+
+
 def test_unreadable_scenario_exits_1(tmp_path):
     proc = run_cli("run", "--scenario", str(tmp_path / "missing.json"),
                    "--out", str(tmp_path / "out"))
@@ -181,6 +196,61 @@ def test_replications_above_the_arrival_cap_are_rejected(tmp_path):
     assert [line.split(":")[0] for line in proc.stderr.splitlines()] == [
         "too many expected arrivals"]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture
+def cells(monkeypatch):
+    """Stands in for ``cli.run_experiment``: records each cell it is given and runs none."""
+    ran = []
+
+    def counted(scenario):
+        ran.append(scenario)
+        return MetricsReport(scenario=scenario, results=[])
+
+    monkeypatch.setattr(cli, "run_experiment", counted)
+    return ran
+
+
+def test_grid_refuses_every_distinct_violation_before_running_a_cell(cells):
+    scenario = accessim.load_scenario(CALIBRATED)
+    sweep, modes = (2.5, -1.0, 1e-300), (True, False)
+    with pytest.raises(ScenarioError) as refused:
+        cli.run_grid(scenario, sweep, modes)
+    assert cells == []
+    # Both modes of a rate break the same rule in the same words: listed once.
+    per_cell = [validate_scenario(replace(scenario, mean_interarrival_s=rate,
+                                          cooperation=cooperation))
+                for rate in sweep for cooperation in modes]
+    assert [len(violations) for violations in per_cell] == [0, 0, 1, 1, 1, 1]
+    assert refused.value.violations == [per_cell[2][0], per_cell[4][0]]
+    assert refused.value.violations[0].startswith("non-positive")
+    assert refused.value.violations[1].startswith("too many expected arrivals")
+
+
+def test_grid_judges_the_cells_it_runs_not_the_scenario_rate(cells, tmp_path):
+    # 30000 replications of calibrated.json's 480 arrivals break the arrival cap,
+    # but at 5 s between arrivals its one cell expects 30000 x 240, under it.
+    scenario = replace(accessim.load_scenario(CALIBRATED), replications=30000)
+    assert validate_scenario(scenario)
+    grid = cli.run_grid(scenario, [5.0], (True,))
+    assert list(grid) == [(5.0, True)]
+    assert cells == [replace(scenario, mean_interarrival_s=5.0)]
+    assert cli.main(["sweep", "--scenario", CALIBRATED, "--replications", "30000",
+                     "--sweep", "5", "--cooperation", "on", "--no-svg",
+                     "--out", str(tmp_path / "o")]) == 0
+    assert len(cells) == 2
+    assert _header(tmp_path / "o" / "sweep.csv") == SWEEP_HEADER
+
+
+def test_a_violation_of_every_cell_is_printed_once(cells, tmp_path, capsys):
+    out = tmp_path / "never"
+    assert cli.main(["sweep", "--scenario", CALIBRATED, "--replications", "0",
+                     "--out", str(out)]) == 2
+    # The default grid has 4 rates x 2 modes, each with zero replications.
+    assert [line.split(":")[0] for line in capsys.readouterr().err.splitlines()] == [
+        "replications out of range"]
+    assert cells == []
+    assert not out.exists()
 
 
 def test_sweep_blocks_and_charts(tmp_path):

@@ -283,10 +283,10 @@ def test_count_conservation_across_seeds():
     for seed in range(10, 15):
         r, log = run_logged(run_replication, scenario, seed)
         assert r.arrivals == r.blocked + r.served_home + r.served_transferred
-        assert sum(r.arrivals_by_home.values()) == r.arrivals
+        _, *ops = scope_rows(r, [net.id for net in scenario.operators]).values()
+        assert sum(row.arrivals for row in ops) == r.arrivals
         assert sum(r.blocked_by_home.values()) == r.blocked
         assert sum(r.served_home_by_op.values()) == r.served_home
-        _, *ops = scope_rows(r, [net.id for net in scenario.operators]).values()
         assert sum(row.served_transferred for row in ops) == r.served_transferred
         # A transfer counts for the client's home, so each home's clients balance.
         for row in ops:
@@ -298,8 +298,8 @@ def test_count_conservation_across_seeds():
 
 
 def test_each_home_counts_every_arrival_drawn_for_it(monkeypatch):
-    # Tallied from the draws themselves, apart from the outcome counts the
-    # replication derives arrivals_by_home from.
+    # Tallied from the draws themselves, apart from the outcome counts that
+    # scope_rows sums into each home's arrivals.
     drawn = []
 
     def recorded(clock, draws):
@@ -318,7 +318,8 @@ def test_each_home_counts_every_arrival_drawn_for_it(monkeypatch):
         for t, home_op in drawn:
             if t < scenario.duration_s:
                 expected[home_op] += 1
-        assert r.arrivals_by_home == expected
+        _, *homes = scope_rows(r, list(expected)).values()
+        assert dict(zip(expected, (row.arrivals for row in homes))) == expected
 
 
 def test_arrival_volume_matches_poisson_rate():

@@ -73,8 +73,8 @@ def _samples():
                               requirements={interactive: requirements},
                               profile_mix=(profile,), replications=2)
     ledger = model.OperatorLedger(income_own=2.5)
-    result = model.ReplicationResult(seed=3, arrivals_by_home={1: 2}, blocked_by_home={1: 1},
-                                     served_home_by_op={1: 1}, exchange={}, ledgers={1: ledger})
+    result = model.ReplicationResult(seed=3, blocked_by_home={1: 1}, served_home_by_op={1: 1},
+                                     exchange={}, ledgers={1: ledger})
     report = model.MetricsReport(scenario=scenario, results=[result])
     streams = engine.RngStreams.from_seed(7)
     matrix = analytics.ExchangeMatrix(op_ids=(1, 2), counts={(1, 2, conversational): 3})
@@ -98,8 +98,8 @@ def _samples():
                    f"'interactive'>: {requirements!r}}}, profile_mix=({profile!r},), "
                    "mean_interarrival_s=2.5, mean_service_s=240.0, duration_s=1200.0, "
                    "replications=2, base_seed=42, cooperation=True, billing='volume')", False),
-        (result, "ReplicationResult(seed=3, arrivals_by_home={1: 2}, blocked_by_home={1: 1}, "
-                 "served_home_by_op={1: 1}, exchange={}, ledgers={1: OperatorLedger("
+        (result, "ReplicationResult(seed=3, blocked_by_home={1: 1}, served_home_by_op={1: 1}, "
+                 "exchange={}, ledgers={1: OperatorLedger("
                  "income_own=2.5, income_transferred=0.0, income_guests=0.0, cost_paid=0.0)})",
          False),
         (report, f"MetricsReport(scenario={scenario!r}, results=[{result!r}])", False),
