@@ -39,21 +39,28 @@ METRICS_HEADER = ("replication", "seed", "scope", *analytics.ScopeRow._fields)
 SUMMARY_HEADER = ("scope", "metric", "mean", "stddev", "ci95", "min", "max")
 
 
-def _fnum(value) -> str:
+def _cell_text(value) -> str:
+    """The text of a cell whose exact type ``_CELL_TEXT`` does not list."""
     if isinstance(value, bool):
         raise TypeError("no boolean cells in reports")
+    if isinstance(value, str):  # a str-valued enum: csv writes its value
+        return value
     if isinstance(value, int):
         return str(value)
     return f"{value:.10g}"
 
 
+# A report cell's text, by its exact type: ints in full, floats to 10 significant digits.
+_CELL_TEXT = {int: str, float: "{:.10g}".format, str: str}
+
+
 def _write_csv(path: Path, header, rows) -> None:
+    text = _CELL_TEXT.get
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fnum(cell) if not isinstance(cell, str) else cell
-                             for cell in row])
+            writer.writerow([text(type(cell), _cell_text)(cell) for cell in row])
 
 
 def write_summary_csv(path: Path, stats) -> None:

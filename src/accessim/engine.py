@@ -3,7 +3,10 @@
 Single replication = one pass over the Poisson arrivals in time order, with
 the pending departures on a heap: exponential service times, admission via
 the selection policy, capacity bookkeeping on the serving network and ledger
-accrual at departure.  Departures due at an arrival's instant go first.
+accrual at departure.  Each pass of the loop first handles every departure
+due by the next arrival's time ``t``, so departures at an arrival's instant go
+first, and then admits that arrival.  The first arrival at or past the horizon
+is not admitted: one last pass with ``t = inf`` drains the heap.
 An experiment's replications share one ``AdmissionTable``; each resets its
 networks' ``used_kbps`` first, so each depends on its seed alone.
 
@@ -36,7 +39,7 @@ from .model import (
     _FrozenRecord,
     replace,
 )
-from .selection import AdmissionTable, Outcome, admit
+from .selection import BLOCKED, AdmissionTable, Outcome, admit
 
 
 class CapacityAccountingError(RuntimeError):
@@ -124,10 +127,11 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
     is there for an arrival at ``t``; departures that end together are handled
     in admission order (``seq``).
 
-    Arrivals stop at the horizon; departures keep draining afterwards so the
-    system always returns to its starting occupancy, but session volume is
-    truncated at the horizon.  A network's scenario ``used_kbps`` is background
-    load: it takes capacity for the whole run and is never released.
+    Arrivals stop at the horizon.  Departures keep draining afterwards, in one
+    last pass with ``t`` set to infinity, so the system always returns to its
+    starting occupancy, but session volume is truncated at the horizon.  A
+    network's scenario ``used_kbps`` is background load: it takes capacity for
+    the whole run and is never released.
     """
     streams = streams if streams is not None else RngStreams.from_seed(seed)
     table = table if table is not None else admission_table(scenario)
@@ -143,7 +147,8 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
     service_uniform = streams.service_time.random
     service_lambda = 1.0 / scenario.mean_service_s
     heappush, heappop = heapq.heappush, heapq.heappop
-    served_home, blocked = Outcome.SERVED_HOME, Outcome.BLOCKED
+    # Every blocked decision is the one shared BLOCKED.
+    served_home, blocked = Outcome.SERVED_HOME, BLOCKED
 
     op_ids = [net.id for net in world]
     blocked_by_home = {i: 0 for i in op_ids}
@@ -154,10 +159,13 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
     heap = []
     seq = 0
     t, request = generate_arrival(0.0, draws)
+    # `while True`, not `while t < horizon`: CPython 3.11 specializes a function's
+    # bytecode once a warm-up counter runs out, and only calls and an unconditional
+    # jump back advance it.  A conditional loop ends in POP_JUMP_BACKWARD_IF_TRUE,
+    # which does not, so a replication entered once (one long horizon) would run
+    # its whole loop unspecialized.
     while True:
-        # Once the next arrival is at or past the horizon, every departure is due.
-        due = t if t < horizon else inf
-        while heap and heap[0][0] <= due:
+        while heap and heap[0][0] <= t:
             end_s, _, session, net = heappop(heap)
             net.used_kbps -= session.rate_kbps
             if net.used_kbps < -1e-9:
@@ -165,11 +173,13 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
                     f"operator {net.id} used_kbps went negative at t={end_s}")
             analytics.accrue(session, by_id, ledgers, horizon, billing)
         if t >= horizon:
-            break
+            if t == inf:
+                break
+            t = inf  # no arrival is left: one more pass makes every departure due
+            continue
 
         decision = admit(request, table, cooperation)
-        outcome = decision.outcome
-        if outcome is blocked:
+        if decision is blocked:
             blocked_by_home[request.home_op] += 1
         else:
             serving_op = decision.serving_op
@@ -184,7 +194,7 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
             session = tuple.__new__(Session, (request, serving_op, rate, t, duration))
             heappush(heap, (t + duration, seq, session, serving))
             seq += 1
-            if outcome is served_home:
+            if decision.outcome is served_home:
                 served_home_by_op[serving_op] += 1
             else:
                 key = (request.home_op, serving_op, request.service_class.kind)

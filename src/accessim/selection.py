@@ -169,15 +169,15 @@ def candidate_score(cand: Candidate, qos_weights, prefs: UserPreferences) -> flo
     return prefs.w_qos * s_tqos + prefs.w_price * cand.sp_norm
 
 
-def select_serving_operator(request: ServiceRequest, table: AdmissionTable
+def select_serving_operator(request: ServiceRequest, table: AdmissionTable, route: Route
                             ) -> AdmissionDecision:
-    """Pick the best cooperating operator (home excluded), or block if none is feasible."""
-    service_class = request.service_class
-    route = table.routes[request.home_op, service_class.kind]
-    home = route.home
-    prefs = request.prefs
-    qos_weights = service_class.qos_weights
+    """Pick the best cooperating operator (home excluded), or block if none is feasible.
 
+    ``route`` is ``table.routes[request.home_op, request.service_class.kind]``,
+    which the caller has already looked up.  Only a candidate with room is
+    scored, so the user's preferences and the class's QoS weights are read
+    once one has passed the capacity gate; a blocked call tests capacity alone.
+    """
     best = None
     best_obj = 0.0
     for cand in route.candidates:
@@ -185,6 +185,9 @@ def select_serving_operator(request: ServiceRequest, table: AdmissionTable
         if net.capacity_kbps - net.used_kbps < cand.rate:
             continue
         if best is None:  # the first candidate to pass: score the user once
+            prefs = request.prefs
+            qos_weights = request.service_class.qos_weights
+            home = route.home
             s_u, p_norm = user_score(prefs, request.price_paid, table.sp_max)
         s_t = candidate_score(cand, qos_weights, prefs)
         obj = transfer_objective(home, s_u, s_t, p_norm, cand.cs_norm)
@@ -202,4 +205,4 @@ def admit(request: ServiceRequest, table: AdmissionTable,
         return route.served
     if not cooperation:
         return BLOCKED
-    return select_serving_operator(request, table)
+    return select_serving_operator(request, table, route)

@@ -10,7 +10,7 @@ import pytest
 
 import accessim
 from accessim import cli
-from accessim.model import MetricsReport, ScenarioError, replace, validate_scenario
+from accessim.model import MetricsReport, ScenarioError, ServiceKind, replace, validate_scenario
 
 # The CLI child process imports accessim from where this process found it,
 # so the tests also run from a checkout without an install.
@@ -74,6 +74,22 @@ def test_run_is_byte_identical_for_same_seed(tmp_path):
     for filename in ("metrics.csv", "summary.csv"):
         assert (tmp_path / "a" / filename).read_bytes() \
             == (tmp_path / "b" / filename).read_bytes()
+
+
+def test_csv_cells_print_ints_in_full_and_floats_to_ten_digits(tmp_path):
+    path = tmp_path / "cells.csv"
+    cli._write_csv(path, ("kind", "count", "value"), [
+        ("ints", 0, 12345678901234567890),
+        ("floats", 1e-300, 0.1 + 0.2, -0.0, 2.0, 1 / 3, 123456789012.0),
+        ("text", ServiceKind.INTERACTIVE, "a,b"),
+    ])
+    assert path.read_bytes() == (
+        b"kind,count,value\n"
+        b"ints,0,12345678901234567890\n"
+        b"floats,1e-300,0.3,-0,2,0.3333333333,1.23456789e+11\n"
+        b'text,interactive,"a,b"\n')
+    with pytest.raises(TypeError, match="no boolean cells in reports"):
+        cli._write_csv(path, ("flag",), [(True,)])
 
 
 def test_seed_override_changes_the_draws(tmp_path):

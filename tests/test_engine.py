@@ -69,14 +69,16 @@ def _fake_streams(interarrivals, services=(), homes=(), profiles=()):
     )
 
 
-def _scripted_run(monkeypatch, scenario, arrival_times, service_uniforms=(), clocks=None):
+def _scripted_run(monkeypatch, scenario, arrival_times, service_uniforms=(), clocks=None,
+                  table=None):
     """One replication whose arrivals land at exactly ``arrival_times``.
 
     The times go through the engine's ``generate_arrival`` seam; each arrival
     still draws its home and profile (both 0 here) from the streams.  Served
     arrivals draw their service times from ``service_uniforms`` in admission
     order.  The clock the engine passes to each draw is appended to ``clocks``
-    when it is given.  Returns the result and its session log.
+    when it is given.  ``table`` is passed on to ``run_replication``.  Returns
+    the result and its session log.
     """
     times = list(arrival_times)
 
@@ -90,7 +92,8 @@ def _scripted_run(monkeypatch, scenario, arrival_times, service_uniforms=(), clo
     n = len(arrival_times)
     streams = _fake_streams(interarrivals=[0.0] * n, services=service_uniforms,
                             homes=[0] * n, profiles=[0.0] * n)
-    result, log = run_logged(run_replication, scenario, seed=0, streams=streams)
+    result, log = run_logged(run_replication, scenario, seed=0, streams=streams,
+                             table=table)
     assert times == []
     return result, log(result)
 
@@ -176,6 +179,27 @@ def test_sessions_ending_together_are_accrued_in_admission_order(monkeypatch):
     assert (result.served_home, result.blocked) == (4, 0)
     assert {s.start_s + s.duration_s for s in sessions} == {1000.0}
     assert [s.start_s for s in sessions] == starts
+
+
+def test_arrival_at_the_horizon_is_not_admitted_and_the_heap_drains(monkeypatch):
+    # A session that ends exactly at the horizon, then an arrival drawn exactly at it,
+    # on a network that carries one session beside its background load.
+    base = _single_op_scenario(capacity=2 * 256.0)
+    scenario = replace(base, operators=(replace(base.operators[0], used_kbps=256.0),))
+    horizon = scenario.duration_s
+    duration = _service_s(scenario, 0.5)
+    start = horizon - duration
+    assert start + duration == horizon
+    table = admission_table(scenario)
+    result, sessions = _scripted_run(monkeypatch, scenario, [start, horizon],
+                                     service_uniforms=[0.5], table=table)
+    assert (result.arrivals, result.served_home, result.blocked) == (1, 1, 0)
+    [session] = sessions
+    assert (session.start_s, session.duration_s) == (start, duration)
+    # Accrued once, at its full volume: 256 kbit/s for its whole duration at 0.9 per kByte.
+    assert result.ledgers[1].income_own == pytest.approx(0.9 * 256.0 * duration / 8.0)
+    [net] = table.networks
+    assert net.used_kbps == 256.0
 
 
 def test_busy_network_blocks_second_arrival(monkeypatch):

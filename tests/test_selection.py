@@ -117,7 +117,8 @@ def _no_scoring(monkeypatch):
 def test_reference_transfer_picks_op3():
     scenario = _scenario()
     request = _request(home=1)
-    decision = select_serving_operator(request, _table(scenario.operators))
+    table = _table(scenario.operators)
+    decision = select_serving_operator(request, table, table.routes[1, request.service_class.kind])
     assert decision.outcome is Outcome.SERVED_TRANSFER
     assert decision.serving_op == 3
     assert hand_scored(request, scenario.operators, 2)[2] == pytest.approx(0.3133506944444445)
@@ -169,9 +170,12 @@ def test_blocked_when_no_candidate_is_feasible(monkeypatch):
     ops = [replace(net, used_kbps=net.capacity_kbps) for net in scenario.operators]
     # Scoring runs only for a candidate that passes the gate: here neither does.
     _no_scoring(monkeypatch)
-    decision = admit(_request(home=1), _table(ops), cooperation=True)
+    request, table = _request(home=1), _table(ops)
+    decision = admit(request, table, cooperation=True)
     assert decision.outcome is Outcome.BLOCKED
     assert decision is BLOCKED
+    route = table.routes[1, request.service_class.kind]
+    assert select_serving_operator(request, table, route) is BLOCKED
 
 
 def test_exact_tie_resolves_to_lowest_id():
@@ -180,7 +184,8 @@ def test_exact_tie_resolves_to_lowest_id():
     # Make Op3 a clone of Op2: identical offers, identical objectives.
     ops[2] = replace(ops[1], id=3, name="Op3")
     request = _request(home=1)
-    decision = select_serving_operator(request, _table(ops))
+    table = _table(ops)
+    decision = select_serving_operator(request, table, table.routes[1, request.service_class.kind])
     assert hand_scored(request, ops, 2) == hand_scored(request, ops, 3)
     assert decision.serving_op == 2
 
@@ -188,8 +193,11 @@ def test_exact_tie_resolves_to_lowest_id():
 def test_decision_ignores_listing_order():
     scenario = _scenario()
     request = _request(home=1)
-    forward = select_serving_operator(request, _table(scenario.operators))
-    backward = select_serving_operator(request, _table(tuple(reversed(scenario.operators))))
+    key = (1, request.service_class.kind)
+    forward_table = _table(scenario.operators)
+    backward_table = _table(tuple(reversed(scenario.operators)))
+    forward = select_serving_operator(request, forward_table, forward_table.routes[key])
+    backward = select_serving_operator(request, backward_table, backward_table.routes[key])
     assert forward.serving_op == backward.serving_op
     assert forward == backward
 
