@@ -26,24 +26,24 @@ def session_volume_kbytes(session: Session, horizon_s: float) -> float:
 def accrue(session: Session, networks: Mapping[int, OperatorNetwork],
            ledgers: Mapping[int, OperatorLedger], horizon_s: float,
            billing: str = "volume") -> None:
-    """Book one finished (or horizon-truncated) session into the operator ledgers.
+    """Book one session that started before the horizon into the operator ledgers.
 
-    Home-served revenue goes to income_own.  A transferred session pays the
-    home operator in full (income_transferred) while the serving operator's
-    settlement price flows cost_paid -> income_guests.
+    Its volume is truncated at the horizon.  Home-served revenue goes to
+    income_own.  A transferred session pays the home operator in full
+    (income_transferred) while the serving operator's settlement price flows
+    cost_paid -> income_guests.
     """
     request, serving, rate, start, duration = session
     if billing == "per_session":
         volume = 1.0
     else:
-        # session_volume_kbytes inlined, its min and max as two ifs: the same value.
+        # session_volume_kbytes inlined, its min as an if.  Its max is not needed: the
+        # engine books only sessions that start before the horizon, and a duration is
+        # never negative, so end >= start.
         end = start + duration
         if end > horizon_s:
             end = horizon_s
-        span = end - start
-        if span < 0.0:
-            span = 0.0
-        volume = rate * span / 8.0
+        volume = rate * (end - start) / 8.0
     p = request.price_paid
     home = request.home_op
     if serving == home:

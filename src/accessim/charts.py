@@ -38,10 +38,6 @@ def _span(values) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.4g}"
-
-
 def _text(label: str) -> str:
     """A label as SVG character data: ``&``, ``<`` and ``>`` escaped."""
     return label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -84,9 +80,9 @@ def line_chart(title: str, x_label: str, y_label: str, series: list[Series]) -> 
         out.append(f'<line x1="{MARGIN_LEFT}" y1="{py:.1f}" x2="{MARGIN_LEFT + plot_w}" '
                    f'y2="{py:.1f}" stroke="#dddddd"/>')
         out.append(f'<text x="{px:.1f}" y="{MARGIN_TOP + plot_h + 18}" '
-                   f'text-anchor="middle">{_fmt(x_val)}</text>')
+                   f'text-anchor="middle">{x_val:.4g}</text>')
         out.append(f'<text x="{MARGIN_LEFT - 8}" y="{py + 4:.1f}" '
-                   f'text-anchor="end">{_fmt(y_val)}</text>')
+                   f'text-anchor="end">{y_val:.4g}</text>')
 
     out.append(f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" '
                f'height="{plot_h}" fill="none" stroke="#333333"/>')

@@ -40,27 +40,27 @@ SUMMARY_HEADER = ("scope", "metric", "mean", "stddev", "ci95", "min", "max")
 
 
 def _cell_text(value) -> str:
-    """The text of a cell whose exact type ``_CELL_TEXT`` does not list."""
-    if isinstance(value, bool):
-        raise TypeError("no boolean cells in reports")
-    if isinstance(value, str):  # a str-valued enum: csv writes its value
-        return value
-    if isinstance(value, int):
+    """A report cell's text: floats to 10 significant digits, ints in full, text as it is.
+
+    Only an exact float or int is a number cell; a str (a str-valued enum
+    included, which csv writes as its value) is text.  Any other type raises.
+    """
+    cls = type(value)
+    if cls is float:
+        return f"{value:.10g}"
+    if cls is int:
         return str(value)
-    return f"{value:.10g}"
-
-
-# A report cell's text, by its exact type: ints in full, floats to 10 significant digits.
-_CELL_TEXT = {int: str, float: "{:.10g}".format, str: str}
+    if isinstance(value, str):
+        return value
+    raise TypeError(f"no {'boolean' if cls is bool else cls.__name__} cells in reports")
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    text = _CELL_TEXT.get
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([text(type(cell), _cell_text)(cell) for cell in row])
+            writer.writerow([_cell_text(cell) for cell in row])
 
 
 def write_summary_csv(path: Path, stats) -> None:

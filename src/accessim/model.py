@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Mapping
 from enum import Enum
 from functools import cache, cached_property
@@ -664,9 +664,8 @@ class _Object(dict):
 
     def __init__(self, pairs):
         super().__init__(pairs)
-        keys = [key for key, _ in pairs]
-        self.repeated = ([key for key in self if keys.count(key) > 1] if len(self) < len(keys)
-                         else ())
+        self.repeated = ([key for key, n in Counter(key for key, _ in pairs).items() if n > 1]
+                         if len(self) < len(pairs) else ())
 
 
 def _repeats(obj, prefix, suffix=""):

@@ -1,4 +1,5 @@
 import csv
+import enum
 import json
 import os
 import subprocess
@@ -10,7 +11,15 @@ import pytest
 
 import accessim
 from accessim import cli
-from accessim.model import MetricsReport, ScenarioError, ServiceKind, replace, validate_scenario
+from accessim.charts import Series, line_chart
+from accessim.model import (
+    MAX_EXPECTED_ARRIVALS,
+    MetricsReport,
+    ScenarioError,
+    ServiceKind,
+    replace,
+    validate_scenario,
+)
 
 # The CLI child process imports accessim from where this process found it,
 # so the tests also run from a checkout without an install.
@@ -90,6 +99,16 @@ def test_csv_cells_print_ints_in_full_and_floats_to_ten_digits(tmp_path):
         b'text,interactive,"a,b"\n')
     with pytest.raises(TypeError, match="no boolean cells in reports"):
         cli._write_csv(path, ("flag",), [(True,)])
+
+
+def test_csv_cells_of_no_report_type_are_refused(tmp_path):
+    # Only an exact int or float is a number cell: an int subclass such as an
+    # IntEnum member is refused, not written as whatever its str() gives.
+    path = tmp_path / "cells.csv"
+    for cell, name in ((None, "NoneType"), (enum.IntEnum("Ids", "ONE").ONE, "Ids"),
+                       (b"x", "bytes")):
+        with pytest.raises(TypeError, match=f"^no {name} cells in reports$"):
+            cli._write_csv(path, ("cell",), [(cell,)])
 
 
 def test_seed_override_changes_the_draws(tmp_path):
@@ -177,6 +196,17 @@ def test_deeply_nested_scenario_exits_2_without_partial_outputs(tmp_path):
     assert not out.exists()
 
 
+def test_scenario_that_is_not_an_object_exits_2_without_partial_outputs(cells, tmp_path,
+                                                                       capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    out = tmp_path / "never"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "scenario document must be a JSON object\n"
+    assert cells == []
+    assert not out.exists()
+
+
 def test_unreadable_scenario_exits_1(tmp_path):
     proc = run_cli("run", "--scenario", str(tmp_path / "missing.json"),
                    "--out", str(tmp_path / "out"))
@@ -190,6 +220,24 @@ def test_bad_sweep_list_is_a_usage_error(tmp_path):
                        "--sweep", sweep)
         assert proc.returncode == 2, sweep
         assert not (tmp_path / "o").exists(), sweep
+
+
+def test_an_unparsable_sweep_value_is_named_in_the_usage_error(tmp_path, capsys):
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["sweep", "--scenario", CALIBRATED, "--sweep", "2.5,x", "--out", str(out)])
+    assert exited.value.code == 2
+    assert "bad sweep list '2.5,x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_out_path_that_is_a_file_exits_1(cells, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert cli.main(["run", "--scenario", CALIBRATED, "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("cannot write reports: ")
+    assert out.read_text() == "not a directory\n"
 
 
 def test_sweep_value_above_the_arrival_cap_is_rejected(tmp_path):
@@ -258,6 +306,24 @@ def test_grid_judges_the_cells_it_runs_not_the_scenario_rate(cells, tmp_path):
     assert _header(tmp_path / "o" / "sweep.csv") == SWEEP_HEADER
 
 
+def test_a_scenario_file_is_judged_as_written_before_any_flag(cells, tmp_path, capsys):
+    # load_scenario judges the file at its own rate and replications, so its
+    # 30000 replications break the arrival cap before --replications 2 applies,
+    # although the one cell the command names would be within it.
+    doc = json.loads(Path(CALIBRATED).read_text())
+    doc["replications"] = 30000
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    assert cli.main(["sweep", "--scenario", str(path), "--sweep", "5", "--cooperation", "on",
+                     "--replications", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "too many expected arrivals: 30000 replications x 480 arrivals, "
+        f"above {MAX_EXPECTED_ARRIVALS}\n")
+    assert cells == []
+    assert not out.exists()
+
+
 def test_a_violation_of_every_cell_is_printed_once(cells, tmp_path, capsys):
     out = tmp_path / "never"
     assert cli.main(["sweep", "--scenario", CALIBRATED, "--replications", "0",
@@ -300,6 +366,24 @@ def test_charts_escape_operator_names(tmp_path):
     labels = {node.firstChild.data for node in
               xml.dom.minidom.parse(str(out / "profits.svg")).getElementsByTagName("text")}
     assert {"AT&T on", "AT&T off"} <= labels
+
+
+def test_one_rate_sweep_draws_well_formed_charts(tmp_path):
+    # Both modes of the one rate see the same arrivals, so every point has one x:
+    # the flat span is widened around it and the points sit mid-plot.
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--scenario", CALIBRATED, "--replications", "1",
+                     "--sweep", "5", "--out", str(out)]) == 0
+    for chart in ("blocking.svg", "profits.svg"):
+        points = xml.dom.minidom.parse(str(out / chart)).getElementsByTagName("circle")
+        assert points
+        assert {point.getAttribute("cx") for point in points} == {"275.00"}
+
+
+def test_a_chart_of_empty_series_is_refused():
+    for series in ([], [Series("on", ()), Series("off", (), dashed=True)]):
+        with pytest.raises(ValueError, match="nothing to draw"):
+            line_chart("title", "x", "y", series)
 
 
 def test_no_svg_flag_suppresses_charts(tmp_path):

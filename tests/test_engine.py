@@ -6,6 +6,7 @@ import pytest
 from accessim import engine
 from accessim.analytics import scope_rows
 from accessim.engine import (
+    CapacityAccountingError,
     RngStreams,
     admission_table,
     arrival_draws,
@@ -545,6 +546,52 @@ def test_initial_load_is_background_the_run_drains_back_to():
         served_on_op2 += sum(s.serving_op == 2 for s in sessions)
     assert served_on_op2 > 0
     assert loaded.operators[1].used_kbps == 500.0
+
+
+def _tampered_run(monkeypatch, scenario, tamper):
+    """One replication that calls ``tamper(networks, clock)`` before each arrival's draw.
+
+    ``networks`` are the replication's working copies, so ``tamper`` can move
+    their occupancy between events, as an accounting bug would.
+    """
+    table = admission_table(scenario)
+    draw = engine.generate_arrival
+
+    def tampered(clock, draws):
+        tamper(table.networks, clock)
+        return draw(clock, draws)
+
+    monkeypatch.setattr(engine, "generate_arrival", tampered)
+    return run_replication(scenario, seed=1, table=table)
+
+
+def test_occupancy_that_goes_negative_is_an_accounting_error(monkeypatch):
+    def forget_occupancy(networks, clock):
+        networks[0].used_kbps = 0.0
+
+    with pytest.raises(CapacityAccountingError,
+                       match=r"^operator 1 used_kbps went negative at t=\d"):
+        _tampered_run(monkeypatch, _single_op_scenario(capacity=1024.0), forget_occupancy)
+
+
+def test_serving_a_full_network_is_an_accounting_error(monkeypatch):
+    # Admission that always serves at home, room or not: the second session
+    # that overlaps another overfills the 256 kbps network.
+    monkeypatch.setattr(engine, "admit", lambda request, table, cooperation:
+                        table.routes[request.home_op, request.service_class.kind].served)
+    with pytest.raises(CapacityAccountingError,
+                       match=r"^operator 1 exceeded capacity at t=\d"):
+        run_replication(_single_op_scenario(capacity=256.0), seed=1)
+
+
+def test_occupancy_that_does_not_drain_is_an_accounting_error(monkeypatch):
+    def add_load_once(networks, clock):
+        if clock == 0.0:  # the first draw, after the replication reset the load
+            networks[0].used_kbps += 0.5
+
+    with pytest.raises(CapacityAccountingError) as err:
+        _tampered_run(monkeypatch, _single_op_scenario(capacity=1024.0), add_load_once)
+    assert str(err.value) == "operator 1 did not drain to its background load 0.0: 0.5"
 
 
 def test_capacity_below_every_rate_blocks_all_arrivals():

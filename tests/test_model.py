@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from accessim.model import (
     ServiceRequest,
     Session,
     Technology,
+    UserPreferences,
     default_scenario,
     ensure_valid,
     expected_arrivals,
@@ -282,6 +284,32 @@ def test_a_malformed_container_is_one_bad_type(label, value):
     assert violations[0].startswith(f"bad type: {label} = {value!r}, expected ")
 
 
+def _without_interactive(section):
+    """The default scenario's ``section`` mapping less its interactive entry."""
+    return {kind: entry for kind, entry in getattr(default_scenario(), section).items()
+            if kind is not ServiceKind.INTERACTIVE}
+
+
+@pytest.mark.parametrize("label, value, violation", [
+    ("operators", (), "operators: list is empty, at least one operator is required"),
+    ("profile_mix", (), "profile_mix: list is empty"),
+    ("qos_weights", _without_interactive("qos_weights"),
+     "missing QoS weights: qos_weights[interactive]"),
+    ("requirements", _without_interactive("requirements"),
+     "missing requirements entry: requirements[interactive]"),
+    ("qos_weights[interactive]", (0.5, 0.25, 0.25),
+     "weight-sum violation: qos_weights[interactive] must have 4 entries"),
+    ("qos_weights[interactive]", (-0.25, 0.75, 0.25, 0.25),
+     "weight-sum violation: qos_weights[interactive] has a negative entry "
+     "(-0.25, 0.75, 0.25, 0.25)"),
+    ("profile_mix[0].prefs", UserPreferences(-0.5, 1.5),
+     "weight-sum violation: profile_mix[0] preference weights has a negative entry (-0.5, 1.5)"),
+])
+def test_a_rule_across_a_sections_entries_gives_one_violation(label, value, violation):
+    # Each of these values has the right type, so only the rule across entries is broken.
+    assert validate_scenario(with_container(default_scenario(), label, value)) == [violation]
+
+
 @pytest.mark.parametrize("section", ["requirements", "qos_weights"])
 @pytest.mark.parametrize("key", ["video", None, 5])
 def test_a_bad_mapping_key_is_one_bad_type(section, key):
@@ -524,6 +552,29 @@ def test_repeated_keys_are_reported_alone(tmp_path):
     ]
     # A document parsed without the hook has no repeated keys to report.
     assert scenario_from_dict(json.loads(text)) == load_scenario(SCENARIO_DIR / "calibrated.json")
+
+
+def test_repeated_keys_are_found_in_linear_time(tmp_path):
+    # 30,000 distinct keys and one repeat.  Counting each key over the whole
+    # object is quadratic: it took seconds where one count of all keys takes
+    # milliseconds.
+    path = tmp_path / "many-keys.json"
+    path.write_text("{" + ", ".join(f'"k{i}": 0' for i in range(30000)) + ', "k0": 1}')
+    start = time.perf_counter()
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    elapsed = time.perf_counter() - start
+    assert err.value.violations[0] == "duplicate field: k0"
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("raw", ["[]", '"x"', "3", "null"])
+def test_a_document_that_is_not_an_object_is_one_violation(tmp_path, raw):
+    path = tmp_path / "scenario.json"
+    path.write_text(raw)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert err.value.violations == ["scenario document must be a JSON object"]
 
 
 def test_operator_name_defaults_to_op_and_the_id_as_read():
