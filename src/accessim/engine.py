@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_right
+from itertools import accumulate
 from math import inf, log
 
 from . import analytics
@@ -76,17 +77,18 @@ def arrival_draws(scenario: Scenario, streams: RngStreams) -> tuple:
         n            number of operators
         k            ``n.bit_length()``, as ``randrange(n)`` uses
         uniform      the profile stream's ``random``
-        cums         cumulative profile probabilities, a list
-        requests     ``scenario.arrival_requests``, each row with its last
-                     request repeated
+        cums         cumulative profile probabilities in mix order, a list
+                     whose last entry is infinity
+        requests     ``scenario.arrival_requests`` as they are
     """
     n = len(scenario.operators)
-    # A draw above every cumulative probability takes the last profile: the
-    # rounding fallback, so bisect_right's one-past-the-end index finds it too.
-    requests = tuple(row + row[-1:] for row in scenario.arrival_requests)
+    cums = list(accumulate(p.probability for p in scenario.profile_mix))
+    # A draw above every cumulative probability, which rounding allows, takes
+    # the last profile.  Probabilities are non-negative, so cums stays sorted.
+    cums[-1] = inf
     return (streams.interarrival.random, 1.0 / scenario.mean_interarrival_s,
             streams.home_assignment.getrandbits, n, n.bit_length(), streams.profile.random,
-            [cumulative for cumulative, _, _ in scenario.arrival_profiles], requests)
+            cums, scenario.arrival_requests)
 
 
 def generate_arrival(clock, draws):
@@ -140,6 +142,8 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
     # Assigned, not carried over: an earlier replication's sums may have drifted.
     for net, start in zip(world, scenario.operators):
         net.used_kbps = start.used_kbps
+    # Occupancy sums round at the scale of the capacities, not of one kbit/s.
+    tolerance = 1e-9 * max(net.capacity_kbps for net in world)
     draws = arrival_draws(scenario, streams)
     horizon = scenario.duration_s
     cooperation = scenario.cooperation
@@ -168,7 +172,7 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
         while heap and heap[0][0] <= t:
             end_s, _, session, net = heappop(heap)
             net.used_kbps -= session.rate_kbps
-            if net.used_kbps < -1e-9:
+            if net.used_kbps < -tolerance:
                 raise CapacityAccountingError(
                     f"operator {net.id} used_kbps went negative at t={end_s}")
             analytics.accrue(session, by_id, ledgers, horizon, billing)
@@ -186,7 +190,7 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
             serving = by_id[serving_op]
             rate = decision.rate_kbps
             serving.used_kbps += rate
-            if serving.used_kbps > serving.capacity_kbps + 1e-9:
+            if serving.used_kbps > serving.capacity_kbps + tolerance:
                 raise CapacityAccountingError(
                     f"operator {serving_op} exceeded capacity at t={t}")
             duration = -log(1.0 - service_uniform()) / service_lambda
@@ -202,7 +206,7 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
         t, request = generate_arrival(t, draws)
 
     for net, start in zip(world, scenario.operators):
-        if abs(net.used_kbps - start.used_kbps) > 1e-9:
+        if abs(net.used_kbps - start.used_kbps) > tolerance:
             raise CapacityAccountingError(
                 f"operator {net.id} did not drain to its background load "
                 f"{start.used_kbps}: {net.used_kbps}")

@@ -245,28 +245,15 @@ class Scenario(_FrozenRecord):
         return ServiceClass(kind=kind, qos_weights=tuple(self.qos_weights[kind]))
 
     @cached_property
-    def arrival_profiles(self) -> tuple[tuple[float, ServiceClass, UserPreferences], ...]:
-        """(cumulative probability, service class, prefs) per profile, built once per scenario.
-
-        An arrival takes the first entry whose cumulative probability exceeds its
-        uniform draw, or the last entry when rounding leaves the draw above all.
-        """
-        table = []
-        acc = 0.0
-        for profile in self.profile_mix:
-            acc += profile.probability
-            table.append((acc, self.service_class(profile.service), profile.prefs))
-        return tuple(table)
-
-    @cached_property
     def arrival_requests(self) -> tuple[tuple[ServiceRequest, ...], ...]:
         """The shared request of each (home operator, profile), built once per scenario.
 
         Indexed ``[operator index][profile index]``, both in scenario order; a
         client pays its home operator's ``sp``.
         """
+        profiles = [(self.service_class(p.service), p.prefs) for p in self.profile_mix]
         return tuple(tuple(ServiceRequest(net.id, service_class, prefs, net.sp)
-                           for _, service_class, prefs in self.arrival_profiles)
+                           for service_class, prefs in profiles)
                      for net in self.operators)
 
 
@@ -372,7 +359,8 @@ def _is(*classes):
 _TYPES = {
     "float": (lambda x: isinstance(x, (int, float)) and not isinstance(x, bool), "a number",
               float),
-    "int": (lambda x: isinstance(x, int) and not isinstance(x, bool), "an integer", int),
+    # Exactly an int, the one integer type a report cell takes: a bool or an IntEnum is refused.
+    "int": (lambda x: type(x) is int, "an integer", int),
     "bool": (_is(bool), "a bool", bool),
     "str": (_is(str), "a string", str),
     "Technology": (_member_of(Technology), f"one of {', '.join(Technology)}", Technology),
@@ -504,6 +492,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             v.append(f"non-finite number: {label} = {value!r}")
         elif name in _BOUNDS and not _BOUNDS[name][0](value):
             v.append(f"{_BOUNDS[name][1]}: {label} = {value!r}")
+        elif name == "mean_interarrival_s" and not _is_finite(1.0 / value):
+            # An infinite arrival rate makes every gap zero: time never reaches the horizon.
+            v.append(f"traffic parameter too small: {label} = {value!r}")
 
     if not scenario.operators:
         v.append("operators: list is empty, at least one operator is required")

@@ -42,9 +42,9 @@ COMPARE_HEADER = ("mean_interarrival_s,cooperation,arrivals_mean,blocking_mean,"
 EXCHANGE_HEADER = "from_operator,service_class,to_op1,to_op2,to_op3"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run([sys.executable, "-m", "accessim.cli", *args],
-                          capture_output=True, text=True, cwd=cwd,
+                          capture_output=True, text=True, cwd=cwd, timeout=timeout,
                           env={**os.environ, "PYTHONPATH": CHILD_PYTHONPATH})
 
 
@@ -204,6 +204,20 @@ def test_scenario_that_is_not_an_object_exits_2_without_partial_outputs(cells, t
     assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "scenario document must be a JSON object\n"
     assert cells == []
+    assert not out.exists()
+
+
+def test_a_scenario_whose_arrival_rate_overflows_exits_2_without_partial_outputs(tmp_path):
+    # Valid but for its infinite arrival rate, it would never reach its horizon.
+    doc = json.loads(Path(CALIBRATED).read_text())
+    doc.update(duration_s=1e-310, mean_interarrival_s=1e-312, replications=1)
+    bad = tmp_path / "subnormal.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    proc = run_cli("run", "--scenario", str(bad), "--out", str(out), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "traffic parameter too small: mean_interarrival_s = 1e-312"]
     assert not out.exists()
 
 

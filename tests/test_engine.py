@@ -417,13 +417,20 @@ def test_compiled_arrivals_match_the_plain_generator(n_ops):
         assert compiled == oracle_arrivals(scenario, seed, 2000), (n_ops, seed)
 
 
+_PROFILES = ((ServiceKind.CONVERSATIONAL, UserPreferences(0.7, 0.3)),
+             (ServiceKind.INTERACTIVE, UserPreferences(0.2, 0.8)),
+             (ServiceKind.CONVERSATIONAL, UserPreferences(0.4, 0.6)))
+
+
+def _mix_scenario(probabilities):
+    """The default scenario with one profile of distinct prefs per probability."""
+    mix = tuple(TrafficProfile(service=service, prefs=prefs, probability=probability)
+                for (service, prefs), probability in zip(_PROFILES, probabilities))
+    return ensure_valid(replace(default_scenario(), profile_mix=mix))
+
+
 def _two_profile_scenario(second_probability):
-    base = default_scenario()
-    mix = (TrafficProfile(service=ServiceKind.CONVERSATIONAL,
-                          prefs=UserPreferences(0.7, 0.3), probability=0.5),
-           TrafficProfile(service=ServiceKind.INTERACTIVE,
-                          prefs=UserPreferences(0.2, 0.8), probability=second_probability))
-    return ensure_valid(replace(base, profile_mix=mix))
+    return _mix_scenario((0.5, second_probability))
 
 
 def _requests_drawn(scenario, uniforms, homes=None):
@@ -434,21 +441,38 @@ def _requests_drawn(scenario, uniforms, homes=None):
     return [generate_arrival(0.0, draws)[1] for _ in uniforms]
 
 
+def _profiles_drawn(probabilities, uniforms):
+    """The mix index of the profile each uniform draw takes from a mix of these probabilities."""
+    scenario = _mix_scenario(probabilities)
+    index = {profile.prefs: i for i, profile in enumerate(scenario.profile_mix)}
+    return [index[request.prefs] for request in _requests_drawn(scenario, uniforms)]
+
+
+# At zero, just below one half, at one half and just below one.
+_DRAWS = [0.0, 0.4999999999999999, 0.5, 0.9999999999999999]
+
+
 def test_a_draw_equal_to_a_cumulative_probability_takes_the_next_profile():
     requests = _requests_drawn(_two_profile_scenario(0.5), [0.0, 0.5, 0.4999999999999999])
     assert [r.service_class.kind for r in requests] == [
         ServiceKind.CONVERSATIONAL, ServiceKind.INTERACTIVE, ServiceKind.CONVERSATIONAL]
+    # A last sum just above 1, and a last profile of probability 0 whose sum
+    # equals the one before it: no draw takes that profile.
+    for probabilities in [(0.5, 0.5 + 1e-12), (0.5, 0.5, 0.0)]:
+        assert _profiles_drawn(probabilities, _DRAWS) == [0, 0, 1, 1], probabilities
 
 
 def test_a_draw_above_the_last_cumulative_probability_takes_the_last_profile():
     # The mix sums to 1 - 1e-12, within WEIGHT_SUM_TOL, so a uniform in
     # [1 - 1e-12, 1) lies above every cumulative probability.
     scenario = _two_profile_scenario(0.5 - 1e-12)
-    last = scenario.arrival_profiles[-1][0]
+    last = sum(profile.probability for profile in scenario.profile_mix)
     assert last < 1.0
     requests = _requests_drawn(scenario, [last, (last + 1.0) / 2, 0.9999999999999999])
     assert [r.service_class.kind for r in requests] == [ServiceKind.INTERACTIVE] * 3
     assert [r.prefs for r in requests] == [UserPreferences(0.2, 0.8)] * 3
+    # It takes the last profile even when that profile's probability is 0.
+    assert _profiles_drawn((0.5, 0.5 - 1e-12, 0.0), _DRAWS) == [0, 0, 1, 2]
 
 
 def test_home_draw_rejects_raw_bits_at_or_above_the_operator_count():
@@ -592,6 +616,25 @@ def test_occupancy_that_does_not_drain_is_an_accounting_error(monkeypatch):
     with pytest.raises(CapacityAccountingError) as err:
         _tampered_run(monkeypatch, _single_op_scenario(capacity=1024.0), add_load_once)
     assert str(err.value) == "operator 1 did not drain to its background load 0.0: 0.5"
+
+
+def test_occupancy_checks_tolerate_rounding_at_the_scale_of_the_capacities():
+    # At 10^4 times the default capacities a 0.1 kbps background load comes back
+    # as (0.1 + 1e8) - 1e8 = 0.09999999403953552: no accounting error.
+    base = default_scenario()
+    scale = 10**4
+    scenario = ensure_valid(replace(
+        base, replications=2,
+        operators=tuple(replace(net, capacity_kbps=net.capacity_kbps * scale, used_kbps=0.1)
+                        for net in base.operators),
+        demand=DemandTable({key: rate * scale for key, rate in base.demand.rates.items()})))
+    report, log = run_logged(run_experiment, scenario)
+    assert [r.seed for r in report.results] == replication_seeds(scenario)
+    for result in report.results:
+        drawn = oracle_arrivals(scenario, result.seed, 2000)
+        assert drawn[-1][0] >= scenario.duration_s
+        assert result.arrivals == sum(t < scenario.duration_s for t, _ in drawn) > 0
+        assert len(log(result)) == result.served_home + result.served_transferred > 0
 
 
 def test_capacity_below_every_rate_blocks_all_arrivals():

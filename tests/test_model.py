@@ -1,3 +1,4 @@
+import enum
 import json
 import math
 import random
@@ -118,21 +119,17 @@ def test_demand_rate_accepts_string_values_of_the_enums():
 
 def test_arrival_profiles_accumulate_in_mix_order():
     s = default_scenario()
-    table = s.arrival_profiles
-    assert table is s.arrival_profiles
-    acc = 0.0
-    for (cumulative, service_class, prefs), profile in zip(table, s.profile_mix, strict=True):
-        acc += profile.probability
-        assert cumulative == acc
-        assert service_class == s.service_class(profile.service)
-        assert prefs is profile.prefs
-    assert table[-1][0] == pytest.approx(1.0)
-    # One shared request per (home operator, profile); a client pays its home's sp.
     requests = s.arrival_requests
+    assert requests is s.arrival_requests
+    # One shared request per (home operator, profile), the profiles in mix order;
+    # a client pays its home's sp.
     assert [[(r.home_op, r.service_class, r.prefs, r.price_paid) for r in row]
-            for row in requests] == [[(net.id, service_class, prefs, net.sp)
-                                      for _, service_class, prefs in table]
+            for row in requests] == [[(net.id, s.service_class(profile.service),
+                                       profile.prefs, net.sp)
+                                      for profile in s.profile_mix]
                                      for net in s.operators]
+    assert all(r.prefs is profile.prefs
+               for row in requests for r, profile in zip(row, s.profile_mix, strict=True))
 
 
 def _with_operator(scenario, index, **changes):
@@ -762,6 +759,31 @@ def test_replications_count_towards_the_arrival_cap(tmp_path):
     with pytest.raises(ScenarioError) as err:
         load_scenario(path)
     assert [v.split(":")[0] for v in err.value.violations] == ["too many expected arrivals"]
+
+
+def test_a_mean_interarrival_time_whose_rate_overflows_is_refused():
+    # 1 / 1e-312 is infinite, so every gap would be zero and the clock would never
+    # reach the horizon; the cap alone passes it (100 expected arrivals).
+    calibrated = load_scenario(SCENARIO_DIR / "calibrated.json")
+    subnormal = replace(calibrated, duration_s=1e-310, mean_interarrival_s=1e-312,
+                        replications=1)
+    assert validate_scenario(subnormal) == [
+        "traffic parameter too small: mean_interarrival_s = 1e-312"]
+    # An infinite service rate only makes every session zero-length: the run ends.
+    instant = replace(calibrated, mean_service_s=1e-312, replications=1)
+    assert validate_scenario(instant) == []
+    [result] = run_experiment(instant).results
+    assert result.arrivals > result.blocked == 0
+
+
+def test_an_int_subclass_is_not_an_integer():
+    ids = enum.IntEnum("Ids", "ONE TWO THREE")
+    s = default_scenario()
+    s = replace(s, operators=tuple(replace(net, id=member)
+                                   for net, member in zip(s.operators, ids, strict=True)))
+    assert validate_scenario(s) == [
+        f"bad type: operators[{i}].id = {member!r}, expected an integer"
+        for i, member in enumerate(ids)]
 
 
 def test_unknown_billing_mode_reported():
