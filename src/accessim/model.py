@@ -13,12 +13,15 @@ import sys
 from collections import Counter, namedtuple
 from collections.abc import Mapping
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property
 from pathlib import Path
 
 WEIGHT_SUM_TOL = 1e-9
 # Most arrivals an experiment may expect: at a few µs each, under a minute of work.
 MAX_EXPECTED_ARRIVALS = 10_000_000
+# Most operators a scenario may hold: the admission table compiles up to every other
+# operator per operator and class, about 0.1 s of work at this count.
+MAX_OPERATORS = 100
 
 
 class ServiceKind(str, Enum):
@@ -194,29 +197,26 @@ class ServiceRequest(_FrozenRecord):
     price_paid: float
 
 
-class DemandTable(_FrozenRecord):
-    """Constant bit rate consumed per (service kind, technology), kb/s."""
-
-    rates: Mapping[tuple[ServiceKind, Technology], float]
+class DemandTable(dict):
+    """Constant bit rate per service kind and technology, kb/s: ``{kind: {technology: rate}}``."""
 
     def rate(self, kind, technology):
         # Both enums are str-valued, so a member and its value find the same key.
-        return self.rates[(kind, technology)]
+        return self[kind][technology]
 
 
-DEFAULT_DEMAND = DemandTable(rates={
-    (ServiceKind.CONVERSATIONAL, Technology.UMTS): 256.0,
-    (ServiceKind.CONVERSATIONAL, Technology.WLAN): 256.0,
-    (ServiceKind.INTERACTIVE, Technology.UMTS): 512.0,
-    (ServiceKind.INTERACTIVE, Technology.WLAN): 1024.0,
+DEFAULT_DEMAND = DemandTable({
+    ServiceKind.CONVERSATIONAL: {Technology.UMTS: 256.0, Technology.WLAN: 256.0},
+    ServiceKind.INTERACTIVE: {Technology.UMTS: 512.0, Technology.WLAN: 1024.0},
 })
 
 
 class TrafficProfile(_FrozenRecord):
-    """One cell of the arrival mix: a service kind, a preference pair, a probability."""
+    """One cell of the arrival mix: a service kind, its QoS and price weights, a probability."""
 
     service: ServiceKind
-    prefs: UserPreferences
+    w_qos: float
+    w_price: float
     probability: float
 
 
@@ -249,9 +249,10 @@ class Scenario(_FrozenRecord):
         """The shared request of each (home operator, profile), built once per scenario.
 
         Indexed ``[operator index][profile index]``, both in scenario order; a
-        client pays its home operator's ``sp``.
+        client pays its home operator's ``sp``; every home shares a profile's preferences.
         """
-        profiles = [(self.service_class(p.service), p.prefs) for p in self.profile_mix]
+        profiles = [(self.service_class(p.service), UserPreferences(p.w_qos, p.w_price))
+                    for p in self.profile_mix]
         return tuple(tuple(ServiceRequest(net.id, service_class, prefs, net.sp)
                            for service_class, prefs in profiles)
                      for net in self.operators)
@@ -370,17 +371,16 @@ _TYPES = {
     "OperatorNetwork": (_is(OperatorNetwork), "an OperatorNetwork", None),
     "ClassRequirements": (_is(ClassRequirements), "a ClassRequirements", None),
     "TrafficProfile": (_is(TrafficProfile), "a TrafficProfile", None),
-    "UserPreferences": (_is(UserPreferences), "a UserPreferences", None),
     "DemandTable": (_is(DemandTable), "a DemandTable", None),
-    "demand key": (lambda key: isinstance(key, tuple) and len(key) == 2,
-                   "a (ServiceKind, Technology) pair", None),
 }
-# The sections of a scenario that hold entries: their container, what each entry
-# is, and the words a document's entry of the wrong JSON type is reported with.
+# The sections of a scenario that hold entries, keyed by position or by class:
+# their container, what each entry is, and the words a document's entry of the
+# wrong JSON type is reported with.
 _SECTIONS = (("operators", "sequence", "OperatorNetwork", "bad operator entry "),
              ("requirements", "mapping", "ClassRequirements", "bad requirements entry "),
              ("profile_mix", "sequence", "TrafficProfile", "bad profile entry "),
-             ("qos_weights", "mapping", "sequence", "bad "))
+             ("qos_weights", "mapping", "sequence", "bad "),
+             ("demand", "DemandTable", "mapping", "bad demand entry "))
 
 _POSITIVE, _NON_NEGATIVE, _OPEN_UNIT = (lambda x: x > 0), (lambda x: x >= 0), (lambda x: 0 < x < 1)
 # The bound of each field that is checked on its own, and its violation kind.
@@ -426,52 +426,60 @@ def _check_weight_sum(violations, label, values):
         violations.append(f"weight-sum violation: {label} sums to {total!r}, expected 1")
 
 
+def _entries(name, mapping, entry, section):
+    """(label, entry, violation or None) for each entry of a section, in its order.
+
+    A mapping's key that is not a ``ServiceKind`` is the violation, and
+    otherwise an entry that is not an ``entry``.
+    """
+    for key, value in section.items() if mapping else enumerate(section):
+        label = f"{name}[{key}]"
+        if mapping and not _fits("ServiceKind", key):
+            yield label, value, (label, name, "ServiceKind", key)
+        else:
+            yield label, value, None if _fits(entry, value) else (label, name, entry, value)
+
+
 def _scalar_fields(scenario: Scenario):
     """Yield (label, field name, annotation, value) for every scalar of a scenario.
 
-    Each container is checked before the walk enters it: one that is not what
-    its field holds is yielded once, under its ``_TYPES`` key, and skipped.  So
-    is each mapping key that is not a ``ServiceKind`` (for ``demand``, a class
-    that is not one is yielded once however many technologies it lists).
+    A label is the value's path, in the scenario and in its file.  A container
+    that is not what its field holds is yielded once, under its ``_TYPES`` key,
+    and not entered; so is a key that is not a ``ServiceKind`` (in a ``demand``
+    class, a ``Technology``).  Demand's keys and rates follow every record's
+    scalars, in the table's order, and the QoS weights come last.
     """
     records, qos_weights = [], []
     for name, container, entry, _ in _SECTIONS:
+        if name == "demand":
+            continue  # its type is checked with the scenario's fields, its entries after them
         section = getattr(scenario, name)
         if not _fits(container, section):
             yield name, name, container, section
             continue
-        mapping = container == "mapping"
-        for key, value in section.items() if mapping else enumerate(section):
-            if mapping and not _fits("ServiceKind", key):
-                yield f"{name}[{key}]", name, "ServiceKind", key
-            elif not _fits(entry, value):
-                yield f"{name}[{key}]", name, entry, value
+        for label, value, bad in _entries(name, container == "mapping", entry, section):
+            if bad:
+                yield bad
             elif name == "qos_weights":
-                qos_weights.append((f"{name}[{key}]", value))
+                qos_weights.append((label, value))
             else:
-                records.append((f"{name}[{key}].", value))
-    records.append(("", scenario))
-    for where, record in records:
-        for name, annotation, value in _flat_fields(record):
-            # A scalar, or a record (the demand table, a profile's prefs) that is not one.
+                records.append((f"{label}.", value))
+    for where, record in [*records, ("", scenario)]:
+        for name, annotation, _ in fields(record):
+            value = getattr(record, name)
+            # A scalar, or the demand table when it is not one.
             if annotation in _TYPES and (_TYPES[annotation][2] or not _fits(annotation, value)):
                 yield where + name, name, annotation, value
-    rates = scenario.demand.rates if _fits("DemandTable", scenario.demand) else {}
-    if not _fits("mapping", rates):
-        yield "demand.rates", "demand", "mapping", rates
-        rates = {}
-    bad_kinds = set()
-    for key, rate in rates.items():
-        if not _fits("demand key", key):
-            yield "demand.rates key", "demand", "demand key", key
-        elif not _fits("ServiceKind", key[0]):
-            if key[0] not in bad_kinds:
-                bad_kinds.add(key[0])
-                yield f"demand[{key[0]}]", "demand", "ServiceKind", key[0]
-        elif not _fits("Technology", key[1]):
-            yield f"demand[{key[0]}][{key[1]}]", "demand", "Technology", key[1]
-        else:
-            yield f"demand[{key[0]}][{key[1]}]", "demand", "float", rate
+    demand = scenario.demand if _fits("DemandTable", scenario.demand) else {}
+    for where, rates, bad in _entries("demand", True, "mapping", demand):
+        if bad:
+            yield bad
+            continue
+        for tech, rate in rates.items():
+            if _fits("Technology", tech):
+                yield f"{where}[{tech}]", "demand", "float", rate
+            else:
+                yield f"{where}[{tech}]", "demand", "Technology", tech
     for where, weights in qos_weights:
         for j, weight in enumerate(weights):
             yield f"{where}[{j}]", "qos_weights", "float", weight
@@ -498,6 +506,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 
     if not scenario.operators:
         v.append("operators: list is empty, at least one operator is required")
+    elif len(scenario.operators) > MAX_OPERATORS:
+        v.append(f"too many operators: operators has {len(scenario.operators)} entries, "
+                 f"above {MAX_OPERATORS}")
     seen_ids = set()
     for i, net in enumerate(scenario.operators):
         if net.id in seen_ids:
@@ -520,11 +531,11 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if kind not in scenario.requirements:
             v.append(f"missing requirements entry: requirements[{kind}]")
         v.extend(f"missing demand entry: demand[{kind}][{tech}]"
-                 for tech in technologies if (kind, tech) not in scenario.demand.rates)
+                 for tech in technologies if tech not in scenario.demand.get(kind, ()))
 
     for i, profile in enumerate(scenario.profile_mix):
         _check_weight_sum(v, f"profile_mix[{i}] preference weights",
-                          (profile.prefs.w_qos, profile.prefs.w_price))
+                          (profile.w_qos, profile.w_price))
     probabilities = [p.probability for p in scenario.profile_mix]
     total = sum(probabilities)
     if not scenario.profile_mix:
@@ -555,15 +566,9 @@ def ensure_valid(scenario: Scenario) -> Scenario:
 
 def default_profile_mix():
     """Uniform mix over {real-time, non-real-time} x {QoS-leaning, price-leaning}."""
-    entries = []
-    for kind in (ServiceKind.CONVERSATIONAL, ServiceKind.INTERACTIVE):
-        for w_qos, w_price in ((0.7, 0.3), (0.4, 0.6)):
-            entries.append(TrafficProfile(
-                service=kind,
-                prefs=UserPreferences(w_qos=w_qos, w_price=w_price),
-                probability=0.25,
-            ))
-    return tuple(entries)
+    return tuple(TrafficProfile(service=kind, w_qos=w_qos, w_price=w_price, probability=0.25)
+                 for kind in (ServiceKind.CONVERSATIONAL, ServiceKind.INTERACTIVE)
+                 for w_qos, w_price in ((0.7, 0.3), (0.4, 0.6)))
 
 
 def default_scenario() -> Scenario:
@@ -591,33 +596,10 @@ def default_scenario() -> Scenario:
 # --------------------------------------------------------------------------
 # JSON serialization: the schema records' fields are the schema (docs/scenario_schema.md)
 
-@cache
-def _nested_record(annotation):
-    """The schema record class a field of this annotation holds in its parent's object, or None."""
-    cls = globals().get(annotation)
-    # The demand table is a record too, but a document nests its rates by class.
-    return (cls if isinstance(cls, type) and issubclass(cls, _Record) and cls is not DemandTable
-            else None)
-
-
-def _flat_fields(record):
-    """(name, annotation, value) of each field of a record, a nested record's in its place."""
-    for name, annotation, _ in fields(record):
-        value = getattr(record, name)
-        if type(value) is _nested_record(annotation):
-            yield from _flat_fields(value)
-        else:
-            yield name, annotation, value
-
-
 def scenario_to_dict(value):
     """A scenario, or any part of one, as the JSON data of docs/scenario_schema.md."""
-    if isinstance(value, DemandTable):
-        return {kind.value: {tech.value: value.rates[kind, tech]
-                             for tech in Technology if (kind, tech) in value.rates}
-                for kind in ServiceKind}
     if isinstance(value, _Record):
-        return {name: scenario_to_dict(item) for name, _, item in _flat_fields(value)}
+        return {name: scenario_to_dict(getattr(value, name)) for name, _, _ in fields(value)}
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, Mapping):
@@ -664,30 +646,19 @@ def _repeats(obj, prefix, suffix=""):
     return [f"duplicate field: {prefix}{key}{suffix}" for key in getattr(obj, "repeated", ())]
 
 
-def _read_record(cls, entry, where, problems, given):
+def _read_record(cls, entry, where, problems, given=()):
     """``cls`` read from the JSON object ``entry``, or None when a field is missing.
 
-    Each field is popped from a copy of ``entry`` as it is read, and a schema
-    record that ``cls`` holds is read from the same copy, as ``_flat_fields``
-    writes it.  Fields in ``given`` are taken as they are, an absent field
-    takes its default, and every key left over is an unknown field.
+    Fields in ``given`` are taken as they are, an absent field takes its
+    default, and every key left over is an unknown field.
     """
-    rest, found = dict(entry), len(problems)
-
-    def read(cls, values):
-        for name, annotation, default in fields(cls):
-            nested = _nested_record(annotation)
-            if name in values:
-                continue
-            if nested:
-                values[name] = read(nested, {})
-            elif name in rest:
-                values[name] = _read(annotation, rest.pop(name))
-            elif default is MISSING:
-                problems.append(f"missing field: {where}{name}")
-        return cls(**values) if len(problems) == found else None
-
-    record = read(cls, dict(given))
+    rest, values, found = dict(entry), dict(given), len(problems)
+    for name, annotation, default in fields(cls):
+        if name in rest:
+            values[name] = _read(annotation, rest.pop(name))
+        elif default is MISSING and name not in values:
+            problems.append(f"missing field: {where}{name}")
+    record = cls(**values) if len(problems) == found else None
     problems.extend(f"unknown field: {where}{key}" for key in rest)
     return record
 
@@ -704,34 +675,31 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ScenarioError(["scenario document must be a JSON object"])
     doc, problems, given = dict(doc), _repeats(doc, ""), {}
     for name, container, entry, words in _SECTIONS:
-        json_type, cls = (dict if container == "mapping" else list), _nested_record(entry)
+        json_type = list if container == "sequence" else dict
         section = (_expect(doc.pop(name, json_type()), json_type, f"bad field {name}", problems)
                    or json_type())
         problems.extend(_repeats(section, f"{name}[", "]"))
         read = {}
         for key, raw in section.items() if json_type is dict else enumerate(section):
             where = f"{name}[{key}]"
-            if _expect(raw, dict if cls else list, words + where, problems) is None:
+            if _expect(raw, list if entry == "sequence" else dict, words + where, problems) is None:
                 continue
-            problems.extend(_repeats(raw, f"{where}."))
-            if name == "operators" and "name" not in raw:
-                raw = {**raw, "name": f"Op{_read('int', raw.get('id'))}"}
-            read[_read("ServiceKind", key) if json_type is dict else key] = (
-                _read_record(cls, raw, f"{where}.", problems, {}) if cls
-                else tuple(_read("float", w) for w in raw))
-        given[name] = read if json_type is dict else tuple(read.values())
+            if entry == "sequence":
+                value = tuple(_read("float", w) for w in raw)
+            elif entry == "mapping":
+                problems.extend(_repeats(raw, f"{where}[", "]"))
+                value = {_read("Technology", tech): _read("float", rate)
+                         for tech, rate in raw.items()}
+            else:
+                problems.extend(_repeats(raw, f"{where}."))
+                if name == "operators" and "name" not in raw:
+                    raw = {**raw, "name": f"Op{_read('int', raw.get('id'))}"}
+                value = _read_record(globals()[entry], raw, f"{where}.", problems)
+            read[_read("ServiceKind", key) if json_type is dict else key] = value
+        given[name] = (tuple(read.values()) if json_type is list
+                       else DemandTable(read) if container == "DemandTable" else read)
 
-    # A document nests demand rates by class; a DemandTable keys them by pair.
-    rates = {}
-    demand = _expect(doc.pop("demand", {}), dict, "bad field demand", problems) or {}
-    problems.extend(_repeats(demand, "demand[", "]"))
-    for kind, per_tech in demand.items():
-        per_tech = _expect(per_tech, dict, f"bad demand entry demand[{kind}]", problems) or {}
-        problems.extend(_repeats(per_tech, f"demand[{kind}][", "]"))
-        for tech, rate in per_tech.items():
-            rates[_read("ServiceKind", kind), _read("Technology", tech)] = _read("float", rate)
-
-    scenario = _read_record(Scenario, doc, "", problems, {**given, "demand": DemandTable(rates)})
+    scenario = _read_record(Scenario, doc, "", problems, given)
     if problems:
         raise ScenarioError(problems)
     return ensure_valid(scenario)

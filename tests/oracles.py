@@ -91,8 +91,8 @@ def random_instance(rng: random.Random):
         ))
 
     demand = DemandTable({
-        (kind, tech): rng.uniform(32.0, 2048.0)
-        for kind in ServiceKind for tech in Technology
+        kind: {tech: rng.uniform(32.0, 2048.0) for tech in Technology}
+        for kind in ServiceKind
     })
     requirements = {
         kind: ClassRequirements(
@@ -131,7 +131,8 @@ def oracle_arrivals(scenario, seed, count):
     acc = 0.0
     for profile in scenario.profile_mix:
         acc += profile.probability
-        cumulative.append((acc, scenario.service_class(profile.service), profile.prefs))
+        cumulative.append((acc, scenario.service_class(profile.service),
+                           UserPreferences(profile.w_qos, profile.w_price)))
     arrivals = []
     clock = 0.0
     for _ in range(count):

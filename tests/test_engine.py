@@ -110,13 +110,12 @@ def _single_op_scenario(capacity=256.0, cooperation=False):
                                capacity_kbps=capacity, jitter_ms=6.0, delay_ms=19.0,
                                ber=1e-3, sp=0.9, cs=0.9)
     mix = (TrafficProfile(service=ServiceKind.CONVERSATIONAL,
-                          prefs=UserPreferences(0.7, 0.3), probability=1.0),)
+                          w_qos=0.7, w_price=0.3, probability=1.0),)
     return ensure_valid(Scenario(
         operators=(operator,),
-        demand=DemandTable({(ServiceKind.CONVERSATIONAL, Technology.UMTS): 256.0,
-                            (ServiceKind.CONVERSATIONAL, Technology.WLAN): 256.0,
-                            (ServiceKind.INTERACTIVE, Technology.UMTS): 512.0,
-                            (ServiceKind.INTERACTIVE, Technology.WLAN): 1024.0}),
+        demand=DemandTable({
+            ServiceKind.CONVERSATIONAL: {Technology.UMTS: 256.0, Technology.WLAN: 256.0},
+            ServiceKind.INTERACTIVE: {Technology.UMTS: 512.0, Technology.WLAN: 1024.0}}),
         qos_weights=base.qos_weights,
         requirements=base.requirements,
         profile_mix=mix,
@@ -382,7 +381,7 @@ def test_generated_traffic_matches_profile_mix():
     home_counts = {net.id: 0 for net in scenario.operators}
     sp_by_id = {net.id: net.sp for net in scenario.operators}
     arrivals = 12000
-    lookup = {(p.service, p.prefs.w_qos): i for i, p in enumerate(scenario.profile_mix)}
+    lookup = {(p.service, p.w_qos): i for i, p in enumerate(scenario.profile_mix)}
     for _ in range(arrivals):
         _, request = generate_arrival(0.0, draws)
         profile_counts[lookup[(request.service_class.kind, request.prefs.w_qos)]] += 1
@@ -424,7 +423,8 @@ _PROFILES = ((ServiceKind.CONVERSATIONAL, UserPreferences(0.7, 0.3)),
 
 def _mix_scenario(probabilities):
     """The default scenario with one profile of distinct prefs per probability."""
-    mix = tuple(TrafficProfile(service=service, prefs=prefs, probability=probability)
+    mix = tuple(TrafficProfile(service=service, w_qos=prefs.w_qos, w_price=prefs.w_price,
+                               probability=probability)
                 for (service, prefs), probability in zip(_PROFILES, probabilities))
     return ensure_valid(replace(default_scenario(), profile_mix=mix))
 
@@ -444,7 +444,8 @@ def _requests_drawn(scenario, uniforms, homes=None):
 def _profiles_drawn(probabilities, uniforms):
     """The mix index of the profile each uniform draw takes from a mix of these probabilities."""
     scenario = _mix_scenario(probabilities)
-    index = {profile.prefs: i for i, profile in enumerate(scenario.profile_mix)}
+    index = {UserPreferences(profile.w_qos, profile.w_price): i
+             for i, profile in enumerate(scenario.profile_mix)}
     return [index[request.prefs] for request in _requests_drawn(scenario, uniforms)]
 
 
@@ -627,7 +628,8 @@ def test_occupancy_checks_tolerate_rounding_at_the_scale_of_the_capacities():
         base, replications=2,
         operators=tuple(replace(net, capacity_kbps=net.capacity_kbps * scale, used_kbps=0.1)
                         for net in base.operators),
-        demand=DemandTable({key: rate * scale for key, rate in base.demand.rates.items()})))
+        demand=DemandTable({kind: {tech: rate * scale for tech, rate in per_tech.items()}
+                            for kind, per_tech in base.demand.items()})))
     report, log = run_logged(run_experiment, scenario)
     assert [r.seed for r in report.results] == replication_seeds(scenario)
     for result in report.results:

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import time
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from accessim import model
 from accessim.engine import run_experiment
 from accessim.model import (
     MAX_EXPECTED_ARRIVALS,
+    MAX_OPERATORS,
     DemandTable,
     ScenarioError,
     ServiceKind,
@@ -29,6 +31,7 @@ from accessim.model import (
     scenario_to_dict,
     validate_scenario,
 )
+from test_cli import CALIBRATED, run_cli
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -71,7 +74,7 @@ def test_default_demand_and_mix():
     assert s.demand.rate(ServiceKind.INTERACTIVE, Technology.WLAN) == 1024.0
     assert len(s.profile_mix) == 4
     assert sum(p.probability for p in s.profile_mix) == pytest.approx(1.0)
-    assert {(p.prefs.w_qos, p.prefs.w_price) for p in s.profile_mix} == {(0.7, 0.3), (0.4, 0.6)}
+    assert {(p.w_qos, p.w_price) for p in s.profile_mix} == {(0.7, 0.3), (0.4, 0.6)}
     assert (s.mean_interarrival_s, s.mean_service_s) == (2.5, 240.0)
     assert (s.duration_s, s.replications, s.base_seed) == (1200.0, 20, 42)
 
@@ -87,8 +90,9 @@ def test_remaining_kbps():
 def test_requests_and_sessions_are_immutable():
     s = default_scenario()
     profile = s.profile_mix[0]
+    prefs = UserPreferences(profile.w_qos, profile.w_price)
     request = ServiceRequest(home_op=2, service_class=s.service_class(profile.service),
-                             prefs=profile.prefs, price_paid=0.1)
+                             prefs=prefs, price_paid=0.1)
     session = Session(request=request, serving_op=3, rate_kbps=256.0, start_s=1.0,
                       duration_s=2.0)
     for record, field in ((request, "home_op"), (session, "serving_op")):
@@ -97,12 +101,12 @@ def test_requests_and_sessions_are_immutable():
     with pytest.raises(AttributeError):
         del request.price_paid
     assert (request.home_op, request.price_paid) == (2, 0.1)
-    assert request == ServiceRequest(2, s.service_class(profile.service), profile.prefs, 0.1)
-    assert request != ServiceRequest(3, s.service_class(profile.service), profile.prefs, 0.1)
+    assert request == ServiceRequest(2, s.service_class(profile.service), prefs, 0.1)
+    assert request != ServiceRequest(3, s.service_class(profile.service), prefs, 0.1)
 
 
 def test_demand_rate_missing_pair_raises():
-    table = DemandTable({(ServiceKind.CONVERSATIONAL, Technology.UMTS): 256.0})
+    table = DemandTable({ServiceKind.CONVERSATIONAL: {Technology.UMTS: 256.0}})
     with pytest.raises(KeyError):
         table.rate(ServiceKind.INTERACTIVE, Technology.WLAN)
 
@@ -112,7 +116,7 @@ def test_demand_rate_accepts_string_values_of_the_enums():
     assert (table.rate("interactive", "WLAN")
             == table.rate(ServiceKind.INTERACTIVE, Technology.WLAN) == 1024.0)
     assert table.rate(ServiceKind.CONVERSATIONAL, "UMTS") == 256.0
-    sparse = DemandTable({(ServiceKind.CONVERSATIONAL, Technology.UMTS): 256.0})
+    sparse = DemandTable({ServiceKind.CONVERSATIONAL: {Technology.UMTS: 256.0}})
     with pytest.raises(KeyError):
         sparse.rate("interactive", "WLAN")
 
@@ -125,11 +129,12 @@ def test_arrival_profiles_accumulate_in_mix_order():
     # a client pays its home's sp.
     assert [[(r.home_op, r.service_class, r.prefs, r.price_paid) for r in row]
             for row in requests] == [[(net.id, s.service_class(profile.service),
-                                       profile.prefs, net.sp)
+                                       UserPreferences(profile.w_qos, profile.w_price), net.sp)
                                       for profile in s.profile_mix]
                                      for net in s.operators]
-    assert all(r.prefs is profile.prefs
-               for row in requests for r, profile in zip(row, s.profile_mix, strict=True))
+    # Every home shares one preference pair per profile.
+    assert all(r.prefs is first.prefs
+               for row in requests for r, first in zip(row, requests[0], strict=True))
 
 
 def _with_operator(scenario, index, **changes):
@@ -143,9 +148,7 @@ def test_validation_reports_every_violation_at_once():
     s = _with_operator(s, 0, capacity_kbps=-5.0)
     s = replace(s, qos_weights={**s.qos_weights,
                                 ServiceKind.CONVERSATIONAL: (0.5, 0.5, 0.5, 0.5)})
-    rates = dict(s.demand.rates)
-    del rates[(ServiceKind.INTERACTIVE, Technology.WLAN)]
-    s = replace(s, demand=DemandTable(rates))
+    s = with_scalar(s, "demand[interactive]", {Technology.UMTS: 512.0})
     violations = validate_scenario(s)
     assert len(violations) >= 3
     assert any("non-positive capacity" in v for v in violations)
@@ -193,30 +196,40 @@ def test_profile_mix_probability_sum_checked():
     assert any("profile_mix probabilities" in v for v in violations)
 
 
+def _entry(container, step):
+    """The entry that one step of a label names: a record's field, a mapping's key or an index."""
+    if isinstance(container, model._Record):
+        return getattr(container, step)
+    return container[step if isinstance(container, Mapping) else int(step)]
+
+
+def _with_entry(container, step, value):
+    """A copy of ``container`` with the entry that ``step`` names set to ``value``."""
+    if isinstance(container, model._Record):
+        return replace(container, **{step: value})
+    if isinstance(container, Mapping):
+        return type(container)({**container, step: value})  # an enum key keeps its member
+    return (*container[:int(step)], value, *container[int(step) + 1:])
+
+
 def with_scalar(scenario, label, value):
-    """``scenario`` with the scalar that validation calls ``label`` set to ``value``."""
-    section, _, rest = label.partition("[")
-    if not rest:
-        return replace(scenario, **{label: value})
-    key, _, rest = rest.partition("]")  # rest is ".field" or "[key]"
-    if section in ("operators", "profile_mix"):
-        records = list(getattr(scenario, section))
-        record, name = records[int(key)], rest[1:]
-        if name in ("w_qos", "w_price"):
-            records[int(key)] = replace(record, prefs=replace(record.prefs, **{name: value}))
-        else:
-            records[int(key)] = replace(record, **{name: value})
-        return replace(scenario, **{section: tuple(records)})
-    kind = ServiceKind(key)
-    if section == "requirements":
-        bounds = replace(scenario.requirements[kind], **{rest[1:]: value})
-        return replace(scenario, requirements={**scenario.requirements, kind: bounds})
-    if section == "demand":
-        rates = {**scenario.demand.rates, (kind, Technology(rest[1:-1])): value}
-        return replace(scenario, demand=DemandTable(rates))
-    weights = list(scenario.qos_weights[kind])
-    weights[int(rest[1:-1])] = value
-    return replace(scenario, qos_weights={**scenario.qos_weights, kind: tuple(weights)})
+    """``scenario`` with the value that validation calls ``label`` set to ``value``.
+
+    Every label is a path into the scenario, as into its file:
+    ``demand[interactive][WLAN]`` is ``scenario.demand["interactive"]["WLAN"]``
+    and ``profile_mix[0].w_qos`` is ``scenario.profile_mix[0].w_qos``.
+    """
+    steps = re.findall(r"[^.\[\]]+", label)
+    path = [scenario]
+    for step in steps[:-1]:
+        path.append(_entry(path[-1], step))
+    for container, step in zip(reversed(path), reversed(steps)):
+        value = _with_entry(container, step, value)
+    return value
+
+
+# A container or a record is set the way a scalar is.
+with_container = with_scalar
 
 
 @pytest.mark.parametrize("field, value", [("replications", 2.5), ("replications", True),
@@ -250,27 +263,11 @@ def json_with(scenario, label, value):
     return doc
 
 
-def with_container(scenario, label, value):
-    """``scenario`` with the container or record that validation calls ``label`` set to ``value``."""
-    if label == "demand.rates":
-        return replace(scenario, demand=DemandTable(value))
-    section, _, rest = label.partition("[")
-    if not rest:
-        return replace(scenario, **{section: value})
-    key, _, name = rest.partition("]")  # name is "" or ".prefs"
-    entries = getattr(scenario, section)
-    if section in ("operators", "profile_mix"):
-        entries = list(entries)
-        entries[int(key)] = replace(entries[int(key)], prefs=value) if name else value
-        return replace(scenario, **{section: tuple(entries)})
-    return replace(scenario, **{section: {**entries, ServiceKind(key): value}})
-
-
 @pytest.mark.parametrize("label, value", [("operators", None), ("profile_mix", None),
                                           ("requirements", None), ("qos_weights", None),
-                                          ("demand", None), ("demand.rates", None),
+                                          ("demand", None), ("demand[interactive]", None),
                                           ("operators[1]", None), ("profile_mix[0]", None),
-                                          ("profile_mix[0].prefs", None),
+                                          ("demand[conversational]", 5),
                                           ("requirements[interactive]", (20.0, 150.0, 1e-5)),
                                           ("qos_weights[interactive]", None),
                                           ("qos_weights[interactive]", 0.5)])
@@ -299,7 +296,7 @@ def _without_interactive(section):
     ("qos_weights[interactive]", (-0.25, 0.75, 0.25, 0.25),
      "weight-sum violation: qos_weights[interactive] has a negative entry "
      "(-0.25, 0.75, 0.25, 0.25)"),
-    ("profile_mix[0].prefs", UserPreferences(-0.5, 1.5),
+    ("profile_mix[0]", replace(default_scenario().profile_mix[0], w_qos=-0.5, w_price=1.5),
      "weight-sum violation: profile_mix[0] preference weights has a negative entry (-0.5, 1.5)"),
 ])
 def test_a_rule_across_a_sections_entries_gives_one_violation(label, value, violation):
@@ -323,15 +320,12 @@ def test_a_bad_mapping_key_is_one_bad_type(section, key):
 @pytest.mark.parametrize("key", [("conversational",), ("conversational", "UMTS", "x"), "x",
                                  ("video", "UMTS"), (ServiceKind.CONVERSATIONAL, "LTE")])
 def test_a_bad_demand_key_is_one_bad_type(key):
-    # A pair is checked half by half, the class as a ServiceKind, the technology as a Technology.
-    expected = {
-        ("video", "UMTS"): "demand[video] = 'video', expected one of conversational, interactive",
-        (ServiceKind.CONVERSATIONAL, "LTE"): ("demand[conversational][LTE] = 'LTE', "
-                                              "expected one of UMTS, WLAN"),
-    }.get(key, f"demand.rates key = {key!r}, expected a (ServiceKind, Technology) pair")
-    for rates in ({key: 1.0}, {**default_scenario().demand.rates, key: 1.0}):
-        violations = validate_scenario(replace(default_scenario(), demand=DemandTable(rates)))
-        assert violations == [f"bad type: {expected}"]
+    # A demand table is keyed by class; a pair, as a key, is no class.
+    for demand in ({key: {Technology.UMTS: 1.0, Technology.WLAN: 1.0}},
+                   {**default_scenario().demand, key: {Technology.UMTS: 1.0}}):
+        violations = validate_scenario(replace(default_scenario(), demand=DemandTable(demand)))
+        assert violations == [f"bad type: demand[{key}] = {key!r}, "
+                              "expected one of conversational, interactive"]
 
 
 def test_a_bad_json_demand_class_is_reported_once():
@@ -341,6 +335,40 @@ def test_a_bad_json_demand_class_is_reported_once():
         scenario_from_dict(doc)
     assert err.value.violations == [
         "bad type: demand[video] = 'video', expected one of conversational, interactive"]
+
+
+# One breach in a record, two in demand (a technology, then a class, in the
+# file's order) and one in the QoS weights, and how they are reported in order.
+MIXED_BREACHES = (("operators[0].capacity_kbps", "x"), ("qos_weights[interactive][0]", "y"),
+                  ("demand[interactive][LTE]", 3), ("demand[video]", {"UMTS": 1}))
+MIXED_VIOLATIONS = [
+    "bad type: operators[0].capacity_kbps = 'x', expected a number",
+    "bad type: demand[interactive][LTE] = 'LTE', expected one of UMTS, WLAN",
+    "bad type: demand[video] = 'video', expected one of conversational, interactive",
+    "bad type: qos_weights[interactive][0] = 'y', expected a number",
+]
+
+
+def test_violations_across_sections_keep_their_order(tmp_path):
+    # Every record's scalars, then demand's keys and rates in the file's order,
+    # then the QoS weights.
+    doc = json.loads(Path(CALIBRATED).read_text())
+    doc["operators"][0]["capacity_kbps"] = "x"
+    doc["qos_weights"]["interactive"][0] = "y"
+    doc["demand"]["interactive"]["LTE"] = 3
+    doc["demand"]["video"] = {"UMTS": 1}
+    path, out = tmp_path / "mixed.json", tmp_path / "never"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("run", "--scenario", str(path), "--out", str(out))
+    assert (proc.returncode, proc.stderr.splitlines()) == (2, MIXED_VIOLATIONS)
+    assert not out.exists()
+
+
+def test_a_scenario_built_in_python_keeps_the_order_of_its_file():
+    s = load_scenario(CALIBRATED)
+    for label, value in MIXED_BREACHES:
+        s = with_scalar(s, label, value)
+    assert validate_scenario(s) == MIXED_VIOLATIONS
 
 
 @pytest.mark.parametrize("label, path, raw", [
@@ -379,15 +407,15 @@ def test_plain_string_enum_values_validate_and_run():
 def test_demand_is_required_only_for_technologies_in_use():
     s = default_scenario()
     # Op1 is the only UMTS network, so without it no UMTS rate is read.
-    rates = {key: rate for key, rate in s.demand.rates.items() if key[1] is Technology.WLAN}
-    wlan_only = replace(s, operators=s.operators[1:], demand=DemandTable(rates),
+    rates = DemandTable({kind: {Technology.WLAN: per_tech[Technology.WLAN]}
+                         for kind, per_tech in s.demand.items()})
+    wlan_only = replace(s, operators=s.operators[1:], demand=rates,
                         duration_s=100.0, replications=2)
     assert validate_scenario(wlan_only) == []
     for result in run_experiment(wlan_only).results:
         assert result.arrivals == (result.blocked + result.served_home
                                    + result.served_transferred) > 0
-    del rates[(ServiceKind.INTERACTIVE, Technology.WLAN)]
-    assert validate_scenario(replace(wlan_only, demand=DemandTable(rates))) == [
+    assert validate_scenario(with_scalar(wlan_only, "demand[interactive]", {})) == [
         "missing demand entry: demand[interactive][WLAN]"]
 
 
@@ -759,6 +787,29 @@ def test_replications_count_towards_the_arrival_cap(tmp_path):
     with pytest.raises(ScenarioError) as err:
         load_scenario(path)
     assert [v.split(":")[0] for v in err.value.violations] == ["too many expected arrivals"]
+
+
+def _copies_of_the_default_operators(n):
+    operators = default_scenario().operators * n
+    return tuple(replace(net, id=i + 1) for i, net in enumerate(operators[:n]))
+
+
+def test_the_operator_count_is_capped(tmp_path):
+    # The admission table compiles up to every other operator per operator and class.
+    s = default_scenario()
+    assert validate_scenario(replace(s, operators=_copies_of_the_default_operators(100))) == []
+    over = replace(s, operators=_copies_of_the_default_operators(MAX_OPERATORS + 1))
+    assert validate_scenario(over) == ["too many operators: operators has 101 entries, above 100"]
+    # Refused before any table is built: 3,000 operators would take minutes and gigabytes.
+    doc = json.loads(Path(CALIBRATED).read_text())
+    doc["operators"] = [dict(op, id=i + 1) for i, op in enumerate(doc["operators"] * 1000)]
+    path, out = tmp_path / "many-ops.json", tmp_path / "never"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("run", "--scenario", str(path), "--out", str(out), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "too many operators: operators has 3000 entries, above 100"]
+    assert not out.exists()
 
 
 def test_a_mean_interarrival_time_whose_rate_overflows_is_refused():

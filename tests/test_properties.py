@@ -30,7 +30,6 @@ from accessim.model import (
     ServiceKind,
     Technology,
     TrafficProfile,
-    UserPreferences,
     expected_arrivals,
     replace,
     scenario_from_dict,
@@ -88,15 +87,15 @@ def scenarios(draw):
                                     max_size=len(profiles))))
     scenario = Scenario(
         operators=draw(operators()),
-        demand=DemandTable({(kind, tech): draw(st.floats(min_value=16.0, max_value=2048.0))
-                            for kind in ServiceKind for tech in Technology}),
+        demand=DemandTable({kind: {tech: draw(st.floats(min_value=16.0, max_value=2048.0))
+                                   for tech in Technology}
+                            for kind in ServiceKind}),
         qos_weights={kind: draw(weights(4)) for kind in ServiceKind},
         requirements={kind: ClassRequirements(jitter_req=draw(positive),
                                               delay_req=draw(positive),
                                               ber_req=draw(probability))
                       for kind in ServiceKind},
-        profile_mix=tuple(TrafficProfile(service=kind, prefs=UserPreferences(*prefs),
-                                         probability=p)
+        profile_mix=tuple(TrafficProfile(kind, *prefs, probability=p)
                           for (kind, prefs), p in zip(profiles, mix)),
         mean_interarrival_s=draw(st.floats(min_value=0.2, max_value=10.0)),
         mean_service_s=draw(st.floats(min_value=1.0, max_value=120.0)),
@@ -232,10 +231,10 @@ def _container_slots(scenario):
     """(label, what a wrong value is drawn from) for each container and record of a scenario."""
     slots = [("operators", not_an_array), ("profile_mix", not_an_array),
              ("requirements", not_an_object), ("qos_weights", not_an_object),
-             ("demand", not_an_object), ("demand.rates", not_an_object)]
+             ("demand", not_an_object)]
     slots += [(f"operators[{i}]", not_an_object) for i in range(len(scenario.operators))]
-    for i in range(len(scenario.profile_mix)):
-        slots += [(f"profile_mix[{i}]", not_an_object), (f"profile_mix[{i}].prefs", not_an_object)]
+    slots += [(f"profile_mix[{i}]", not_an_object) for i in range(len(scenario.profile_mix))]
+    slots += [(f"demand[{kind}]", not_an_object) for kind in scenario.demand]
     slots += [(f"requirements[{kind}]", not_an_object) for kind in scenario.requirements]
     slots += [(f"qos_weights[{kind}]", not_an_array) for kind in scenario.qos_weights]
     return slots

@@ -1,6 +1,6 @@
-"""The record contract: one record base, two named tuples, no dataclass.
+"""The record contract: one record base, two named tuples, one dict, no dataclass.
 
-Every record but two is a ``model._Record``, which builds its field tuple
+Every record but three is a ``model._Record``, which builds its field tuple
 from the annotated class body once, when the class is created: that costs
 microseconds at import where a dataclass or a ``typing.NamedTuple`` costs up
 to a millisecond.  The records read on every arrival (the request, its
@@ -9,10 +9,12 @@ records like the rest.  Only the mutable ledger writes its own ``__init__``
 over ``__slots__``, so that a write to a misspelt field raises.  The
 engine's ``Session`` and the reports' ``ScopeRow`` are
 ``collections.namedtuple`` rows, which the engine builds with
-``tuple.__new__`` and the reports zip, slice and ``_make``.  The schema
-records and the records that were named tuples keep what a dataclass or a
-named tuple gave them: keywords and defaults, read-only fields (but a
-network's ``used_kbps``), equality, hash and repr by field, copy and pickle.
+``tuple.__new__`` and the reports zip, slice and ``_make``.  The demand
+table is a ``dict`` of each class's rates by technology, as a file nests
+them.  The schema records and the records that were named tuples keep what
+a dataclass or a named tuple gave them: keywords and defaults, read-only
+fields (but a network's ``used_kbps``), equality, hash and repr by field,
+copy and pickle.
 """
 
 import copy
@@ -30,7 +32,7 @@ SCHEMA = {"ClassRequirements", "UserPreferences", "OperatorNetwork", "TrafficPro
           "Scenario"}
 PER_ARRIVAL = {"ServiceRequest", "ServiceClass", "AdmissionDecision", "Route", "Candidate"}
 SLOT_CLASSES = {"OperatorLedger"}
-CONVERTED = {"ReplicationResult", "MetricsReport", "DemandTable", "RngStreams",
+CONVERTED = {"ReplicationResult", "MetricsReport", "RngStreams",
              "ExchangeMatrix", "ScopeStats", "BlockingStats", "Series"}
 
 
@@ -54,7 +56,8 @@ def test_records_share_one_base_and_only_two_are_named_tuples():
     assert slotted == SLOT_CLASSES
     on_base = {name for name, cls in records.items() if issubclass(cls, model._Record)}
     assert on_base == SCHEMA | CONVERTED | PER_ARRIVAL | SLOT_CLASSES
-    assert on_base | {"Session", "ScopeRow"} == set(records)
+    assert on_base | {"Session", "ScopeRow", "DemandTable"} == set(records)
+    assert issubclass(records["DemandTable"], dict)
     assert {name for name in on_base if "__init__" in vars(records[name])} == SLOT_CLASSES
     assert all(issubclass(records[name], model._FrozenRecord) for name in PER_ARRIVAL)
 
@@ -66,8 +69,8 @@ def _samples():
     requirements = model.ClassRequirements(jitter_req=10.0, delay_req=100.0, ber_req=1e-3)
     prefs = model.UserPreferences(w_qos=0.7, w_price=0.3)
     network = default_scenario().operators[0]
-    profile = model.TrafficProfile(service=interactive, prefs=prefs, probability=0.25)
-    demand = model.DemandTable(rates={(interactive, model.Technology.WLAN): 1024.0})
+    profile = model.TrafficProfile(service=interactive, w_qos=0.7, w_price=0.3, probability=0.25)
+    demand = model.DemandTable({interactive: {model.Technology.WLAN: 1024.0}})
     scenario = model.Scenario(operators=(network,), demand=demand,
                               qos_weights={interactive: (0.25, 0.25, 0.25, 0.25)},
                               requirements={interactive: requirements},
@@ -89,9 +92,7 @@ def _samples():
                   "capacity_kbps=1700.0, jitter_ms=6.0, delay_ms=19.0, ber=0.001, sp=0.9, "
                   "cs=0.9, w_u=1.0, w_op=1.0, used_kbps=0.0)", False),
         (profile, "TrafficProfile(service=<ServiceKind.INTERACTIVE: 'interactive'>, "
-                  "prefs=UserPreferences(w_qos=0.7, w_price=0.3), probability=0.25)", True),
-        (demand, "DemandTable(rates={(<ServiceKind.INTERACTIVE: 'interactive'>, "
-                 "<Technology.WLAN: 'WLAN'>): 1024.0})", False),
+                  "w_qos=0.7, w_price=0.3, probability=0.25)", True),
         (scenario, f"Scenario(operators=({network!r},), demand={demand!r}, "
                    "qos_weights={<ServiceKind.INTERACTIVE: 'interactive'>: "
                    "(0.25, 0.25, 0.25, 0.25)}, requirements={<ServiceKind.INTERACTIVE: "
@@ -127,7 +128,7 @@ def test_samples_cover_every_schema_and_converted_record():
     assert {type(record).__name__ for record, _, _ in _samples()} == SCHEMA | CONVERTED
 
 
-@pytest.mark.parametrize("index", range(13))
+@pytest.mark.parametrize("index", range(12))
 def test_records_keep_what_a_dataclass_or_named_tuple_gave_them(index):
     record, printed, hashable = _samples()[index]
     cls = type(record)
@@ -297,7 +298,7 @@ def test_converted_records_keep_keywords_defaults_and_replace():
     assert replace(series, dashed=True) == charts.Series("a", ((1.0, 2.0),), True)
     stats = analytics.ScopeStats(values=(1.0, 3.0))
     assert (stats.mean, replace(stats, values=(2.0,)).mean) == (2.0, 2.0)
-    demand = model.DemandTable(rates={("interactive", "WLAN"): 1024.0})
+    demand = model.DemandTable({"interactive": {"WLAN": 1024.0}})
     assert demand.rate(model.ServiceKind.INTERACTIVE, model.Technology.WLAN) == 1024.0
     matrix = analytics.ExchangeMatrix(op_ids=(1, 2), counts={(1, 2, "interactive"): 3})
     assert matrix.count(1, 2, "interactive") == 3

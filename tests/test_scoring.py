@@ -71,10 +71,10 @@ def test_zero_divisors_rejected():
     for field in ("jitter_ms", "delay_ms", "ber"):
         _table([replace(net, **{field: 0.0}) if net.id == 1 else net
                 for net in default_scenario().operators])
-    rates = dict(default_scenario().demand.rates)
-    rates[CONV, Technology.WLAN] = 0.0
+    demand = DemandTable({kind: dict(rates) for kind, rates in default_scenario().demand.items()})
+    demand[CONV][Technology.WLAN] = 0.0
     with pytest.raises(ValueError):
-        _table(demand=DemandTable(rates))
+        _table(demand=demand)
 
 
 def test_user_score_ideal_qos_part_is_one():
@@ -152,8 +152,8 @@ def test_random_offers_stay_finite_and_bounded():
             sp=rng.uniform(0.01, 2.0),
         )
         home = replace(_ops()[1], sp=2.0)  # sets the table's sp_max
-        demand = DemandTable({(kind, tech): rng.uniform(16.0, 2048.0)
-                              for kind in ServiceKind for tech in Technology})
+        demand = DemandTable({kind: {tech: rng.uniform(16.0, 2048.0) for tech in Technology}
+                              for kind in ServiceKind})
         requirements = {kind: ClassRequirements(jitter_req=rng.uniform(1.0, 30.0),
                                                 delay_req=rng.uniform(5.0, 250.0),
                                                 ber_req=10.0 ** rng.uniform(-7.0, -2.0))
