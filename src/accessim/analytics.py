@@ -68,19 +68,13 @@ class ExchangeMatrix(_FrozenRecord):
         return self.counts.get((from_op, to_op, ServiceKind(kind)), 0)
 
     def row_total(self, from_op, kind):
-        kind = ServiceKind(kind)
-        return sum(n for (f, _, k), n in self.counts.items() if f == from_op and k == kind)
+        return sum(self.count(from_op, to_op, kind) for to_op in self.op_ids)
 
     def row_percentages(self, from_op, kind):
         """Share of each destination within one (home, kind) row; zeros when the row is empty."""
         total = self.row_total(from_op, kind)
-        out = {}
-        for to_op in self.op_ids:
-            if to_op == from_op:
-                continue
-            n = self.count(from_op, to_op, kind)
-            out[to_op] = 100.0 * n / total if total else 0.0
-        return out
+        return {to_op: 100.0 * self.count(from_op, to_op, kind) / total if total else 0.0
+                for to_op in self.op_ids if to_op != from_op}
 
 
 def exchange_matrix(results: Iterable[ReplicationResult], op_ids) -> ExchangeMatrix:

@@ -1,7 +1,9 @@
 """Command-line front end: single runs, arrival-rate sweeps, cooperation comparison.
 
 Every command runs a grid of (mean interarrival, cooperation) cells through
-``run_grid``; ``run`` is the one-cell grid at the scenario's own rate.
+``run_grid``; ``run`` is the one-cell grid at the scenario's own rate.  Each
+cell is then summarized once, and every report is a projection of those
+summaries.
 
 Exit codes: 0 on success, 1 on I/O failure, 2 on scenario validation failure
 (violations printed to stderr, one per line, with no partial outputs).
@@ -34,6 +36,7 @@ from .model import (
 CSV_FORMAT_VERSION = 1
 
 DEFAULT_SWEEP = (2.5, 25.0 / 9.0, 10.0 / 3.0, 5.0)
+MODES = {"on": (True,), "off": (False,), "both": (True, False)}  # --cooperation choices
 
 METRICS_HEADER = ("replication", "seed", "scope", *analytics.ScopeRow._fields)
 SUMMARY_HEADER = ("scope", "metric", "mean", "stddev", "ci95", "min", "max")
@@ -72,40 +75,6 @@ def write_summary_csv(path: Path, stats) -> None:
         for metric, cell in zip(analytics.ScopeRow._fields, row)])
 
 
-def sweep_header(scenario: Scenario):
-    return ("mean_interarrival_s", "cooperation", "replication", "seed",
-            "arrivals", "blocked", "blocking_probability",
-            *(f"profit_op{net.id}" for net in scenario.operators))
-
-
-def compare_header(scenario: Scenario):
-    return ("mean_interarrival_s", "cooperation", "arrivals_mean", "blocking_mean",
-            "blocking_stddev", "blocking_ci95",
-            *(f"blocking_op{net.id}_mean" for net in scenario.operators),
-            *(f"profit_op{net.id}_mean" for net in scenario.operators))
-
-
-def exchange_header(scenario: Scenario):
-    return ("from_operator", "service_class",
-            *(f"to_op{net.id}" for net in scenario.operators))
-
-
-def write_exchange_csv(path: Path, scenario: Scenario, results) -> None:
-    ids = [net.id for net in scenario.operators]
-    matrix = analytics.exchange_matrix(results, op_ids=ids)
-    rows = []
-    for from_op in ids:
-        for kind in ServiceKind:
-            pcts = matrix.row_percentages(from_op, kind)
-            rows.append((from_op, kind.value,
-                         *(pcts.get(to_op, 0.0) for to_op in ids)))
-    _write_csv(path, exchange_header(scenario), rows)
-
-
-def _modes(choice: str):
-    return {"on": (True,), "off": (False,), "both": (True, False)}[choice]
-
-
 def _mode_name(cooperation: bool) -> str:
     return "on" if cooperation else "off"
 
@@ -133,71 +102,83 @@ def run_grid(scenario: Scenario, sweep, modes) -> dict[tuple[float, bool], Metri
     return {key: run_experiment(cell) for key, cell in cells.items()}
 
 
+def _summaries(grid, stats: bool):
+    """Each grid cell once, in grid order: its key, its replications, their
+    ``scope_rows`` and, if ``stats``, the ``scope_stats`` of those (else None)."""
+    for key, report in grid.items():
+        tables = analytics.report_rows(report)
+        yield key, report.results, tables, analytics.scope_stats(tables) if stats else None
+
+
 def cmd_run(scenario: Scenario, grid, args, out: Path) -> int:
-    [report] = grid.values()
-    tables = analytics.report_rows(report)
+    [(_, results, tables, stats)] = _summaries(grid, stats=True)
     _write_csv(out / "metrics.csv", METRICS_HEADER,
                [(index, result.seed, scope, *row)
-                for index, (result, table) in enumerate(zip(report.results, tables))
+                for index, (result, table) in enumerate(zip(results, tables))
                 for scope, row in table.items()])
-    write_summary_csv(out / "summary.csv", analytics.scope_stats(tables))
+    write_summary_csv(out / "summary.csv", stats)
     return 0
 
 
 def cmd_sweep(scenario: Scenario, grid, args, out: Path) -> int:
-    rows, by_mode = [], {}
-    for (mean_interarrival, cooperation), report in grid.items():
-        tables = analytics.report_rows(report)
-        for index, (result, table) in enumerate(zip(report.results, tables)):
+    # Chart points: one curve per mode of the global blocking, then of each
+    # operator's profit, in the order of the charts' series (colours follow it).
+    curves = [(name, {cooperation: [] for _, cooperation in grid})
+              for name in ("cooperation", *(net.name for net in scenario.operators))]
+    rows = []
+    for (mean_interarrival, cooperation), results, tables, stats in _summaries(grid, args.svg):
+        for index, (result, table) in enumerate(zip(results, tables)):
             overall, *operators = table.values()
             rows.append((mean_interarrival, _mode_name(cooperation), index, result.seed,
                          *overall[:3], *(row.profit for row in operators)))
-        if args.svg:  # keep only the charts' points, not the whole table
-            overall, *operators = analytics.scope_stats(tables).values()
-            by_mode.setdefault(cooperation, []).append(
-                (overall.arrivals.mean, overall.blocking_probability.mean,
-                 [row.profit.mean for row in operators]))
-    _write_csv(out / "sweep.csv", sweep_header(scenario), rows)
+        if args.svg:
+            overall, *operators = stats.values()
+            arrivals = overall.arrivals.mean
+            values = (overall.blocking_probability.mean, *(row.profit.mean for row in operators))
+            for (_, by_mode), value in zip(curves, values):
+                by_mode[cooperation].append((arrivals, value))
+    _write_csv(out / "sweep.csv", ("mean_interarrival_s", "cooperation", "replication", "seed",
+                                   "arrivals", "blocked", "blocking_probability",
+                                   *(f"profit_op{net.id}" for net in scenario.operators)), rows)
     if args.svg:
-        _write_sweep_charts(out, scenario, by_mode)
+        blocking, *profits = [[Series(f"{name} {_mode_name(cooperation)}", tuple(points),
+                                      dashed=not cooperation)
+                               for cooperation, points in by_mode.items()]
+                              for name, by_mode in curves]
+        (out / "blocking.svg").write_text(line_chart(
+            "Global blocking vs offered arrivals", "mean arrivals per replication",
+            "blocking probability", blocking))
+        (out / "profits.svg").write_text(line_chart(
+            "Operator profit vs offered arrivals", "mean arrivals per replication",
+            "mean profit", [series for family in profits for series in family]))
     return 0
 
 
-def _write_sweep_charts(out: Path, scenario: Scenario, by_mode) -> None:
-    """Blocking and profit curves from each mode's (arrivals, blocking, profits) points."""
-    blocking_series = [
-        Series(f"cooperation {_mode_name(cooperation)}",
-               tuple((arrivals, blocking) for arrivals, blocking, _ in points),
-               dashed=not cooperation)
-        for cooperation, points in by_mode.items()]
-    (out / "blocking.svg").write_text(line_chart(
-        "Global blocking vs offered arrivals", "mean arrivals per replication",
-        "blocking probability", blocking_series))
-
-    profit_series = [
-        Series(f"{net.name} {_mode_name(cooperation)}",
-               tuple((arrivals, profits[index]) for arrivals, _, profits in points),
-               dashed=not cooperation)
-        for index, net in enumerate(scenario.operators)
-        for cooperation, points in by_mode.items()]
-    (out / "profits.svg").write_text(line_chart(
-        "Operator profit vs offered arrivals", "mean arrivals per replication",
-        "mean profit", profit_series))
-
-
 def cmd_compare(scenario: Scenario, grid, args, out: Path) -> int:
-    rows = []
-    for (mean_interarrival, cooperation), report in grid.items():
-        overall, *operators = analytics.scope_stats(analytics.report_rows(report)).values()
+    ids = [net.id for net in scenario.operators]
+    rows, cooperating = [], []
+    for (mean_interarrival, cooperation), results, _, stats in _summaries(grid, stats=True):
+        overall, *operators = stats.values()
         blocking = overall.blocking_probability
         rows.append((mean_interarrival, _mode_name(cooperation), overall.arrivals.mean,
                      blocking.mean, blocking.stddev, blocking.ci95_halfwidth,
                      *(row.blocking_probability.mean for row in operators),
                      *(row.profit.mean for row in operators)))
-    _write_csv(out / "compare.csv", compare_header(scenario), rows)
-    write_exchange_csv(out / "exchange.csv", scenario,
-                       [result for (_, cooperation), report in grid.items() if cooperation
-                        for result in report.results])
+        if cooperation:
+            cooperating.extend(results)
+    _write_csv(out / "compare.csv", ("mean_interarrival_s", "cooperation", "arrivals_mean",
+                                     "blocking_mean", "blocking_stddev", "blocking_ci95",
+                                     *(f"blocking_op{op}_mean" for op in ids),
+                                     *(f"profit_op{op}_mean" for op in ids)), rows)
+    # Where the cooperating cells' transfers went; an operator's own column reads 0.
+    matrix = analytics.exchange_matrix(cooperating, op_ids=ids)
+    rows = []
+    for from_op in ids:
+        for kind in ServiceKind:
+            shares = matrix.row_percentages(from_op, kind)
+            rows.append((from_op, kind.value, *(shares.get(to_op, 0.0) for to_op in ids)))
+    _write_csv(out / "exchange.csv",
+               ("from_operator", "service_class", *(f"to_op{op}" for op in ids)), rows)
     return 0
 
 
@@ -267,7 +248,7 @@ def main(argv=None) -> int:
         if args.replications is not None:
             scenario = replace(scenario, replications=args.replications)
         grid = run_grid(scenario, args.sweep or (scenario.mean_interarrival_s,),
-                        _modes(args.cooperation) if args.cooperation else (scenario.cooperation,))
+                        MODES[args.cooperation] if args.cooperation else (scenario.cooperation,))
     except ScenarioError as exc:
         for violation in exc.violations:
             print(violation, file=sys.stderr)

@@ -40,13 +40,6 @@ class Technology(str, Enum):
         return self.value
 
 
-# Per-class criteria weights in the order (bandwidth, jitter, delay, BER).
-DEFAULT_QOS_WEIGHTS = {
-    ServiceKind.CONVERSATIONAL: (0.05, 0.45, 0.45, 0.05),
-    ServiceKind.INTERACTIVE: (0.16, 0.04, 0.16, 0.64),
-}
-
-
 class _Missing:
     def __repr__(self):
         return "MISSING"
@@ -147,12 +140,6 @@ class ClassRequirements(_FrozenRecord):
     ber_req: float
 
 
-DEFAULT_REQUIREMENTS = {
-    ServiceKind.CONVERSATIONAL: ClassRequirements(jitter_req=10.0, delay_req=100.0, ber_req=1e-3),
-    ServiceKind.INTERACTIVE: ClassRequirements(jitter_req=20.0, delay_req=150.0, ber_req=1e-5),
-}
-
-
 class UserPreferences(_FrozenRecord):
     """Preference split between QoS and price; the two weights sum to one."""
 
@@ -203,12 +190,6 @@ class DemandTable(dict):
     def rate(self, kind, technology):
         # Both enums are str-valued, so a member and its value find the same key.
         return self[kind][technology]
-
-
-DEFAULT_DEMAND = DemandTable({
-    ServiceKind.CONVERSATIONAL: {Technology.UMTS: 256.0, Technology.WLAN: 256.0},
-    ServiceKind.INTERACTIVE: {Technology.UMTS: 512.0, Technology.WLAN: 1024.0},
-})
 
 
 class TrafficProfile(_FrozenRecord):
@@ -537,11 +518,13 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         _check_weight_sum(v, f"profile_mix[{i}] preference weights",
                           (profile.w_qos, profile.w_price))
     probabilities = [p.probability for p in scenario.profile_mix]
-    total = sum(probabilities)
     if not scenario.profile_mix:
         v.append("profile_mix: list is empty")
-    elif all(map(_is_finite, probabilities)) and abs(total - 1.0) > WEIGHT_SUM_TOL:
-        v.append(f"weight-sum violation: profile_mix probabilities sum to {total!r}")
+    elif all(map(_is_finite, probabilities)):
+        # Summed only now: adding an int too large for a float to a float raises.
+        total = sum(probabilities)
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            v.append(f"weight-sum violation: profile_mix probabilities sum to {total!r}")
 
     # The cap divides the timing fields, so it needs both positive and finite.  Every
     # replication draws its first arrival; an int compared with a float is exact.
@@ -564,15 +547,12 @@ def ensure_valid(scenario: Scenario) -> Scenario:
 # --------------------------------------------------------------------------
 # defaults
 
-def default_profile_mix():
-    """Uniform mix over {real-time, non-real-time} x {QoS-leaning, price-leaning}."""
-    return tuple(TrafficProfile(service=kind, w_qos=w_qos, w_price=w_price, probability=0.25)
-                 for kind in (ServiceKind.CONVERSATIONAL, ServiceKind.INTERACTIVE)
-                 for w_qos, w_price in ((0.7, 0.3), (0.4, 0.6)))
-
-
 def default_scenario() -> Scenario:
-    """The three-operator reference scenario: one UMTS network and two WLANs."""
+    """The three-operator reference scenario: one UMTS network and two WLANs.
+
+    Every call builds its own tables, so a change to one scenario's demand or
+    weights reaches no other.
+    """
     operators = (
         OperatorNetwork(id=1, name="Op1", technology=Technology.UMTS,
                         capacity_kbps=1700.0, jitter_ms=6.0, delay_ms=19.0, ber=1e-3,
@@ -584,12 +564,27 @@ def default_scenario() -> Scenario:
                         capacity_kbps=5500.0, jitter_ms=10.0, delay_ms=45.0, ber=1e-5,
                         sp=0.2, cs=0.2),
     )
+    conversational, interactive = ServiceKind.CONVERSATIONAL, ServiceKind.INTERACTIVE
     return Scenario(
         operators=operators,
-        demand=DEFAULT_DEMAND,
-        qos_weights=dict(DEFAULT_QOS_WEIGHTS),
-        requirements=dict(DEFAULT_REQUIREMENTS),
-        profile_mix=default_profile_mix(),
+        demand=DemandTable({
+            conversational: {Technology.UMTS: 256.0, Technology.WLAN: 256.0},
+            interactive: {Technology.UMTS: 512.0, Technology.WLAN: 1024.0},
+        }),
+        # Per-class criteria weights in the order (bandwidth, jitter, delay, BER).
+        qos_weights={
+            conversational: (0.05, 0.45, 0.45, 0.05),
+            interactive: (0.16, 0.04, 0.16, 0.64),
+        },
+        requirements={
+            conversational: ClassRequirements(jitter_req=10.0, delay_req=100.0, ber_req=1e-3),
+            interactive: ClassRequirements(jitter_req=20.0, delay_req=150.0, ber_req=1e-5),
+        },
+        # Uniform mix over {real-time, non-real-time} x {QoS-leaning, price-leaning}.
+        profile_mix=tuple(
+            TrafficProfile(service=kind, w_qos=w_qos, w_price=w_price, probability=0.25)
+            for kind in (conversational, interactive)
+            for w_qos, w_price in ((0.7, 0.3), (0.4, 0.6))),
     )
 
 

@@ -1,5 +1,7 @@
 import math
+import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -171,6 +173,29 @@ def test_exchange_matrix_aggregates_replications():
     assert matrix.count(2, 3, INT) == 1
     assert matrix.row_percentages(1, CONV) == {2: 25.0, 3: 75.0}
 
+
+
+def test_exchange_rows_beyond_three_operators_match_a_brute_force_sum():
+    # Six operators, random counts summed over two replications, and one empty
+    # row (operator 6's interactive clients never move); kinds asked both ways.
+    rng = random.Random(27)
+    ids = (1, 2, 3, 4, 5, 6)
+    replications = [{(home, to, kind): rng.randint(0, 9)
+                     for home in ids for to in ids for kind in ServiceKind
+                     if to != home and (home, kind) != (6, INT) and rng.random() < 0.7}
+                    for _ in range(2)]
+    matrix = exchange_matrix([SimpleNamespace(exchange=counts) for counts in replications],
+                             op_ids=ids)
+    assert matrix.row_total(6, INT) == 0
+    for home in ids:
+        for kind in (*ServiceKind, *(kind.value for kind in ServiceKind)):
+            row = {to: sum(counts.get((home, to, ServiceKind(kind)), 0)
+                           for counts in replications) for to in ids if to != home}
+            total = sum(n for (f, _, k), n in matrix.counts.items() if f == home and k == kind)
+            assert total == sum(row.values())
+            assert matrix.row_total(home, kind) == total
+            assert matrix.row_percentages(home, kind) == {
+                to: 100.0 * n / total if total else 0.0 for to, n in row.items()}
 
 def test_scope_stats_population_moments():
     stats = ScopeStats(values=(0.1, 0.2, 0.3))

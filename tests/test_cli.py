@@ -221,6 +221,21 @@ def test_a_scenario_whose_arrival_rate_overflows_exits_2_without_partial_outputs
     assert not out.exists()
 
 
+
+def test_a_probability_too_large_for_a_float_exits_2_without_partial_outputs(tmp_path):
+    # json writes the int as its 401 digits, and reads it back as that int.
+    doc = json.loads(Path(CALIBRATED).read_text())
+    doc["profile_mix"][0]["probability"] = 10**400
+    bad = tmp_path / "huge-prob.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    proc = run_cli("run", "--scenario", str(bad), "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"non-finite number: profile_mix[0].probability = {10**400!r}"]
+    assert not out.exists()
+
 def test_unreadable_scenario_exits_1(tmp_path):
     proc = run_cli("run", "--scenario", str(tmp_path / "missing.json"),
                    "--out", str(tmp_path / "out"))

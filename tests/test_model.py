@@ -452,6 +452,15 @@ def test_shipped_default_scenario_matches_builtin():
     assert load_scenario(SCENARIO_DIR / "default.json") == default_scenario()
 
 
+
+def test_a_change_to_one_default_scenario_reaches_no_other():
+    changed = default_scenario()
+    changed.demand[ServiceKind.INTERACTIVE][Technology.WLAN] = 1.0
+    changed.qos_weights[ServiceKind.INTERACTIVE] = (0.25, 0.25, 0.25, 0.25)
+    changed.requirements.clear()
+    assert default_scenario().demand.rate("interactive", "WLAN") == 1024.0
+    assert default_scenario() == load_scenario(SCENARIO_DIR / "default.json")
+
 @pytest.mark.parametrize("name", ["default.json", "calibrated.json"])
 def test_a_shipped_file_is_written_back_as_it_is(name):
     path = SCENARIO_DIR / name
@@ -728,7 +737,9 @@ def test_a_non_finite_number_is_reported_once(label, value):
 
 def test_an_int_too_large_for_a_float_is_non_finite():
     # float() of it overflows, so no run could use it; a file reads it as that int.
-    for label in ("duration_s", "operators[0].capacity_kbps"):
+    # Added to the other profile probabilities it would overflow too, so their sum
+    # is not checked.
+    for label in ("duration_s", "operators[0].capacity_kbps", "profile_mix[0].probability"):
         violations = validate_scenario(with_scalar(default_scenario(), label, 10**400))
         assert violations == [f"non-finite number: {label} = {10**400!r}"]
         with pytest.raises(ScenarioError) as err:
