@@ -15,7 +15,6 @@ from .model import (
     Session,
     Technology,
     TrafficProfile,
-    UserPreferences,
     default_scenario,
     ensure_valid,
     load_scenario,

@@ -140,13 +140,6 @@ class ClassRequirements(_FrozenRecord):
     ber_req: float
 
 
-class UserPreferences(_FrozenRecord):
-    """Preference split between QoS and price; the two weights sum to one."""
-
-    w_qos: float
-    w_price: float
-
-
 class OperatorNetwork(_Record):
     """One operator and the single radio access network it manages.
 
@@ -171,7 +164,7 @@ class OperatorNetwork(_Record):
 
 
 class ServiceRequest(_FrozenRecord):
-    """What an arrival asks of admission: its home, service class, preferences and price.
+    """What an arrival asks of admission: its home, service class, profile's weights and price.
 
     ``price_paid`` is what the client pays its home operator, unit/kByte.  A
     request is one of |operators| x |profiles| values, so every arrival of the
@@ -180,7 +173,8 @@ class ServiceRequest(_FrozenRecord):
 
     home_op: int
     service_class: ServiceClass
-    prefs: UserPreferences
+    w_qos: float
+    w_price: float
     price_paid: float
 
 
@@ -230,12 +224,10 @@ class Scenario(_FrozenRecord):
         """The shared request of each (home operator, profile), built once per scenario.
 
         Indexed ``[operator index][profile index]``, both in scenario order; a
-        client pays its home operator's ``sp``; every home shares a profile's preferences.
+        client pays its home operator's ``sp``; every home shares a profile's service class.
         """
-        profiles = [(self.service_class(p.service), UserPreferences(p.w_qos, p.w_price))
-                    for p in self.profile_mix]
-        return tuple(tuple(ServiceRequest(net.id, service_class, prefs, net.sp)
-                           for service_class, prefs in profiles)
+        profiles = [(self.service_class(p.service), p.w_qos, p.w_price) for p in self.profile_mix]
+        return tuple(tuple(ServiceRequest(net.id, *profile, net.sp) for profile in profiles)
                      for net in self.operators)
 
 
@@ -397,10 +389,20 @@ def _is_finite(number):
     return abs(number) <= sys.float_info.max
 
 
+def _weight_total(values):
+    """The sum of finite weights, or their float sum (``±inf``) where ints sum past any float."""
+    try:
+        total = sum(values)
+        float(total)  # raises, as the sum itself may, for an int no float can hold
+        return total
+    except OverflowError:
+        return sum(map(float, values))
+
+
 def _check_weight_sum(violations, label, values):
     if not all(map(_is_finite, values)):
         return  # already reported as a non-finite number
-    total = sum(values)
+    total = _weight_total(values)
     if any(v < 0 for v in values):
         violations.append(f"weight-sum violation: {label} has a negative entry {tuple(values)}")
     elif abs(total - 1.0) > WEIGHT_SUM_TOL:
@@ -521,8 +523,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     if not scenario.profile_mix:
         v.append("profile_mix: list is empty")
     elif all(map(_is_finite, probabilities)):
-        # Summed only now: adding an int too large for a float to a float raises.
-        total = sum(probabilities)
+        total = _weight_total(probabilities)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             v.append(f"weight-sum violation: profile_mix probabilities sum to {total!r}")
 

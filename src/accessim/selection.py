@@ -42,7 +42,6 @@ from .model import (
     OperatorNetwork,
     ServiceKind,
     ServiceRequest,
-    UserPreferences,
     _FrozenRecord,
 )
 
@@ -145,17 +144,17 @@ class AdmissionTable:
         return iter(self.networks)
 
 
-def user_score(prefs: UserPreferences, price_paid: float, sp_max: float):
+def user_score(w_qos: float, w_price: float, price_paid: float, sp_max: float):
     """The user's ideal score and normalized price paid: returns (s_u, p_norm).
 
     Each required QoS parameter normalized against itself is 1, so the QoS
     part collapses to the weight sum, 1.
     """
     p_norm = price_paid / sp_max
-    return prefs.w_qos * 1.0 + prefs.w_price * p_norm, p_norm
+    return w_qos * 1.0 + w_price * p_norm, p_norm
 
 
-def candidate_score(cand: Candidate, qos_weights, prefs: UserPreferences) -> float:
+def candidate_score(cand: Candidate, qos_weights, w_qos: float, w_price: float) -> float:
     """Score s_t of one candidate for this user; only the bandwidth term reads the load.
 
     ``qos_weights`` are the service class's, in the order (bandwidth, jitter,
@@ -166,7 +165,7 @@ def candidate_score(cand: Candidate, qos_weights, prefs: UserPreferences) -> flo
     net = cand.net
     s_tqos = (w_bw * ((net.capacity_kbps - net.used_kbps) / cand.rate)
               + w_jitter + w_delay + w_ber)
-    return prefs.w_qos * s_tqos + prefs.w_price * cand.sp_norm
+    return w_qos * s_tqos + w_price * cand.sp_norm
 
 
 def select_serving_operator(request: ServiceRequest, table: AdmissionTable, route: Route
@@ -175,7 +174,7 @@ def select_serving_operator(request: ServiceRequest, table: AdmissionTable, rout
 
     ``route`` is ``table.routes[request.home_op, request.service_class.kind]``,
     which the caller has already looked up.  Only a candidate with room is
-    scored, so the user's preferences and the class's QoS weights are read
+    scored, so the user's weights and the class's QoS weights are read
     once one has passed the capacity gate; a blocked call tests capacity alone.
     """
     best = None
@@ -185,11 +184,11 @@ def select_serving_operator(request: ServiceRequest, table: AdmissionTable, rout
         if net.capacity_kbps - net.used_kbps < cand.rate:
             continue
         if best is None:  # the first candidate to pass: score the user once
-            prefs = request.prefs
+            w_qos, w_price = request.w_qos, request.w_price
             qos_weights = request.service_class.qos_weights
             home = route.home
-            s_u, p_norm = user_score(prefs, request.price_paid, table.sp_max)
-        s_t = candidate_score(cand, qos_weights, prefs)
+            s_u, p_norm = user_score(w_qos, w_price, request.price_paid, table.sp_max)
+        s_t = candidate_score(cand, qos_weights, w_qos, w_price)
         obj = transfer_objective(home, s_u, s_t, p_norm, cand.cs_norm)
         if best is None or obj < best_obj - TIE_EPS:
             best, best_obj = cand, obj

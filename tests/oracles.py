@@ -18,7 +18,6 @@ from accessim.model import (
     ServiceKind,
     ServiceRequest,
     Technology,
-    UserPreferences,
 )
 
 
@@ -44,7 +43,7 @@ def oracle_admit(request, networks, demand, requirements, cooperation):
 
     sp_max = max(n.sp for n in networks)
     p_norm = request.price_paid / sp_max
-    s_u = request.prefs.w_qos * 1.0 + request.prefs.w_price * p_norm
+    s_u = request.w_qos * 1.0 + request.w_price * p_norm
 
     scored = []
     for net in networks:
@@ -55,7 +54,7 @@ def oracle_admit(request, networks, demand, requirements, cooperation):
                   + w_jitter * min(bounds.jitter_req / net.jitter_ms, 1.0)
                   + w_delay * min(bounds.delay_req / net.delay_ms, 1.0)
                   + w_ber * min(bounds.ber_req / net.ber, 1.0))
-        s_t = request.prefs.w_qos * s_tqos + request.prefs.w_price * (net.sp / sp_max)
+        s_t = request.w_qos * s_tqos + request.w_price * (net.sp / sp_max)
         objective = (home.w_u * abs(s_u - s_t)
                      - home.w_op * (p_norm - net.cs / sp_max))
         scored.append((objective, net.id))
@@ -112,7 +111,8 @@ def random_instance(rng: random.Random):
         home_op=home.id,
         service_class=ServiceClass(kind=kind,
                                    qos_weights=tuple(w / total for w in raw)),
-        prefs=UserPreferences(w_qos=w_qos, w_price=1.0 - w_qos),
+        w_qos=w_qos,
+        w_price=1.0 - w_qos,
         price_paid=home.sp,
     )
     return request, networks, demand, requirements
@@ -131,17 +131,17 @@ def oracle_arrivals(scenario, seed, count):
     acc = 0.0
     for profile in scenario.profile_mix:
         acc += profile.probability
-        cumulative.append((acc, scenario.service_class(profile.service),
-                           UserPreferences(profile.w_qos, profile.w_price)))
+        cumulative.append((acc, scenario.service_class(profile.service), profile))
     arrivals = []
     clock = 0.0
     for _ in range(count):
         gap = streams.interarrival.expovariate(1.0 / scenario.mean_interarrival_s)
         home = scenario.operators[streams.home_assignment.randrange(len(scenario.operators))]
         u = streams.profile.random()
-        for bound, service_class, prefs in cumulative:
+        for bound, service_class, profile in cumulative:
             if u < bound:
                 break
         clock = clock + gap
-        arrivals.append((clock, ServiceRequest(home.id, service_class, prefs, home.sp)))
+        arrivals.append((clock, ServiceRequest(home.id, service_class, profile.w_qos,
+                                               profile.w_price, home.sp)))
     return arrivals

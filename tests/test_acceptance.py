@@ -24,7 +24,6 @@ from accessim.engine import run_experiment
 from accessim.model import (
     ServiceKind,
     ServiceRequest,
-    UserPreferences,
     default_scenario,
     load_scenario,
     replace,
@@ -104,7 +103,7 @@ def test_criterion_3_reference_transfer_picks_op3():
     request = ServiceRequest(
         home_op=1,
         service_class=scenario.service_class(ServiceKind.CONVERSATIONAL),
-        prefs=UserPreferences(0.7, 0.3), price_paid=networks[0].sp)
+        w_qos=0.7, w_price=0.3, price_paid=networks[0].sp)
     decision = admit(request,
                      AdmissionTable(networks, scenario.demand, scenario.requirements),
                      cooperation=True)

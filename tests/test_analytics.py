@@ -30,7 +30,6 @@ from accessim.model import (
     Session,
     Technology,
     TrafficProfile,
-    UserPreferences,
     default_scenario,
     ensure_valid,
     load_scenario,
@@ -51,7 +50,7 @@ def _networks():
 def _session(home, serving, rate=8.0, start=0.0, duration=100.0, price=0.9):
     scenario = default_scenario()
     request = ServiceRequest(home_op=home, service_class=scenario.service_class(CONV),
-                             prefs=UserPreferences(0.7, 0.3), price_paid=price)
+                             w_qos=0.7, w_price=0.3, price_paid=price)
     return Session(request=request, serving_op=serving, rate_kbps=rate,
                    start_s=start, duration_s=duration)
 

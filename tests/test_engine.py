@@ -22,7 +22,6 @@ from accessim.model import (
     ServiceKind,
     Technology,
     TrafficProfile,
-    UserPreferences,
     default_scenario,
     ensure_valid,
     load_scenario,
@@ -384,7 +383,7 @@ def test_generated_traffic_matches_profile_mix():
     lookup = {(p.service, p.w_qos): i for i, p in enumerate(scenario.profile_mix)}
     for _ in range(arrivals):
         _, request = generate_arrival(0.0, draws)
-        profile_counts[lookup[(request.service_class.kind, request.prefs.w_qos)]] += 1
+        profile_counts[lookup[(request.service_class.kind, request.w_qos)]] += 1
         home_counts[request.home_op] += 1
         assert request.price_paid == sp_by_id[request.home_op]
     for count in profile_counts.values():
@@ -416,16 +415,16 @@ def test_compiled_arrivals_match_the_plain_generator(n_ops):
         assert compiled == oracle_arrivals(scenario, seed, 2000), (n_ops, seed)
 
 
-_PROFILES = ((ServiceKind.CONVERSATIONAL, UserPreferences(0.7, 0.3)),
-             (ServiceKind.INTERACTIVE, UserPreferences(0.2, 0.8)),
-             (ServiceKind.CONVERSATIONAL, UserPreferences(0.4, 0.6)))
+_PROFILES = ((ServiceKind.CONVERSATIONAL, 0.7, 0.3),
+             (ServiceKind.INTERACTIVE, 0.2, 0.8),
+             (ServiceKind.CONVERSATIONAL, 0.4, 0.6))
 
 
 def _mix_scenario(probabilities):
-    """The default scenario with one profile of distinct prefs per probability."""
-    mix = tuple(TrafficProfile(service=service, w_qos=prefs.w_qos, w_price=prefs.w_price,
+    """The default scenario with one profile of distinct weights per probability."""
+    mix = tuple(TrafficProfile(service=service, w_qos=w_qos, w_price=w_price,
                                probability=probability)
-                for (service, prefs), probability in zip(_PROFILES, probabilities))
+                for (service, w_qos, w_price), probability in zip(_PROFILES, probabilities))
     return ensure_valid(replace(default_scenario(), profile_mix=mix))
 
 
@@ -444,9 +443,10 @@ def _requests_drawn(scenario, uniforms, homes=None):
 def _profiles_drawn(probabilities, uniforms):
     """The mix index of the profile each uniform draw takes from a mix of these probabilities."""
     scenario = _mix_scenario(probabilities)
-    index = {UserPreferences(profile.w_qos, profile.w_price): i
+    index = {(profile.w_qos, profile.w_price): i
              for i, profile in enumerate(scenario.profile_mix)}
-    return [index[request.prefs] for request in _requests_drawn(scenario, uniforms)]
+    return [index[request.w_qos, request.w_price]
+            for request in _requests_drawn(scenario, uniforms)]
 
 
 # At zero, just below one half, at one half and just below one.
@@ -471,7 +471,7 @@ def test_a_draw_above_the_last_cumulative_probability_takes_the_last_profile():
     assert last < 1.0
     requests = _requests_drawn(scenario, [last, (last + 1.0) / 2, 0.9999999999999999])
     assert [r.service_class.kind for r in requests] == [ServiceKind.INTERACTIVE] * 3
-    assert [r.prefs for r in requests] == [UserPreferences(0.2, 0.8)] * 3
+    assert [(r.w_qos, r.w_price) for r in requests] == [(0.2, 0.8)] * 3
     # It takes the last profile even when that profile's probability is 0.
     assert _profiles_drawn((0.5, 0.5 - 1e-12, 0.0), _DRAWS) == [0, 0, 1, 2]
 

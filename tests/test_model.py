@@ -20,7 +20,6 @@ from accessim.model import (
     ServiceRequest,
     Session,
     Technology,
-    UserPreferences,
     default_scenario,
     ensure_valid,
     expected_arrivals,
@@ -90,9 +89,8 @@ def test_remaining_kbps():
 def test_requests_and_sessions_are_immutable():
     s = default_scenario()
     profile = s.profile_mix[0]
-    prefs = UserPreferences(profile.w_qos, profile.w_price)
     request = ServiceRequest(home_op=2, service_class=s.service_class(profile.service),
-                             prefs=prefs, price_paid=0.1)
+                             w_qos=profile.w_qos, w_price=profile.w_price, price_paid=0.1)
     session = Session(request=request, serving_op=3, rate_kbps=256.0, start_s=1.0,
                       duration_s=2.0)
     for record, field in ((request, "home_op"), (session, "serving_op")):
@@ -101,8 +99,10 @@ def test_requests_and_sessions_are_immutable():
     with pytest.raises(AttributeError):
         del request.price_paid
     assert (request.home_op, request.price_paid) == (2, 0.1)
-    assert request == ServiceRequest(2, s.service_class(profile.service), prefs, 0.1)
-    assert request != ServiceRequest(3, s.service_class(profile.service), prefs, 0.1)
+    assert request == ServiceRequest(2, s.service_class(profile.service),
+                                     profile.w_qos, profile.w_price, 0.1)
+    assert request != ServiceRequest(3, s.service_class(profile.service),
+                                     profile.w_qos, profile.w_price, 0.1)
 
 
 def test_demand_rate_missing_pair_raises():
@@ -127,14 +127,11 @@ def test_arrival_profiles_accumulate_in_mix_order():
     assert requests is s.arrival_requests
     # One shared request per (home operator, profile), the profiles in mix order;
     # a client pays its home's sp.
-    assert [[(r.home_op, r.service_class, r.prefs, r.price_paid) for r in row]
+    assert [[(r.home_op, r.service_class, r.w_qos, r.w_price, r.price_paid) for r in row]
             for row in requests] == [[(net.id, s.service_class(profile.service),
-                                       UserPreferences(profile.w_qos, profile.w_price), net.sp)
+                                       profile.w_qos, profile.w_price, net.sp)
                                       for profile in s.profile_mix]
                                      for net in s.operators]
-    # Every home shares one preference pair per profile.
-    assert all(r.prefs is first.prefs
-               for row in requests for r, first in zip(row, requests[0], strict=True))
 
 
 def _with_operator(scenario, index, **changes):
@@ -298,10 +295,34 @@ def _without_interactive(section):
      "(-0.25, 0.75, 0.25, 0.25)"),
     ("profile_mix[0]", replace(default_scenario().profile_mix[0], w_qos=-0.5, w_price=1.5),
      "weight-sum violation: profile_mix[0] preference weights has a negative entry (-0.5, 1.5)"),
+    ("qos_weights[interactive]", (1, 1, 0, 0),  # an all-int sum prints as an int
+     "weight-sum violation: qos_weights[interactive] sums to 2, expected 1"),
 ])
 def test_a_rule_across_a_sections_entries_gives_one_violation(label, value, violation):
     # Each of these values has the right type, so only the rule across entries is broken.
     assert validate_scenario(with_container(default_scenario(), label, value)) == [violation]
+
+
+_HUGE = int(1.7e308)  # an int that fits a float, though two of them summed do not
+
+
+@pytest.mark.parametrize("label, value, violation", [
+    ("qos_weights[interactive]", (_HUGE, _HUGE, 0.5, 0.25),
+     "weight-sum violation: qos_weights[interactive] sums to inf, expected 1"),
+    ("profile_mix[0]", replace(default_scenario().profile_mix[0], w_qos=_HUGE, w_price=_HUGE),
+     "weight-sum violation: profile_mix[0] preference weights sums to inf, expected 1"),
+    ("profile_mix", tuple(replace(profile, probability=p) for profile, p
+                          in zip(default_scenario().profile_mix, (_HUGE, _HUGE, 0.5, 0.25),
+                                 strict=True)),
+     "weight-sum violation: profile_mix probabilities sum to inf"),
+])
+def test_finite_int_weights_that_overflow_a_float_when_summed(label, value, violation):
+    # Only a scenario built in Python holds such ints: a loaded file reads them as floats.
+    scenario = with_container(default_scenario(), label, value)
+    assert validate_scenario(scenario) == [violation]
+    with pytest.raises(ScenarioError) as err:
+        ensure_valid(scenario)
+    assert err.value.violations == [violation]
 
 
 @pytest.mark.parametrize("section", ["requirements", "qos_weights"])

@@ -28,8 +28,7 @@ import pytest
 from accessim import analytics, charts, cli, engine, model, selection
 from accessim.model import MISSING, default_scenario, replace
 
-SCHEMA = {"ClassRequirements", "UserPreferences", "OperatorNetwork", "TrafficProfile",
-          "Scenario"}
+SCHEMA = {"ClassRequirements", "OperatorNetwork", "TrafficProfile", "Scenario"}
 PER_ARRIVAL = {"ServiceRequest", "ServiceClass", "AdmissionDecision", "Route", "Candidate"}
 SLOT_CLASSES = {"OperatorLedger"}
 CONVERTED = {"ReplicationResult", "MetricsReport", "RngStreams",
@@ -67,7 +66,6 @@ def _samples():
     named tuple printed it, and whether it hashed there."""
     conversational, interactive = model.ServiceKind
     requirements = model.ClassRequirements(jitter_req=10.0, delay_req=100.0, ber_req=1e-3)
-    prefs = model.UserPreferences(w_qos=0.7, w_price=0.3)
     network = default_scenario().operators[0]
     profile = model.TrafficProfile(service=interactive, w_qos=0.7, w_price=0.3, probability=0.25)
     demand = model.DemandTable({interactive: {model.Technology.WLAN: 1024.0}})
@@ -87,7 +85,6 @@ def _samples():
     return [
         (requirements, "ClassRequirements(jitter_req=10.0, delay_req=100.0, ber_req=0.001)",
          True),
-        (prefs, "UserPreferences(w_qos=0.7, w_price=0.3)", True),
         (network, "OperatorNetwork(id=1, name='Op1', technology=<Technology.UMTS: 'UMTS'>, "
                   "capacity_kbps=1700.0, jitter_ms=6.0, delay_ms=19.0, ber=0.001, sp=0.9, "
                   "cs=0.9, w_u=1.0, w_op=1.0, used_kbps=0.0)", False),
@@ -128,7 +125,7 @@ def test_samples_cover_every_schema_and_converted_record():
     assert {type(record).__name__ for record, _, _ in _samples()} == SCHEMA | CONVERTED
 
 
-@pytest.mark.parametrize("index", range(12))
+@pytest.mark.parametrize("index", range(11))
 def test_records_keep_what_a_dataclass_or_named_tuple_gave_them(index):
     record, printed, hashable = _samples()[index]
     cls = type(record)
@@ -212,15 +209,14 @@ def test_routes_and_candidates_are_frozen_unhashable_records():
 def test_value_records_compare_hash_and_print_as_dataclasses_did():
     kind = model.ServiceKind.INTERACTIVE
     service_class = model.ServiceClass(kind=kind, qos_weights=(0.16, 0.04, 0.16, 0.64))
-    prefs = model.UserPreferences(w_qos=0.7, w_price=0.3)
-    request = model.ServiceRequest(2, service_class, prefs, 0.1)
+    request = model.ServiceRequest(2, service_class, 0.7, 0.3, 0.1)
     decision = selection.AdmissionDecision(selection.Outcome.SERVED_TRANSFER, serving_op=3,
                                            rate_kbps=1024.0)
     ledger = model.OperatorLedger(income_own=100.0)
     assert repr(service_class) == ("ServiceClass(kind=<ServiceKind.INTERACTIVE: 'interactive'>, "
                                    "qos_weights=(0.16, 0.04, 0.16, 0.64))")
     assert repr(request) == (f"ServiceRequest(home_op=2, service_class={service_class!r}, "
-                             "prefs=UserPreferences(w_qos=0.7, w_price=0.3), price_paid=0.1)")
+                             "w_qos=0.7, w_price=0.3, price_paid=0.1)")
     assert repr(decision) == ("AdmissionDecision(outcome=<Outcome.SERVED_TRANSFER: "
                               "'served_transfer'>, serving_op=3, rate_kbps=1024.0)")
     assert repr(selection.BLOCKED) == ("AdmissionDecision(outcome=<Outcome.BLOCKED: 'blocked'>, "
@@ -232,9 +228,9 @@ def test_value_records_compare_hash_and_print_as_dataclasses_did():
     same_class = model.ServiceClass(kind, (0.16, 0.04, 0.16, 0.64))
     assert service_class == same_class and hash(service_class) == hash(same_class)
     assert service_class != model.ServiceClass(kind, (0.25, 0.25, 0.25, 0.25))
-    same_request = model.ServiceRequest(2, same_class, prefs, 0.1)
+    same_request = model.ServiceRequest(2, same_class, 0.7, 0.3, 0.1)
     assert request == same_request and hash(request) == hash(same_request)
-    assert request != model.ServiceRequest(3, service_class, prefs, 0.1)
+    assert request != model.ServiceRequest(3, service_class, 0.7, 0.3, 0.1)
     assert decision == selection.AdmissionDecision(selection.Outcome.SERVED_TRANSFER, 3, 1024.0)
     assert len({decision, selection.AdmissionDecision(selection.Outcome.SERVED_TRANSFER, 3,
                                                       1024.0)}) == 1

@@ -9,7 +9,6 @@ from accessim.model import (
     DemandTable,
     ServiceKind,
     Technology,
-    UserPreferences,
     default_scenario,
     load_scenario,
     replace,
@@ -22,7 +21,7 @@ CONV = ServiceKind.CONVERSATIONAL
 CONV_WEIGHTS = (0.05, 0.45, 0.45, 0.05)
 # Unit bandwidth weight and no price weight: candidate_score is then the bare
 # bandwidth ratio remaining / rate.
-BANDWIDTH_ONLY = ((1.0, 0.0, 0.0, 0.0), UserPreferences(1.0, 0.0))
+BANDWIDTH_ONLY = ((1.0, 0.0, 0.0, 0.0), 1.0, 0.0)
 
 
 def _ops():
@@ -78,15 +77,15 @@ def test_zero_divisors_rejected():
 
 
 def test_user_score_ideal_qos_part_is_one():
-    s_u, p_norm = user_score(UserPreferences(0.7, 0.3), price_paid=0.9, sp_max=0.9)
+    s_u, p_norm = user_score(0.7, 0.3, price_paid=0.9, sp_max=0.9)
     assert p_norm == 1.0
     assert s_u == pytest.approx(1.0)
     # With no weight on price only the QoS part is left, and it is exactly 1.
-    assert user_score(UserPreferences(1.0, 0.0), price_paid=0.5, sp_max=0.9)[0] == 1.0
+    assert user_score(1.0, 0.0, price_paid=0.5, sp_max=0.9)[0] == 1.0
 
 
 def test_user_score_cheap_contract():
-    s_u, p_norm = user_score(UserPreferences(0.4, 0.6), price_paid=0.1, sp_max=0.9)
+    s_u, p_norm = user_score(0.4, 0.6, price_paid=0.1, sp_max=0.9)
     assert p_norm == pytest.approx(1.0 / 9.0)
     assert s_u == pytest.approx(0.4666666666666667)
 
@@ -94,43 +93,38 @@ def test_user_score_cheap_contract():
 def test_candidate_scores_for_real_time_reference_case():
     table = _table()
     assert table.sp_max == 0.9
-    prefs = UserPreferences(0.7, 0.3)
     op2, op3 = _candidate(table, 2), _candidate(table, 3)
     assert op2.sp_norm == pytest.approx(1.0 / 9.0)
-    assert candidate_score(op2, CONV_WEIGHTS, UserPreferences(1.0, 0.0)) \
-        == pytest.approx(3.0984375)
-    assert candidate_score(op2, CONV_WEIGHTS, prefs) == pytest.approx(2.2022395833333333)
-    assert candidate_score(op3, CONV_WEIGHTS, UserPreferences(1.0, 0.0)) \
-        == pytest.approx(2.02421875)
-    assert candidate_score(op3, CONV_WEIGHTS, prefs) == pytest.approx(1.4836197916666665)
+    assert candidate_score(op2, CONV_WEIGHTS, 1.0, 0.0) == pytest.approx(3.0984375)
+    assert candidate_score(op2, CONV_WEIGHTS, 0.7, 0.3) == pytest.approx(2.2022395833333333)
+    assert candidate_score(op3, CONV_WEIGHTS, 1.0, 0.0) == pytest.approx(2.02421875)
+    assert candidate_score(op3, CONV_WEIGHTS, 0.7, 0.3) == pytest.approx(1.4836197916666665)
 
 
 def test_candidate_score_decreases_with_load():
     # The table reads occupancy live, so one table sees every load in turn.
     table = _table([replace(net) for net in default_scenario().operators])
     cand = _candidate(table, 2)
-    prefs = UserPreferences(0.7, 0.3)
     previous = math.inf
     for used in (0.0, 2000.0, 4000.0, 8000.0, 10000.0):
         cand.net.used_kbps = used
-        s_t = candidate_score(cand, CONV_WEIGHTS, prefs)
+        s_t = candidate_score(cand, CONV_WEIGHTS, 0.7, 0.3)
         assert s_t < previous
         previous = s_t
 
 
 def test_scores_invariant_under_price_rescaling():
-    prefs = UserPreferences(0.6, 0.4)
     base = _candidate(_table(), 3)
     for k in (0.5, 3.0, 100.0):
-        base_u = user_score(prefs, price_paid=0.9, sp_max=0.9)
-        scaled_u = user_score(prefs, price_paid=0.9 * k, sp_max=0.9 * k)
+        base_u = user_score(0.6, 0.4, price_paid=0.9, sp_max=0.9)
+        scaled_u = user_score(0.6, 0.4, price_paid=0.9 * k, sp_max=0.9 * k)
         assert scaled_u[0] == pytest.approx(base_u[0])
         scaled_table = _table([replace(net, sp=net.sp * k, cs=net.cs * k)
                                for net in default_scenario().operators])
         assert scaled_table.sp_max == pytest.approx(0.9 * k)
         scaled = _candidate(scaled_table, 3)
-        assert candidate_score(scaled, CONV_WEIGHTS, prefs) \
-            == pytest.approx(candidate_score(base, CONV_WEIGHTS, prefs))
+        assert candidate_score(scaled, CONV_WEIGHTS, 0.6, 0.4) \
+            == pytest.approx(candidate_score(base, CONV_WEIGHTS, 0.6, 0.4))
 
 
 def test_sp_max_must_be_positive():
@@ -172,8 +166,8 @@ def test_random_offers_stay_finite_and_bounded():
         total = sum(weights)
         qos_weights = tuple(w / total for w in weights)
         w_qos = rng.uniform(0.05, 0.95)
-        s_t = candidate_score(cand, qos_weights, UserPreferences(w_qos, 1 - w_qos))
-        s_tqos = candidate_score(cand, qos_weights, UserPreferences(1.0, 0.0))
+        s_t = candidate_score(cand, qos_weights, w_qos, 1 - w_qos)
+        s_tqos = candidate_score(cand, qos_weights, 1.0, 0.0)
         assert math.isfinite(s_t) and s_t >= 0.0
         assert math.isfinite(s_tqos) and s_tqos >= 0.0
     assert scored >= 20

@@ -8,7 +8,6 @@ from accessim.model import (
     ClassRequirements,
     ServiceKind,
     ServiceRequest,
-    UserPreferences,
     default_scenario,
     replace,
 )
@@ -42,12 +41,13 @@ def _table(networks, requirements=None):
     return AdmissionTable(networks, scenario.demand, requirements or scenario.requirements)
 
 
-def _request(home, kind=ServiceKind.CONVERSATIONAL, prefs=(0.7, 0.3), price=None):
+def _request(home, kind=ServiceKind.CONVERSATIONAL, price=None):
     scenario = _scenario()
     return ServiceRequest(
         home_op=home,
         service_class=scenario.service_class(kind),
-        prefs=UserPreferences(*prefs),
+        w_qos=0.7,
+        w_price=0.3,
         price_paid=price if price is not None else _ops(scenario)[home].sp,
     )
 
@@ -101,8 +101,9 @@ def hand_scored(request, networks, cand_id):
     table = _table(networks)
     route = table.routes[request.home_op, request.service_class.kind]
     cand = next(c for c in route.candidates if c.net.id == cand_id)
-    s_u, p_norm = user_score(request.prefs, request.price_paid, table.sp_max)
-    s_t = candidate_score(cand, request.service_class.qos_weights, request.prefs)
+    s_u, p_norm = user_score(request.w_qos, request.w_price, request.price_paid, table.sp_max)
+    s_t = candidate_score(cand, request.service_class.qos_weights, request.w_qos,
+                          request.w_price)
     return s_u, s_t, transfer_objective(route.home, s_u, s_t, p_norm, cand.cs_norm)
 
 
