@@ -36,8 +36,10 @@ from .selection import (
 from .engine import (
     CapacityAccountingError,
     RngStreams,
+    Tape,
     arrival_draws,
     generate_arrival,
+    record_tape,
     run_experiment,
     run_replication,
 )

@@ -21,13 +21,15 @@ from pathlib import Path
 
 from . import analytics
 from .charts import Series, line_chart
-from .engine import run_experiment
+from .engine import record_tape, replication_seeds, run_experiment
 from .model import (
+    MAX_TAPE_DRAWS,
     MetricsReport,
     Scenario,
     ScenarioError,
     ServiceKind,
     default_scenario,
+    expected_arrivals,
     load_scenario,
     replace,
     validate_scenario,
@@ -91,6 +93,12 @@ def run_grid(scenario: Scenario, sweep, modes) -> dict[tuple[float, bool], Metri
     numbers).  A rate given twice is run once.  Experiments go through this
     module's ``run_experiment``, so wrapping that one name sees every
     replication of the grid.
+
+    A grid of more than one cell draws each seed once: before any cell runs,
+    it records each seed's tape up to the horizon of its busiest cell, and
+    every cell replays those, with the results of live draws.  It does so
+    only while the tapes' expected arrivals stay under ``MAX_TAPE_DRAWS``; a
+    larger grid, like a one-cell one, draws live.
     """
     cells = {(mean_interarrival, cooperation):
              replace(scenario, mean_interarrival_s=mean_interarrival, cooperation=cooperation)
@@ -99,7 +107,15 @@ def run_grid(scenario: Scenario, sweep, modes) -> dict[tuple[float, bool], Metri
                                for violation in validate_scenario(cell))
     if violations:
         raise ScenarioError(violations)
-    return {key: run_experiment(cell) for key, cell in cells.items()}
+    tapes = None
+    if len(cells) > 1:
+        # The busiest cell has the shortest mean: a larger `1.0 / mean` rounds no
+        # gap longer, so it needs the most draws and its tape serves every cell.
+        busiest = min(cells.values(), key=lambda cell: cell.mean_interarrival_s)
+        if scenario.replications * max(expected_arrivals(busiest), 1.0) < MAX_TAPE_DRAWS:
+            tapes = {seed: record_tape(scenario, seed, busiest.mean_interarrival_s)
+                     for seed in replication_seeds(scenario)}
+    return {key: run_experiment(cell, tapes=tapes) for key, cell in cells.items()}
 
 
 def _summaries(grid, stats: bool):

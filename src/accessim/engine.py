@@ -20,6 +20,17 @@ arrival's time and one of the scenario's ``arrival_requests``, shared by
 every arrival of that home and profile, so it builds no request.  Each served
 arrival then draws its service time from ``service_time``.  Both exponential
 draws inline ``Random.expovariate``'s body, ``-log(1.0 - random()) / rate``.
+
+A grid of several cells runs each seed once per cell, and common random
+numbers give every cell the same draws for a seed; only the arrival rate
+differs.  ``record_tape`` makes those draws once per seed, before the seed's
+first replication: each gap's ``log(1.0 - u)``, each arrival's shared request
+and each served session's service-time uniform, up to the horizon of the
+grid's busiest cell.  ``run_replication(..., tape=tape)`` replays them: the
+same ``generate_arrival`` then returns ``clock - log_gap / rate``, and the
+service uniforms take the place of the live stream's ``random``.  Those are
+the live draw's own operations on the same values, so a replayed replication
+is bit-identical to a live one, and the arrival loop is the same code.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import inf, log
 
 from . import analytics
@@ -36,6 +47,7 @@ from .model import (
     OperatorLedger,
     ReplicationResult,
     Scenario,
+    ServiceRequest,
     Session,
     _FrozenRecord,
     replace,
@@ -98,14 +110,90 @@ def generate_arrival(clock, draws):
     ``clock - log(...)`` is ``clock + expovariate(rate)``.  The home is
     ``randrange(n)`` made from its own rejection loop on ``getrandbits(k)``,
     which consumes the stream exactly as ``randrange`` does; the profile is
-    the first whose cumulative probability exceeds the draw.
+    the first whose cumulative probability exceeds the draw.  Given a
+    ``replay_draws`` tuple instead, it returns the tape's next arrival.
     """
+    if draws[0] is None:
+        _, rate, log_gap, request = draws
+        return clock - log_gap() / rate, request()
     gap_uniform, rate, home_bits, n, k, uniform, cums, requests = draws
     t = clock - log(1.0 - gap_uniform()) / rate
     r = home_bits(k)
     while r >= n:
         r = home_bits(k)
     return t, requests[r][bisect_right(cums, uniform())]
+
+
+class Tape(_FrozenRecord):
+    """One seed's draws, recorded once to be replayed by every cell of a grid.
+
+    log_gaps      each interarrival gap's ``log(1.0 - u)``, the last one the
+                  first arrival at or past the horizon of the recording rate
+    requests      each arrival's shared request, one per gap
+    service_uniforms  each service time's uniform draw, one per arrival
+                      before that horizon, in the order sessions are served
+    """
+
+    log_gaps: array
+    requests: list[ServiceRequest]
+    service_uniforms: array
+
+
+def record_tape(scenario: Scenario, seed, fastest_mean_interarrival_s) -> Tape:
+    """Draw seed ``seed``'s tape for the cells of ``scenario`` with this mean or more.
+
+    Called before the seed's first replication, so a wrapped
+    ``generate_arrival`` sees these calls outside every replication.  At rate
+    1.0, ``0.0 - L / 1.0`` is exactly ``-L``, so ``generate_arrival`` itself
+    yields each gap's log ``L``; the clock then advances as a replication at
+    ``fastest_mean_interarrival_s`` would, and stops where that one stops.
+    A slower cell reaches its horizon no later (``replay_draws``), so the
+    tape holds every draw of every cell at that mean or a larger one.
+    """
+    from array import array  # loaded only by a grid that records tapes
+
+    streams = RngStreams.from_seed(seed)
+    gap_uniform, _, *rest = arrival_draws(scenario, streams)
+    unit_rate = (gap_uniform, 1.0, *rest)
+    rate = 1.0 / fastest_mean_interarrival_s
+    horizon = scenario.duration_s
+    log_gaps, requests = array("d"), []
+    clock = 0.0
+    while True:
+        minus_log_gap, request = generate_arrival(0.0, unit_rate)
+        log_gap = -minus_log_gap
+        log_gaps.append(log_gap)
+        requests.append(request)
+        clock = clock - log_gap / rate
+        if clock >= horizon:
+            break
+    service_uniform = streams.service_time.random
+    service_uniforms = array("d", [service_uniform() for _ in requests[1:]])
+    return Tape(log_gaps=log_gaps, requests=requests, service_uniforms=service_uniforms)
+
+
+def _tape_ended():
+    raise RuntimeError("the tape ended before the horizon: it was recorded for a slower "
+                       "arrival rate or a shorter horizon than this replication's")
+
+
+def _replayed(values):
+    """``values`` one at a time; past the last, a ``RuntimeError``, not a short run."""
+    return chain(values, iter(_tape_ended, None)).__next__
+
+
+def replay_draws(scenario: Scenario, tape: Tape) -> tuple:
+    """``generate_arrival``'s draws for a replay of ``tape`` at ``scenario``'s rate.
+
+    ``(None, rate, next gap log, next request)``.  Its times are the live
+    ones: the live draw computes ``clock - log(1.0 - u) / rate`` and the
+    replay ``clock - log_gap / rate`` on the same ``log_gap``.  A larger
+    ``rate`` rounds no gap longer and rounded addition is monotone, so the
+    replication at the tape's recording rate arrives first at each index and
+    uses the whole tape, and a slower one stops short of its end.
+    """
+    return (None, 1.0 / scenario.mean_interarrival_s, _replayed(tape.log_gaps),
+            _replayed(tape.requests))
 
 
 def admission_table(scenario: Scenario) -> AdmissionTable:
@@ -115,12 +203,15 @@ def admission_table(scenario: Scenario) -> AdmissionTable:
 
 
 def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
-                    table: AdmissionTable | None = None) -> ReplicationResult:
+                    table: AdmissionTable | None = None,
+                    tape: Tape | None = None) -> ReplicationResult:
     """Simulate one replication and return its raw counts, exchange and ledgers.
 
     ``table`` is the experiment's ``admission_table(scenario)``, or None to
-    build one.  A served session is booked into the ledgers at its departure
-    and then dropped; the result keeps no per-session record.
+    build one.  With a ``tape``, the seed's ``record_tape``, the replication
+    replays its draws and seeds no streams; the result is the live one.  A
+    served session is booked into the ledgers at its departure and then
+    dropped; the result keeps no per-session record.
 
     The next arrival is held apart from the heap, which holds only departures,
     as ``(end_s, seq, session, serving network)``; ``seq`` is unique, so no
@@ -135,7 +226,15 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
     network's scenario ``used_kbps`` is background load: it takes capacity for
     the whole run and is never released.
     """
-    streams = streams if streams is not None else RngStreams.from_seed(seed)
+    if tape is None:
+        streams = streams if streams is not None else RngStreams.from_seed(seed)
+        draws = arrival_draws(scenario, streams)
+        service_uniform = streams.service_time.random
+    else:
+        # Recorded uniforms, not logs: the loop draws a duration with one
+        # expression whichever its source, so live replications pay nothing for replay.
+        draws = replay_draws(scenario, tape)
+        service_uniform = _replayed(tape.service_uniforms)
     table = table if table is not None else admission_table(scenario)
     world = table.networks
     by_id = {net.id: net for net in world}
@@ -144,11 +243,9 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
         net.used_kbps = start.used_kbps
     # Occupancy sums round at the scale of the capacities, not of one kbit/s.
     tolerance = 1e-9 * max(net.capacity_kbps for net in world)
-    draws = arrival_draws(scenario, streams)
     horizon = scenario.duration_s
     cooperation = scenario.cooperation
     billing = scenario.billing
-    service_uniform = streams.service_time.random
     service_lambda = 1.0 / scenario.mean_service_s
     heappush, heappop = heapq.heappush, heapq.heappop
     # Every blocked decision is the one shared BLOCKED.
@@ -219,8 +316,13 @@ def replication_seeds(scenario: Scenario):
     return [scenario.base_seed + i for i in range(scenario.replications)]
 
 
-def run_experiment(scenario: Scenario) -> MetricsReport:
-    """Run every replication in seed order, all over one admission table."""
+def run_experiment(scenario: Scenario, tapes=None) -> MetricsReport:
+    """Run every replication in seed order, all over one admission table.
+
+    ``tapes``, if given, maps each seed to the ``Tape`` its replication replays.
+    """
     table = admission_table(scenario)
     return MetricsReport(scenario=scenario, results=[
-        run_replication(scenario, seed, table=table) for seed in replication_seeds(scenario)])
+        run_replication(scenario, seed, table=table,
+                        tape=None if tapes is None else tapes[seed])
+        for seed in replication_seeds(scenario)])

@@ -19,6 +19,10 @@ from pathlib import Path
 WEIGHT_SUM_TOL = 1e-9
 # Most arrivals an experiment may expect: at a few µs each, under a minute of work.
 MAX_EXPECTED_ARRIVALS = 10_000_000
+# Most arrivals a grid records to replay in every cell (``engine.Tape``): each costs
+# 24 bytes (its gap's log, its request and a service uniform), so 24 MB.  Above it, every
+# cell draws live, in memory that does not grow with the replications.
+MAX_TAPE_DRAWS = 1_000_000
 # Most operators a scenario may hold: the admission table compiles up to every other
 # operator per operator and class, about 0.1 s of work at this count.
 MAX_OPERATORS = 100

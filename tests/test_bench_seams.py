@@ -71,6 +71,30 @@ def test_traced_cli_sweep_patches_the_record_classes(tmp_path, monkeypatch):
     assert {name: vars(analytics.ScopeStats)[name] for name in SCOPE_STATS} == originals
 
 
+def test_a_traced_sweep_records_its_tapes_outside_every_replication(tmp_path, monkeypatch):
+    # A grid draws each seed's tape before any cell runs, through the traced
+    # `generate_arrival`: those calls belong to no replication, and each
+    # replication still makes its arrivals + 1.
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import child
+    from tracer import NO_REPLICATION, Tracer
+
+    tracer = Tracer().install()
+    try:
+        assert cli.main(["sweep", "--scenario", str(CALIBRATED), "--out", str(tmp_path),
+                         "--sweep", "5,2.5", "--replications", "2", "--no-svg"]) == 0
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert child.check_trace(tracer, summary) == []
+    # Each seed's tape runs to the first arrival past the horizon of the 2.5 s cells.
+    taped = {result.seed: result.arrivals + 1 for scenario, result in tracer.results
+             if scenario.mean_interarrival_s == 2.5}
+    assert len(taped) == 2
+    recorded = summary["per_replication"][("engine.generate_arrival", NO_REPLICATION)]
+    assert recorded == sum(taped.values())
+
+
 @pytest.mark.parametrize("command", ["sweep", "compare"])
 def test_every_grid_replication_goes_through_cli_run_experiment(command, tmp_path,
                                                                 monkeypatch):

@@ -293,10 +293,13 @@ def test_replications_above_the_arrival_cap_are_rejected(tmp_path):
 
 @pytest.fixture
 def cells(monkeypatch):
-    """Stands in for ``cli.run_experiment``: records each cell it is given and runs none."""
+    """Stands in for ``cli.run_experiment``: records each cell it is given and runs none.
+
+    A grid of several cells passes each cell its seeds' tapes as well.
+    """
     ran = []
 
-    def counted(scenario):
+    def counted(scenario, tapes=None):
         ran.append(scenario)
         return MetricsReport(scenario=scenario, results=[])
 

@@ -11,15 +11,16 @@ engine's ``Session`` and the reports' ``ScopeRow`` are
 ``collections.namedtuple`` rows, which the engine builds with
 ``tuple.__new__`` and the reports zip, slice and ``_make``.  The demand
 table is a ``dict`` of each class's rates by technology, as a file nests
-them.  The schema records and the records that were named tuples keep what
-a dataclass or a named tuple gave them: keywords and defaults, read-only
-fields (but a network's ``used_kbps``), equality, hash and repr by field,
-copy and pickle.
+them.  The schema records, the records that were named tuples and the
+engine's ``Tape`` keep what a dataclass or a named tuple gave them:
+keywords and defaults, read-only fields (but a network's ``used_kbps``),
+equality, hash and repr by field, copy and pickle.
 """
 
 import copy
 import inspect
 import pickle
+from array import array
 from dataclasses import FrozenInstanceError, is_dataclass
 from enum import Enum
 
@@ -33,6 +34,16 @@ PER_ARRIVAL = {"ServiceRequest", "ServiceClass", "AdmissionDecision", "Route", "
 SLOT_CLASSES = {"OperatorLedger"}
 CONVERTED = {"ReplicationResult", "MetricsReport", "RngStreams",
              "ExchangeMatrix", "ScopeStats", "BlockingStats", "Series"}
+NATIVE = {"Tape"}  # written on the base from the start, to the same contract
+
+# The sampled records by name, in the order of _samples.  Their test cases were
+# once numbered by position: the records numbered then keep those numbers as
+# their ids, so a list of test ids goes on naming the same records, and a record
+# sampled since has its own name as its id.
+NUMBERED = ("ClassRequirements", "OperatorNetwork", "TrafficProfile", "Scenario",
+            "ReplicationResult", "MetricsReport", "RngStreams", "ExchangeMatrix",
+            "ScopeStats", "BlockingStats", "Series")
+SAMPLED = (*NUMBERED, "Tape")
 
 
 def _records():
@@ -54,7 +65,7 @@ def test_records_share_one_base_and_only_two_are_named_tuples():
                if "__slots__" in vars(cls) and not issubclass(cls, tuple)}
     assert slotted == SLOT_CLASSES
     on_base = {name for name, cls in records.items() if issubclass(cls, model._Record)}
-    assert on_base == SCHEMA | CONVERTED | PER_ARRIVAL | SLOT_CLASSES
+    assert on_base == SCHEMA | CONVERTED | NATIVE | PER_ARRIVAL | SLOT_CLASSES
     assert on_base | {"Session", "ScopeRow", "DemandTable"} == set(records)
     assert issubclass(records["DemandTable"], dict)
     assert {name for name in on_base if "__init__" in vars(records[name])} == SLOT_CLASSES
@@ -62,8 +73,8 @@ def test_records_share_one_base_and_only_two_are_named_tuples():
 
 
 def _samples():
-    """One instance of each schema and converted record, its repr as a dataclass or a
-    named tuple printed it, and whether it hashed there."""
+    """By class name, one instance of each schema, converted and native record, its
+    repr as a dataclass or a named tuple printed it, and whether it hashed there."""
     conversational, interactive = model.ServiceKind
     requirements = model.ClassRequirements(jitter_req=10.0, delay_req=100.0, ber_req=1e-3)
     network = default_scenario().operators[0]
@@ -82,7 +93,10 @@ def _samples():
     stats = analytics.ScopeStats(values=(1.0, 3.0))
     blocking = analytics.BlockingStats(overall=stats, per_operator={1: stats})
     series = charts.Series(label="a", points=((1.0, 2.0),))
-    return [
+    [request, *_] = scenario.arrival_requests[0]
+    tape = engine.Tape(log_gaps=array("d", [-0.5, -1.5]), requests=[request, request],
+                       service_uniforms=array("d", [0.25]))
+    samples = [
         (requirements, "ClassRequirements(jitter_req=10.0, delay_req=100.0, ber_req=0.001)",
          True),
         (network, "OperatorNetwork(id=1, name='Op1', technology=<Technology.UMTS: 'UMTS'>, "
@@ -110,7 +124,10 @@ def _samples():
         (blocking, "BlockingStats(overall=ScopeStats(values=(1.0, 3.0)), "
                    "per_operator={1: ScopeStats(values=(1.0, 3.0))})", False),
         (series, "Series(label='a', points=((1.0, 2.0),), dashed=False)", True),
+        (tape, f"Tape(log_gaps=array('d', [-0.5, -1.5]), requests=[{request!r}, {request!r}], "
+               "service_uniforms=array('d', [0.25]))", False),
     ]
+    return {type(sample[0]).__name__: sample for sample in samples}
 
 
 def _same(clone, record):
@@ -122,12 +139,14 @@ def _same(clone, record):
 
 
 def test_samples_cover_every_schema_and_converted_record():
-    assert {type(record).__name__ for record, _, _ in _samples()} == SCHEMA | CONVERTED
+    assert tuple(_samples()) == SAMPLED
+    assert set(SAMPLED) == SCHEMA | CONVERTED | NATIVE
 
 
-@pytest.mark.parametrize("index", range(11))
-def test_records_keep_what_a_dataclass_or_named_tuple_gave_them(index):
-    record, printed, hashable = _samples()[index]
+@pytest.mark.parametrize("sample", SAMPLED, ids=lambda sample: (
+    str(NUMBERED.index(sample)) if sample in NUMBERED else sample))
+def test_records_keep_what_a_dataclass_or_named_tuple_gave_them(sample):
+    record, printed, hashable = _samples()[sample]
     cls = type(record)
     assert repr(record) == printed
     values = {name: getattr(record, name) for name, _, _ in model.fields(record)}
