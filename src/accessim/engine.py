@@ -8,7 +8,10 @@ due by the next arrival's time ``t``, so departures at an arrival's instant go
 first, and then admits that arrival.  The first arrival at or past the horizon
 is not admitted: one last pass with ``t = inf`` drains the heap.
 An experiment's replications share one ``AdmissionTable``; each resets its
-networks' ``used_kbps`` first, so each depends on its seed alone.
+networks' ``used_kbps`` first, so each depends on its seed alone.  A served
+arrival counts as ``tally[decision.slot] += 1``, one entry per shared served
+decision of the table, so the loop neither branches on the outcome nor builds
+a key; the per-operator and exchange counts are read off the tally at the end.
 
 Everything an arrival draws from is bound once per replication by
 ``arrival_draws``, and ``generate_arrival(clock, draws)`` makes three draws
@@ -52,7 +55,7 @@ from .model import (
     _FrozenRecord,
     replace,
 )
-from .selection import BLOCKED, AdmissionTable, Outcome, admit
+from .selection import BLOCKED, AdmissionTable, admit
 
 
 class CapacityAccountingError(RuntimeError):
@@ -225,6 +228,10 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
     starting occupancy, but session volume is truncated at the horizon.  A
     network's scenario ``used_kbps`` is background load: it takes capacity for
     the whole run and is never released.
+
+    Each served arrival adds one to its decision's ``slot`` of a tally; the
+    result's ``served_home_by_op`` (every operator, zeros included) and
+    ``exchange`` (positive counts only) are read off it after the drain.
     """
     if tape is None:
         streams = streams if streams is not None else RngStreams.from_seed(seed)
@@ -249,12 +256,12 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
     service_lambda = 1.0 / scenario.mean_service_s
     heappush, heappop = heapq.heappush, heapq.heappop
     # Every blocked decision is the one shared BLOCKED.
-    served_home, blocked = Outcome.SERVED_HOME, BLOCKED
+    blocked = BLOCKED
 
     op_ids = [net.id for net in world]
     blocked_by_home = {i: 0 for i in op_ids}
-    served_home_by_op = {i: 0 for i in op_ids}
-    exchange = {}
+    # Served arrivals per shared served decision, by its slot.
+    tally = [0] * len(table.slot_keys)
     ledgers = {i: OperatorLedger() for i in op_ids}
 
     heap = []
@@ -295,11 +302,7 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
             session = tuple.__new__(Session, (request, serving_op, rate, t, duration))
             heappush(heap, (t + duration, seq, session, serving))
             seq += 1
-            if decision.outcome is served_home:
-                served_home_by_op[serving_op] += 1
-            else:
-                key = (request.home_op, serving_op, request.service_class.kind)
-                exchange[key] = exchange.get(key, 0) + 1
+            tally[decision.slot] += 1
         t, request = generate_arrival(t, draws)
 
     for net, start in zip(world, scenario.operators):
@@ -307,6 +310,13 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
             raise CapacityAccountingError(
                 f"operator {net.id} did not drain to its background load "
                 f"{start.used_kbps}: {net.used_kbps}")
+    served_home_by_op = {i: 0 for i in op_ids}
+    exchange = {}
+    for (home, serving, kind), n in zip(table.slot_keys, tally):
+        if home == serving:
+            served_home_by_op[home] += n
+        elif n:
+            exchange[home, serving, kind] = n
     return ReplicationResult(
         seed=seed, blocked_by_home=blocked_by_home, served_home_by_op=served_home_by_op,
         exchange=exchange, ledgers=ledgers)

@@ -22,11 +22,17 @@ by the highest access price among the networks.
 
 Everything but the networks' occupancy is constant during a run, so an
 ``AdmissionTable`` compiles it once per experiment: which candidates meet
-the bounds, their normalized prices and every served decision.  Each
+the bounds, their normalized prices and every served decision.  Its
+``routes`` map a home operator's id to that home's ``Route`` per service
+kind, so ``admit`` finds one by two plain lookups and builds no key.  Each
 admission then reads only the live ``used_kbps``, scores the candidates that
-have room and returns a shared decision, so it allocates none.  The table's
-``Route`` and ``Candidate`` records and every ``AdmissionDecision``, like the
-engine's shared ``ServiceRequest``, are read-only records.
+have room and returns a shared decision, so it allocates none.  Each shared
+served decision holds a ``slot``, its index in the table's ``slot_keys``,
+which give the ``(home, serving, kind)`` it counts for: the engine tallies a
+served arrival with one list increment and derives its per-operator and
+exchange counts from that tally after the run.  The table's ``Route`` and
+``Candidate`` records and every ``AdmissionDecision``, like the engine's
+shared ``ServiceRequest``, are read-only records.
 The gates compute the spare capacity ``capacity_kbps - used_kbps`` inline; a
 precomputed ``capacity - rate`` threshold could round the other way.
 """
@@ -61,6 +67,7 @@ class AdmissionDecision(_FrozenRecord):
     outcome: Outcome
     serving_op: int | None = None
     rate_kbps: float | None = None  # what the session takes on serving_op
+    slot: int | None = None  # index into the table's slot_keys; None unless the table built it
 
 
 # Every blocked request, at home or after a failed transfer, gets this one decision.
@@ -109,8 +116,13 @@ class AdmissionTable:
 
     Only ``used_kbps`` changes during a run.  The table holds the network
     objects themselves, so each decision reads their occupancy live; iterating
-    the table yields the networks.  Raises ``ValueError`` when the price
-    normalization or a candidate's bandwidth ratio would divide by zero.
+    the table yields the networks.  ``routes[home_id][kind]`` is a home's
+    ``Route`` for a service kind.  Every served decision the table builds, a
+    route's and each candidate's, holds a distinct ``slot`` numbered from 0
+    in operator id order, so the listing order of the networks changes no
+    decision, and ``slot_keys[slot]`` is the ``(home, serving, kind)`` it
+    counts for.  Raises ``ValueError`` when the price normalization or a
+    candidate's bandwidth ratio would divide by zero.
     """
 
     def __init__(self, networks: Iterable[OperatorNetwork], demand: DemandTable,
@@ -120,8 +132,10 @@ class AdmissionTable:
         if self.sp_max <= 0:
             raise ValueError("sp_max must be positive")
         in_id_order = sorted(self.networks, key=lambda net: net.id)
-        self.routes: dict[tuple[int, ServiceKind], Route] = {}
-        for home in self.networks:
+        self.routes: dict[int, dict[ServiceKind, Route]] = {}
+        slot_keys = []
+        for home in in_id_order:
+            routes = self.routes[home.id] = {}
             for kind, bounds in requirements.items():
                 candidates = []
                 for cand in in_id_order:
@@ -133,12 +147,15 @@ class AdmissionTable:
                     candidates.append(Candidate(
                         cand, rate, cand.sp / self.sp_max, cand.cs / self.sp_max,
                         AdmissionDecision(Outcome.SERVED_TRANSFER, serving_op=cand.id,
-                                          rate_kbps=rate)))
+                                          rate_kbps=rate, slot=len(slot_keys))))
+                    slot_keys.append((home.id, cand.id, kind))
                 rate = demand.rate(kind, home.technology)
                 served = AdmissionDecision(Outcome.SERVED_HOME, serving_op=home.id,
-                                           rate_kbps=rate)
-                self.routes[home.id, kind] = Route(
+                                           rate_kbps=rate, slot=len(slot_keys))
+                slot_keys.append((home.id, home.id, kind))
+                routes[kind] = Route(
                     home, rate, meets_bounds(home, bounds), served, tuple(candidates))
+        self.slot_keys: tuple[tuple[int, int, ServiceKind], ...] = tuple(slot_keys)
 
     def __iter__(self):
         return iter(self.networks)
@@ -172,7 +189,7 @@ def select_serving_operator(request: ServiceRequest, table: AdmissionTable, rout
                             ) -> AdmissionDecision:
     """Pick the best cooperating operator (home excluded), or block if none is feasible.
 
-    ``route`` is ``table.routes[request.home_op, request.service_class.kind]``,
+    ``route`` is ``table.routes[request.home_op][request.service_class.kind]``,
     which the caller has already looked up.  Only a candidate with room is
     scored, so the user's weights and the class's QoS weights are read
     once one has passed the capacity gate; a blocked call tests capacity alone.
@@ -198,7 +215,7 @@ def select_serving_operator(request: ServiceRequest, table: AdmissionTable, rout
 def admit(request: ServiceRequest, table: AdmissionTable,
           cooperation: bool) -> AdmissionDecision:
     """Home-first admission; never mutates network state, the engine applies the outcome."""
-    route = table.routes[request.home_op, request.service_class.kind]
+    route = table.routes[request.home_op][request.service_class.kind]
     home = route.home
     if route.in_bounds and home.capacity_kbps - home.used_kbps >= route.rate:
         return route.served

@@ -8,6 +8,7 @@ The benchmark's trace check pins the same seam (accrue calls = served).
 """
 
 import contextlib
+from collections import Counter
 
 from accessim import analytics
 
@@ -49,3 +50,21 @@ def run_logged(run, *args, **kwargs):
     with log.recording():
         value = run(*args, **kwargs)
     return value, log
+
+
+def served_counts(sessions, op_ids):
+    """The ``served_home_by_op`` and ``exchange`` that ``sessions`` imply, session by session.
+
+    A session served at home counts for its serving operator (every one of
+    ``op_ids`` is a key, zeros included); a transferred one counts for its
+    ``(home, serving, kind)``, and only keys that a session holds appear.
+    """
+    served_home_by_op = dict.fromkeys(op_ids, 0)
+    exchange = Counter()
+    for session in sessions:
+        request, serving = session.request, session.serving_op
+        if serving == request.home_op:
+            served_home_by_op[serving] += 1
+        else:
+            exchange[request.home_op, serving, request.service_class.kind] += 1
+    return served_home_by_op, dict(exchange)

@@ -11,6 +11,7 @@ from accessim.engine import (
     admission_table,
     arrival_draws,
     generate_arrival,
+    record_tape,
     replication_seeds,
     run_experiment,
     run_replication,
@@ -29,7 +30,7 @@ from accessim.model import (
 )
 
 from oracles import oracle_arrivals
-from session_log import run_logged
+from session_log import run_logged, served_counts
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -320,6 +321,27 @@ def test_count_conservation_across_seeds():
         assert sum(s.serving_op == s.request.home_op for s in served) == r.served_home
 
 
+@pytest.mark.parametrize("replayed", [False, True], ids=["live", "replayed"])
+@pytest.mark.parametrize("cooperation", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("name", ["default.json", "calibrated.json"])
+def test_served_counts_equal_the_sessions_key_by_key(name, cooperation, replayed):
+    # The loop tallies each served arrival by its decision's slot and reads the
+    # per-operator and exchange counts off the tally; the sessions it accrued
+    # must give the same counts, key by key, with no zero exchange entry.
+    scenario = replace(load_scenario(SCENARIO_DIR / name), cooperation=cooperation,
+                       replications=5)
+    op_ids = [net.id for net in scenario.operators]
+    tapes = ({seed: record_tape(scenario, seed, scenario.mean_interarrival_s)
+              for seed in replication_seeds(scenario)} if replayed else None)
+    report, log = run_logged(run_experiment, scenario, tapes)
+    for result in report.results:
+        served_home_by_op, exchange = served_counts(log(result), op_ids)
+        assert result.served_home_by_op == served_home_by_op, result.seed
+        assert result.exchange == exchange, result.seed
+        assert 0 not in result.exchange.values()
+    assert any(result.exchange for result in report.results) is cooperation
+
+
 def test_each_home_counts_every_arrival_drawn_for_it(monkeypatch):
     # Tallied from the draws themselves, apart from the outcome counts that
     # scope_rows sums into each home's arrivals.
@@ -603,7 +625,7 @@ def test_serving_a_full_network_is_an_accounting_error(monkeypatch):
     # Admission that always serves at home, room or not: the second session
     # that overlaps another overfills the 256 kbps network.
     monkeypatch.setattr(engine, "admit", lambda request, table, cooperation:
-                        table.routes[request.home_op, request.service_class.kind].served)
+                        table.routes[request.home_op][request.service_class.kind].served)
     with pytest.raises(CapacityAccountingError,
                        match=r"^operator 1 exceeded capacity at t=\d"):
         run_replication(_single_op_scenario(capacity=256.0), seed=1)

@@ -37,6 +37,7 @@ from accessim.model import (
     validate_scenario,
 )
 from accessim.selection import Outcome, meets_bounds
+from session_log import run_logged, served_counts
 from test_model import json_with, with_container, with_scalar
 
 PROPERTY_SETTINGS = settings(deadline=None, database=None, max_examples=60)
@@ -112,13 +113,18 @@ def scenarios(draw):
 @PROPERTY_SETTINGS
 @given(scenarios())
 def test_valid_scenarios_run_and_conserve_arrivals_and_money(scenario):
-    report = run_experiment(scenario)
+    report, log = run_logged(run_experiment, scenario)
     assert len(report.results) == scenario.replications
+    op_ids = [net.id for net in scenario.operators]
     for result in report.results:
         assert result.arrivals == (result.blocked + result.served_home
                                    + result.served_transferred)
-        overall, *operators = scope_rows(
-            result, [net.id for net in scenario.operators]).values()
+        # The tallied counts are the accrued sessions', key by key.
+        served_home_by_op, exchange = served_counts(log(result), op_ids)
+        assert result.served_home_by_op == served_home_by_op
+        assert result.exchange == exchange
+        assert 0 not in result.exchange.values()
+        overall, *operators = scope_rows(result, op_ids).values()
         for row in operators:
             assert row.arrivals == row.blocked + row.served_home + row.served_transferred
         # The operator rows partition the global one: every count sums exactly.

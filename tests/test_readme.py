@@ -2,7 +2,9 @@
 
 Each fenced ```python block runs in its own interpreter from the repository
 root, with ``src`` on the import path, so a renamed export or a changed
-signature that the README still shows fails here.
+signature that the README still shows fails here.  A block states what it
+claims with ``assert``, which fails the run, not as a comment on a printed
+value, which no exit code checks.
 """
 
 import os
@@ -20,6 +22,13 @@ BLOCKS = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
 
 def test_readme_has_python_examples():
     assert len(BLOCKS) >= 2
+
+
+def test_readme_examples_assert_their_claims():
+    # `print(x)  # True` would pass printing False; an assert would not.
+    assert not [line for block in BLOCKS for line in block.splitlines()
+                if re.search(r"print\(.*#\s*(True|False)\b", line)]
+    assert all("assert " in block for block in BLOCKS)
 
 
 @pytest.mark.parametrize("index", range(len(BLOCKS)))

@@ -203,12 +203,12 @@ def test_a_network_lists_its_fields_in_declaration_order():
 
 
 def test_routes_and_candidates_are_frozen_unhashable_records():
-    route = engine.admission_table(default_scenario()).routes[1, model.ServiceKind.CONVERSATIONAL]
+    route = engine.admission_table(default_scenario()).routes[1][model.ServiceKind.CONVERSATIONAL]
     candidate = route.candidates[0]
     assert repr(candidate) == (
         f"Candidate(net={candidate.net!r}, rate=256.0, sp_norm={0.1 / 0.9!r}, "
         f"cs_norm={0.1 / 0.9!r}, served=AdmissionDecision(outcome=<Outcome.SERVED_TRANSFER: "
-        "'served_transfer'>, serving_op=2, rate_kbps=256.0))")
+        "'served_transfer'>, serving_op=2, rate_kbps=256.0, slot=0))")
     assert repr(route) == (f"Route(home={route.home!r}, rate=256.0, in_bounds=True, "
                            f"served={route.served!r}, candidates={route.candidates!r})")
     for record in (route, candidate):
@@ -237,9 +237,9 @@ def test_value_records_compare_hash_and_print_as_dataclasses_did():
     assert repr(request) == (f"ServiceRequest(home_op=2, service_class={service_class!r}, "
                              "w_qos=0.7, w_price=0.3, price_paid=0.1)")
     assert repr(decision) == ("AdmissionDecision(outcome=<Outcome.SERVED_TRANSFER: "
-                              "'served_transfer'>, serving_op=3, rate_kbps=1024.0)")
+                              "'served_transfer'>, serving_op=3, rate_kbps=1024.0, slot=None)")
     assert repr(selection.BLOCKED) == ("AdmissionDecision(outcome=<Outcome.BLOCKED: 'blocked'>, "
-                                       "serving_op=None, rate_kbps=None)")
+                                       "serving_op=None, rate_kbps=None, slot=None)")
     assert repr(ledger) == ("OperatorLedger(income_own=100.0, income_transferred=0.0, "
                             "income_guests=0.0, cost_paid=0.0)")
 

@@ -37,7 +37,7 @@ def _table(networks=None, demand=None, requirements=None):
 def _candidate(table, cand_id):
     """The table's conversational entry for ``cand_id`` on some other home's route."""
     home_id = next(net.id for net in table if net.id != cand_id)
-    return next(cand for cand in table.routes[home_id, CONV].candidates
+    return next(cand for cand in table.routes[home_id][CONV].candidates
                 if cand.net.id == cand_id)
 
 
@@ -54,14 +54,15 @@ def test_every_route_holds_exactly_the_operators_that_meet_the_bounds(name):
     # only for a candidate within every bound of the class.
     scenario = load_scenario(SCENARIO_DIR / f"{name}.json")
     table = _table(scenario.operators, scenario.demand, scenario.requirements)
-    for (home_id, kind), route in table.routes.items():
-        bounds = scenario.requirements[kind]
-        assert [cand.net.id for cand in route.candidates] == sorted(
-            net.id for net in scenario.operators
-            if net.id != home_id and meets_bounds(net, bounds))
+    for home_id, routes in table.routes.items():
+        for kind, route in routes.items():
+            bounds = scenario.requirements[kind]
+            assert [cand.net.id for cand in route.candidates] == sorted(
+                net.id for net in scenario.operators
+                if net.id != home_id and meets_bounds(net, bounds))
     # The UMTS network misses the interactive BER bound, so no interactive route has it.
-    assert all(cand.net.id != 1 for (_, kind), route in table.routes.items()
-               for cand in route.candidates if kind is ServiceKind.INTERACTIVE)
+    assert all(cand.net.id != 1 for routes in table.routes.values()
+               for cand in routes[ServiceKind.INTERACTIVE].candidates)
 
 
 def test_zero_divisors_rejected():
@@ -154,7 +155,7 @@ def test_random_offers_stay_finite_and_bounded():
                         for kind in ServiceKind}
         table = AdmissionTable([home, net], demand, requirements)
         assert table.sp_max == 2.0
-        candidates = table.routes[1, CONV].candidates
+        candidates = table.routes[1][CONV].candidates
         assert len(candidates) == meets_bounds(net, requirements[CONV])
         if not candidates:
             continue

@@ -99,7 +99,7 @@ def hand_scored(request, networks, cand_id):
     ``networks`` are the default scenario's operators, possibly with other loads.
     """
     table = _table(networks)
-    route = table.routes[request.home_op, request.service_class.kind]
+    route = table.routes[request.home_op][request.service_class.kind]
     cand = next(c for c in route.candidates if c.net.id == cand_id)
     s_u, p_norm = user_score(request.w_qos, request.w_price, request.price_paid, table.sp_max)
     s_t = candidate_score(cand, request.service_class.qos_weights, request.w_qos,
@@ -119,7 +119,7 @@ def test_reference_transfer_picks_op3():
     scenario = _scenario()
     request = _request(home=1)
     table = _table(scenario.operators)
-    decision = select_serving_operator(request, table, table.routes[1, request.service_class.kind])
+    decision = select_serving_operator(request, table, table.routes[1][request.service_class.kind])
     assert decision.outcome is Outcome.SERVED_TRANSFER
     assert decision.serving_op == 3
     assert hand_scored(request, scenario.operators, 2)[2] == pytest.approx(0.3133506944444445)
@@ -155,7 +155,7 @@ def test_forced_route_between_wlans_for_loss_sensitive_class():
     assert decision.outcome is Outcome.SERVED_TRANSFER
     assert decision.serving_op == 3
     # The UMTS operator fails the BER gate whatever its load, so it is no candidate.
-    assert [c.net.id for c in table.routes[2, ServiceKind.INTERACTIVE].candidates] == [3]
+    assert [c.net.id for c in table.routes[2][ServiceKind.INTERACTIVE].candidates] == [3]
 
     ops = list(scenario.operators)
     ops[2] = replace(ops[2], used_kbps=ops[2].capacity_kbps)
@@ -163,7 +163,7 @@ def test_forced_route_between_wlans_for_loss_sensitive_class():
     decision = admit(_request(home=3, kind=ServiceKind.INTERACTIVE), table, cooperation=True)
     assert decision.outcome is Outcome.SERVED_TRANSFER
     assert decision.serving_op == 2
-    assert [c.net.id for c in table.routes[3, ServiceKind.INTERACTIVE].candidates] == [2]
+    assert [c.net.id for c in table.routes[3][ServiceKind.INTERACTIVE].candidates] == [2]
 
 
 def test_blocked_when_no_candidate_is_feasible(monkeypatch):
@@ -175,7 +175,7 @@ def test_blocked_when_no_candidate_is_feasible(monkeypatch):
     decision = admit(request, table, cooperation=True)
     assert decision.outcome is Outcome.BLOCKED
     assert decision is BLOCKED
-    route = table.routes[1, request.service_class.kind]
+    route = table.routes[1][request.service_class.kind]
     assert select_serving_operator(request, table, route) is BLOCKED
 
 
@@ -186,7 +186,7 @@ def test_exact_tie_resolves_to_lowest_id():
     ops[2] = replace(ops[1], id=3, name="Op3")
     request = _request(home=1)
     table = _table(ops)
-    decision = select_serving_operator(request, table, table.routes[1, request.service_class.kind])
+    decision = select_serving_operator(request, table, table.routes[1][request.service_class.kind])
     assert hand_scored(request, ops, 2) == hand_scored(request, ops, 3)
     assert decision.serving_op == 2
 
@@ -194,11 +194,11 @@ def test_exact_tie_resolves_to_lowest_id():
 def test_decision_ignores_listing_order():
     scenario = _scenario()
     request = _request(home=1)
-    key = (1, request.service_class.kind)
+    kind = request.service_class.kind
     forward_table = _table(scenario.operators)
     backward_table = _table(tuple(reversed(scenario.operators)))
-    forward = select_serving_operator(request, forward_table, forward_table.routes[key])
-    backward = select_serving_operator(request, backward_table, backward_table.routes[key])
+    forward = select_serving_operator(request, forward_table, forward_table.routes[1][kind])
+    backward = select_serving_operator(request, backward_table, backward_table.routes[1][kind])
     assert forward.serving_op == backward.serving_op
     assert forward == backward
 
@@ -294,7 +294,7 @@ def test_admit_returns_only_prebuilt_decisions():
     for _ in range(500):
         request, networks, demand, requirements = random_instance(rng)
         table = AdmissionTable(networks, demand, requirements)
-        route = table.routes[request.home_op, request.service_class.kind]
+        route = table.routes[request.home_op][request.service_class.kind]
         for cand in route.candidates:
             assert cand.served.outcome is Outcome.SERVED_TRANSFER
             assert (cand.served.serving_op, cand.served.rate_kbps) == (cand.net.id, cand.rate)
@@ -303,6 +303,39 @@ def test_admit_returns_only_prebuilt_decisions():
         assert any(decision is shared for shared in prebuilt)
         outcomes.add(decision.outcome)
     assert outcomes == set(Outcome)
+
+
+def _five_operators():
+    """Five networks, copies of the default three with ids 1-5, listed out of id order."""
+    operators = default_scenario().operators * 2
+    networks = [replace(net, id=i + 1) for i, net in enumerate(operators[:5])]
+    return tuple(networks[i] for i in (3, 0, 4, 2, 1))
+
+
+@pytest.mark.parametrize("networks", [default_scenario().operators, _five_operators()],
+                         ids=["default", "five-operators"])
+def test_every_served_decision_holds_one_distinct_slot(networks):
+    # The engine tallies a served arrival at its decision's slot and reads the
+    # slot's (home, serving, kind) back, so each must name exactly its decision.
+    scenario = default_scenario()
+    table = AdmissionTable(networks, scenario.demand, scenario.requirements)
+    slots = []
+    for home_id, routes in table.routes.items():
+        assert list(routes) == list(scenario.requirements)
+        for kind, route in routes.items():
+            assert table.slot_keys[route.served.slot] == (home_id, home_id, kind)
+            slots.append(route.served.slot)
+            for cand in route.candidates:
+                assert table.slot_keys[cand.served.slot] == (home_id, cand.net.id, kind)
+                slots.append(cand.served.slot)
+    assert sorted(table.routes) == sorted(net.id for net in networks)
+    assert sorted(slots) == list(range(len(table.slot_keys)))
+    assert BLOCKED.slot is None
+    # Numbered in id order, so the listing order changes no decision.
+    reordered = AdmissionTable(networks[::-1], scenario.demand, scenario.requirements)
+    assert reordered.slot_keys == table.slot_keys
+    assert all(reordered.routes[home_id][kind].served == route.served
+               for home_id, routes in table.routes.items() for kind, route in routes.items())
 
 
 def test_served_decisions_carry_the_serving_rate():
