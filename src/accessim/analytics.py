@@ -23,11 +23,13 @@ def session_volume_kbytes(session: Session, horizon_s: float) -> float:
     return session.rate_kbps * max(end - session.start_s, 0.0) / 8.0
 
 
-def accrue(session: Session, networks: Mapping[int, OperatorNetwork],
+def accrue(session: Session | tuple, networks: Mapping[int, OperatorNetwork],
            ledgers: Mapping[int, OperatorLedger], horizon_s: float,
            billing: str = "volume") -> None:
     """Book one session that started before the horizon into the operator ledgers.
 
+    ``session`` is a ``Session`` or a plain tuple in its field order, which is
+    what the engine books: it is unpacked by position, so both book the same.
     Its volume is truncated at the horizon.  Home-served revenue goes to
     income_own.  A transferred session pays the home operator in full
     (income_transferred) while the serving operator's settlement price flows

@@ -7,6 +7,9 @@ accrual at departure.  Each pass of the loop first handles every departure
 due by the next arrival's time ``t``, so departures at an arrival's instant go
 first, and then admits that arrival.  The first arrival at or past the horizon
 is not admitted: one last pass with ``t = inf`` drains the heap.
+A served session is the plain tuple ``(request, serving_op, rate_kbps,
+start_s, duration_s)``, in ``model.Session``'s field order: ``Session`` is its
+named form, and ``analytics.accrue`` books either one at the departure.
 An experiment's replications share one ``AdmissionTable``; each resets its
 networks' ``used_kbps`` first, so each depends on its seed alone.  A served
 arrival counts as ``tally[decision.slot] += 1``, one entry per shared served
@@ -51,7 +54,6 @@ from .model import (
     ReplicationResult,
     Scenario,
     ServiceRequest,
-    Session,
     _FrozenRecord,
     replace,
 )
@@ -217,11 +219,12 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
     dropped; the result keeps no per-session record.
 
     The next arrival is held apart from the heap, which holds only departures,
-    as ``(end_s, seq, session, serving network)``; ``seq`` is unique, so no
-    comparison reaches the session.  Before the arrival at ``t`` is admitted,
-    every departure with ``end_s <= t`` is handled, so capacity freed at ``t``
-    is there for an arrival at ``t``; departures that end together are handled
-    in admission order (``seq``).
+    as ``(end_s, seq, session, serving network)``, the session being a plain
+    tuple in ``Session``'s field order; ``seq`` is unique, so no comparison
+    reaches the session.  Before the arrival at ``t`` is admitted, every
+    departure with ``end_s <= t`` is handled, so capacity freed at ``t`` is
+    there for an arrival at ``t``; departures that end together are handled in
+    admission order (``seq``).
 
     Arrivals stop at the horizon.  Departures keep draining afterwards, in one
     last pass with ``t`` set to infinity, so the system always returns to its
@@ -275,7 +278,7 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
     while True:
         while heap and heap[0][0] <= t:
             end_s, _, session, net = heappop(heap)
-            net.used_kbps -= session.rate_kbps
+            net.used_kbps -= session[2]  # rate_kbps
             if net.used_kbps < -tolerance:
                 raise CapacityAccountingError(
                     f"operator {net.id} used_kbps went negative at t={end_s}")
@@ -298,8 +301,9 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
                 raise CapacityAccountingError(
                     f"operator {serving_op} exceeded capacity at t={t}")
             duration = -log(1.0 - service_uniform()) / service_lambda
-            # Positional: what namedtuple._make does, less its length check.
-            session = tuple.__new__(Session, (request, serving_op, rate, t, duration))
+            # A plain tuple in Session's field order: a tuple subclass costs ~170 ns
+            # more to build, and accrue's unpack of one goes through the iterator protocol.
+            session = (request, serving_op, rate, t, duration)
             heappush(heap, (t + duration, seq, session, serving))
             seq += 1
             tally[decision.slot] += 1

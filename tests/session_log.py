@@ -5,12 +5,15 @@ session exactly once through ``analytics.accrue``, at its departure and
 before ``run_replication`` returns, passing the replication's own ledgers;
 wrapping that one function therefore recovers each replication's sessions.
 The benchmark's trace check pins the same seam (accrue calls = served).
+The engine books each session as a plain tuple in ``Session``'s field order;
+the log keeps it as a ``Session``, so a test reads its fields by name.
 """
 
 import contextlib
 from collections import Counter
 
 from accessim import analytics
+from accessim.model import Session
 
 
 class SessionLog:
@@ -24,7 +27,8 @@ class SessionLog:
         accrue = analytics.accrue
 
         def recorded(session, networks, ledgers, *args, **kwargs):
-            self._by_ledgers.setdefault(id(ledgers), (ledgers, []))[1].append(session)
+            _, sessions = self._by_ledgers.setdefault(id(ledgers), (ledgers, []))
+            sessions.append(Session._make(session))
             return accrue(session, networks, ledgers, *args, **kwargs)
 
         analytics.accrue = recorded

@@ -32,6 +32,7 @@ from accessim.model import (
     TrafficProfile,
     default_scenario,
     ensure_valid,
+    fields,
     load_scenario,
     replace,
 )
@@ -89,6 +90,14 @@ def test_booked_volume_is_price_times_session_volume(billing, start, duration, s
         assert ledgers[1].income_transferred == 0.37 * volume
         assert ledgers[1].cost_paid == networks[3].cs * volume
         assert ledgers[3].income_guests == networks[3].cs * volume
+    # The engine books each session as a plain tuple in Session's field order.
+    plain = tuple(session)
+    assert type(plain) is tuple
+    plain_ledgers = _ledgers()
+    accrue(plain, networks, plain_ledgers, horizon_s=1200.0, billing=billing)
+    for op, ledger in ledgers.items():
+        for field, _, _ in fields(ledger):
+            assert getattr(plain_ledgers[op], field) == getattr(ledger, field), (op, field)
 
 
 def test_home_service_pays_the_home_operator():

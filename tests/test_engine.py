@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from accessim import engine
+from accessim import analytics, engine
 from accessim.analytics import scope_rows
 from accessim.engine import (
     CapacityAccountingError,
@@ -21,6 +21,7 @@ from accessim.model import (
     OperatorNetwork,
     Scenario,
     ServiceKind,
+    Session,
     Technology,
     TrafficProfile,
     default_scenario,
@@ -340,6 +341,31 @@ def test_served_counts_equal_the_sessions_key_by_key(name, cooperation, replayed
         assert result.exchange == exchange, result.seed
         assert 0 not in result.exchange.values()
     assert any(result.exchange for result in report.results) is cooperation
+
+
+@pytest.mark.parametrize("replayed", [False, True], ids=["live", "replayed"])
+@pytest.mark.parametrize("cooperation", [True, False], ids=["on", "off"])
+def test_the_engine_books_each_session_as_a_plain_tuple(monkeypatch, cooperation, replayed):
+    # An exact tuple, not a Session: a tuple subclass costs ~170 ns more to build,
+    # and accrue unpacks one through the iterator protocol, not the tuple fast path.
+    booked = []
+    accrue = analytics.accrue
+
+    def recorded(session, *args):
+        booked.append(session)
+        return accrue(session, *args)
+
+    monkeypatch.setattr(analytics, "accrue", recorded)
+    scenario = replace(load_scenario(SCENARIO_DIR / "default.json"), cooperation=cooperation)
+    seed = scenario.base_seed
+    tape = record_tape(scenario, seed, scenario.mean_interarrival_s) if replayed else None
+    result = run_replication(scenario, seed, tape=tape)
+    assert len(booked) == result.served_home + result.served_transferred > 0
+    assert all(type(session) is tuple and len(session) == 5 for session in booked)
+    served_home_by_op, exchange = served_counts(
+        [Session._make(session) for session in booked], [net.id for net in scenario.operators])
+    assert (served_home_by_op, exchange) == (result.served_home_by_op, result.exchange)
+    assert bool(exchange) is cooperation
 
 
 def test_each_home_counts_every_arrival_drawn_for_it(monkeypatch):

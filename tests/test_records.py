@@ -8,8 +8,9 @@ service class, the route, its candidates and the decisions) are read-only
 records like the rest.  Only the mutable ledger writes its own ``__init__``
 over ``__slots__``, so that a write to a misspelt field raises.  The
 engine's ``Session`` and the reports' ``ScopeRow`` are
-``collections.namedtuple`` rows, which the engine builds with
-``tuple.__new__`` and the reports zip, slice and ``_make``.  The demand
+``collections.namedtuple`` rows, which the reports zip, slice and ``_make``;
+the engine books each session as a plain tuple in ``Session``'s field order,
+and ``Session`` is its named form.  The demand
 table is a ``dict`` of each class's rates by technology, as a file nests
 them.  The schema records, the records that were named tuples and the
 engine's ``Tape`` keep what a dataclass or a named tuple gave them:
