@@ -2,7 +2,8 @@
 
 A feasible home operator always serves its own client without any scoring.
 Only when the home network fails the hard QoS/capacity gate does the transfer
-objective run: each feasible candidate is scored and the one minimizing
+objective run.  A lone feasible candidate wins unscored; when two or more are
+feasible, each is scored and the one minimizing
 
     w_u * |s_u - s_t|  -  w_op * (p_norm - cs_norm)
 
@@ -26,13 +27,14 @@ the bounds, their normalized prices and every served decision.  Its
 ``routes`` map a home operator's id to that home's ``Route`` per service
 kind, so ``admit`` finds one by two plain lookups and builds no key.  Each
 admission then reads only the live ``used_kbps``, scores the candidates that
-have room and returns a shared decision, so it allocates none.  Each shared
-served decision holds a ``slot``, its index in the table's ``slot_keys``,
-which give the ``(home, serving, kind)`` it counts for: the engine tallies a
-served arrival with one list increment and derives its per-operator and
-exchange counts from that tally after the run.  The table's ``Route`` and
-``Candidate`` records and every ``AdmissionDecision``, like the engine's
-shared ``ServiceRequest``, are read-only records.
+have room when at least two do, and returns a shared decision, so it
+allocates none.  Each shared served decision holds a ``slot``, its index in
+the table's ``slot_keys``, which give the ``(home, serving, kind)`` it
+counts for: the engine tallies a served arrival with one list increment and
+derives its per-operator and exchange counts from that tally after the run.
+The table's ``Route`` and ``Candidate`` records and every
+``AdmissionDecision``, like the engine's shared ``ServiceRequest``, are
+read-only records.
 The gates compute the spare capacity ``capacity_kbps - used_kbps`` inline; a
 precomputed ``capacity - rate`` threshold could round the other way.
 """
@@ -190,24 +192,31 @@ def select_serving_operator(request: ServiceRequest, table: AdmissionTable, rout
     """Pick the best cooperating operator (home excluded), or block if none is feasible.
 
     ``route`` is ``table.routes[request.home_op][request.service_class.kind]``,
-    which the caller has already looked up.  Only a candidate with room is
-    scored, so the user's weights and the class's QoS weights are read
-    once one has passed the capacity gate; a blocked call tests capacity alone.
+    which the caller has already looked up.  A ranking decides something only
+    between two candidates with room, so the first one with room becomes the
+    incumbent unscored, and a lone one wins unscored.  Once a second has room,
+    the user is scored once, then the incumbent, then the second and every
+    later one with room; a blocked call tests capacity alone.
     """
     best = None
-    best_obj = 0.0
+    best_obj = None  # None until a second candidate with room calls for scoring
     for cand in route.candidates:
         net = cand.net
         if net.capacity_kbps - net.used_kbps < cand.rate:
             continue
-        if best is None:  # the first candidate to pass: score the user once
+        if best is None:
+            best = cand
+            continue
+        if best_obj is None:  # the second candidate with room: score the user and the first
             w_qos, w_price = request.w_qos, request.w_price
             qos_weights = request.service_class.qos_weights
             home = route.home
             s_u, p_norm = user_score(w_qos, w_price, request.price_paid, table.sp_max)
+            s_t = candidate_score(best, qos_weights, w_qos, w_price)
+            best_obj = transfer_objective(home, s_u, s_t, p_norm, best.cs_norm)
         s_t = candidate_score(cand, qos_weights, w_qos, w_price)
         obj = transfer_objective(home, s_u, s_t, p_norm, cand.cs_norm)
-        if best is None or obj < best_obj - TIE_EPS:
+        if obj < best_obj - TIE_EPS:
             best, best_obj = cand, obj
     return BLOCKED if best is None else best.served
 

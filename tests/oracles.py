@@ -21,6 +21,22 @@ from accessim.model import (
 )
 
 
+def oracle_fits(net, request, demand, requirements):
+    """Whether ``net`` passes the hard gate for ``request``: the bounds and spare capacity."""
+    kind = request.service_class.kind
+    bounds = requirements[kind]
+    return (net.jitter_ms <= bounds.jitter_req
+            and net.delay_ms <= bounds.delay_req
+            and net.ber <= bounds.ber_req
+            and net.capacity_kbps - net.used_kbps >= demand.rate(kind, net.technology))
+
+
+def oracle_candidates(request, networks, demand, requirements):
+    """The networks other than the home that pass the gate: a transfer's candidates with room."""
+    return [net for net in networks if net.id != request.home_op
+            and oracle_fits(net, request, demand, requirements)]
+
+
 def oracle_admit(request, networks, demand, requirements, cooperation):
     """Return (outcome_name, serving_op_or_None) by exhaustive evaluation."""
     home = next(n for n in networks if n.id == request.home_op)
@@ -30,13 +46,7 @@ def oracle_admit(request, networks, demand, requirements, cooperation):
     def rate_on(net):
         return demand.rate(kind, net.technology)
 
-    def ok(net):
-        return (net.jitter_ms <= bounds.jitter_req
-                and net.delay_ms <= bounds.delay_req
-                and net.ber <= bounds.ber_req
-                and net.capacity_kbps - net.used_kbps >= rate_on(net))
-
-    if ok(home):
+    if oracle_fits(home, request, demand, requirements):
         return "served_home", home.id
     if not cooperation:
         return "blocked", None
@@ -46,9 +56,7 @@ def oracle_admit(request, networks, demand, requirements, cooperation):
     s_u = request.w_qos * 1.0 + request.w_price * p_norm
 
     scored = []
-    for net in networks:
-        if net.id == home.id or not ok(net):
-            continue
+    for net in oracle_candidates(request, networks, demand, requirements):
         w_bw, w_jitter, w_delay, w_ber = request.service_class.qos_weights
         s_tqos = (w_bw * ((net.capacity_kbps - net.used_kbps) / rate_on(net))
                   + w_jitter * min(bounds.jitter_req / net.jitter_ms, 1.0)

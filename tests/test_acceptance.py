@@ -30,7 +30,7 @@ from accessim.model import (
 )
 from accessim.selection import AdmissionTable, Outcome, admit
 
-from oracles import oracle_admit, random_instance
+from oracles import oracle_admit, oracle_candidates, random_instance
 from session_log import SessionLog
 from test_cli import run_cli
 from test_engine import recorded_gaps, replay_capacity
@@ -193,6 +193,7 @@ def test_criterion_6_conservation_suite(default_on_reports, calibrated_compariso
 def test_criterion_7_selection_is_scale_invariant_and_matches_oracle():
     rng = random.Random(777)
     mismatches = scale_flips = transfers = 0
+    rooms = [0, 0, 0]  # transfer attempts by candidates with room: 0, 1, or 2 and more
     for _ in range(1000):
         request, networks, demand, requirements = random_instance(rng)
         decision = admit(request, AdmissionTable(networks, demand, requirements),
@@ -200,6 +201,8 @@ def test_criterion_7_selection_is_scale_invariant_and_matches_oracle():
         outcome, serving = oracle_admit(request, networks, demand, requirements, True)
         if decision.outcome.value != outcome or decision.serving_op != serving:
             mismatches += 1
+        if outcome != "served_home":
+            rooms[min(len(oracle_candidates(request, networks, demand, requirements)), 2)] += 1
         k = 10.0 ** rng.uniform(-2.0, 2.0)
         scaled = admit(request,
                        AdmissionTable([replace(net, w_u=net.w_u * k, w_op=net.w_op * k)
@@ -209,11 +212,12 @@ def test_criterion_7_selection_is_scale_invariant_and_matches_oracle():
             scale_flips += 1
         if decision.outcome is Outcome.SERVED_TRANSFER:
             transfers += 1
-    ok = mismatches == 0 and scale_flips == 0 and transfers > 100
+    ok = mismatches == 0 and scale_flips == 0 and transfers > 100 and all(rooms)
     _verdict(ok, 7,
-             f"1000 randomized instances ({transfers} transfers): "
+             f"1000 randomized instances ({transfers} transfers; transfer attempts "
+             f"with 0, 1 and 2+ candidates with room: {rooms[0]}, {rooms[1]}, {rooms[2]}): "
              f"{mismatches} oracle mismatches, {scale_flips} winners changed by "
-             "rescaling (w_u, w_op) (required: 0 and 0)")
+             "rescaling (w_u, w_op) (required: 0 and 0, and each room class met)")
 
 
 def test_criterion_8_determinism_and_arrival_statistics(tmp_path, monkeypatch):

@@ -37,7 +37,10 @@ def test_traced_cooperating_experiment_passes_the_trace_check(monkeypatch):
     summary = tracer.summary()
     assert len(tracer.results) == 2
     assert child.check_trace(tracer, summary) == []
-    assert summary["spans"]["scoring.candidate_score"]["calls"] > 0
+    scored = summary["spans"]["scoring.candidate_score"]["calls"]
+    assert scored > 0
+    # The user is scored only once two candidates have room, and then each is scored.
+    assert scored >= 2 * summary["spans"]["scoring.user_score"]["calls"]
     # Bit rates are looked up only while the experiment builds its one admission
     # table, shared by both replications: one per (home, service kind) for the
     # home itself and one more per other operator that meets the class bounds.

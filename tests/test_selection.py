@@ -22,7 +22,7 @@ from accessim.selection import (
     user_score,
 )
 
-from oracles import oracle_admit, random_instance
+from oracles import oracle_admit, oracle_candidates, random_instance
 
 RT_BOUNDS = ClassRequirements(jitter_req=10.0, delay_req=100.0, ber_req=1e-3)
 
@@ -113,6 +113,7 @@ def _no_scoring(monkeypatch):
 
     monkeypatch.setattr(selection, "candidate_score", scored)
     monkeypatch.setattr(selection, "user_score", scored)
+    monkeypatch.setattr(selection, "transfer_objective", scored)
 
 
 def test_reference_transfer_picks_op3():
@@ -179,6 +180,55 @@ def test_blocked_when_no_candidate_is_feasible(monkeypatch):
     assert select_serving_operator(request, table, route) is BLOCKED
 
 
+def _five_operators():
+    """Five networks, copies of the default three with ids 1-5, listed out of id order."""
+    operators = default_scenario().operators * 2
+    networks = [replace(net, id=i + 1) for i, net in enumerate(operators[:5])]
+    return tuple(networks[i] for i in (3, 0, 4, 2, 1))
+
+
+@pytest.mark.parametrize("home, kind, full", [
+    (1, ServiceKind.CONVERSATIONAL, (1, 2)),  # candidates 2 and 3; the lower-id one is full
+    (2, ServiceKind.INTERACTIVE, (2,)),       # candidate 3 alone: UMTS fails the BER bound
+], ids=["lower-id-full", "single-candidate"])
+def test_the_only_candidate_with_room_wins_unscored(monkeypatch, home, kind, full):
+    ops = [replace(net, used_kbps=net.capacity_kbps) if net.id in full else net
+           for net in _scenario().operators]
+    _no_scoring(monkeypatch)
+    request, table = _request(home=home, kind=kind), _table(ops)
+    route = table.routes[home][kind]
+    assert route.candidates[-1].net.id == 3
+    assert admit(request, table, cooperation=True) is route.candidates[-1].served
+    assert select_serving_operator(request, table, route) is route.candidates[-1].served
+
+
+@pytest.mark.parametrize("networks", [_scenario().operators, _five_operators()],
+                         ids=["two-with-room", "four-with-room"])
+def test_two_candidates_with_room_score_the_user_once(monkeypatch, networks):
+    # Home 1 is full, so every other network is a conversational candidate with room.
+    ops = [replace(net, used_kbps=net.capacity_kbps) if net.id == 1 else net
+           for net in networks]
+    calls = []
+
+    def counted(name, score):
+        def wrapper(*args):
+            calls.append((name, args[0].net.id) if name == "candidate_score" else name)
+            return score(*args)
+        return wrapper
+
+    for score in (user_score, candidate_score, transfer_objective):
+        monkeypatch.setattr(selection, score.__name__, counted(score.__name__, score))
+    scenario = _scenario()
+    request, table = _request(home=1), _table(ops)
+    decision = admit(request, table, cooperation=True)
+    others = sorted(net.id for net in ops if net.id != 1)
+    # The user once, then each candidate in id order, the first one included.
+    assert calls == ["user_score", *(step for op in others
+                                     for step in (("candidate_score", op), "transfer_objective"))]
+    outcome, serving = oracle_admit(request, ops, scenario.demand, scenario.requirements, True)
+    assert (decision.outcome.value, decision.serving_op) == (outcome, serving)
+
+
 def test_exact_tie_resolves_to_lowest_id():
     scenario = _scenario()
     ops = list(scenario.operators)
@@ -232,6 +282,7 @@ def test_weight_rescaling_never_changes_the_winner():
 def test_matches_brute_force_oracle():
     rng = random.Random(424242)
     outcomes = set()
+    rooms = set()  # transfer attempts by candidates with room: 0, 1, or 2 and more
     for _ in range(500):
         request, networks, demand, requirements = random_instance(rng)
         cooperation = rng.random() < 0.8
@@ -242,7 +293,11 @@ def test_matches_brute_force_oracle():
         assert decision.outcome.value == outcome
         assert decision.serving_op == serving
         outcomes.add(outcome)
+        if cooperation and outcome != "served_home":
+            rooms.add(min(len(oracle_candidates(request, networks, demand, requirements)), 2))
     assert outcomes == {"served_home", "served_transfer", "blocked"}
+    # Each exit of the transfer loop is met: blocked, the lone candidate, a scored ranking.
+    assert rooms == {0, 1, 2}
 
 
 def test_one_table_follows_live_occupancy():
@@ -303,13 +358,6 @@ def test_admit_returns_only_prebuilt_decisions():
         assert any(decision is shared for shared in prebuilt)
         outcomes.add(decision.outcome)
     assert outcomes == set(Outcome)
-
-
-def _five_operators():
-    """Five networks, copies of the default three with ids 1-5, listed out of id order."""
-    operators = default_scenario().operators * 2
-    networks = [replace(net, id=i + 1) for i, net in enumerate(operators[:5])]
-    return tuple(networks[i] for i in (3, 0, 4, 2, 1))
 
 
 @pytest.mark.parametrize("networks", [default_scenario().operators, _five_operators()],
