@@ -202,13 +202,12 @@ def replay_draws(scenario: Scenario, tape: Tape) -> tuple:
 
 
 def admission_table(scenario: Scenario) -> AdmissionTable:
-    """An ``AdmissionTable`` over working copies of the scenario's networks."""
+    """An ``AdmissionTable`` over copies of the scenario's networks, in its cooperation mode."""
     return AdmissionTable([replace(net) for net in scenario.operators],
-                          scenario.demand, scenario.requirements)
+                          scenario.demand, scenario.requirements, scenario.cooperation)
 
 
-def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
-                    table: AdmissionTable | None = None,
+def run_replication(scenario: Scenario, seed, table: AdmissionTable | None = None,
                     tape: Tape | None = None) -> ReplicationResult:
     """Simulate one replication and return its raw counts, exchange and ledgers.
 
@@ -237,7 +236,7 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
     ``exchange`` (positive counts only) are read off it after the drain.
     """
     if tape is None:
-        streams = streams if streams is not None else RngStreams.from_seed(seed)
+        streams = RngStreams.from_seed(seed)
         draws = arrival_draws(scenario, streams)
         service_uniform = streams.service_time.random
     else:
@@ -254,7 +253,6 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
     # Occupancy sums round at the scale of the capacities, not of one kbit/s.
     tolerance = 1e-9 * max(net.capacity_kbps for net in world)
     horizon = scenario.duration_s
-    cooperation = scenario.cooperation
     billing = scenario.billing
     service_lambda = 1.0 / scenario.mean_service_s
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -289,7 +287,7 @@ def run_replication(scenario: Scenario, seed, streams: RngStreams | None = None,
             t = inf  # no arrival is left: one more pass makes every departure due
             continue
 
-        decision = admit(request, table, cooperation)
+        decision = admit(request, table)
         if decision is blocked:
             blocked_by_home[request.home_op] += 1
         else:

@@ -23,7 +23,8 @@ by the highest access price among the networks.
 
 Everything but the networks' occupancy is constant during a run, so an
 ``AdmissionTable`` compiles it once per experiment: which candidates meet
-the bounds, their normalized prices and every served decision.  Its
+the bounds (none without cooperation), their normalized prices and every
+served decision; a home outside its bounds gets an infinite rate.  Its
 ``routes`` map a home operator's id to that home's ``Route`` per service
 kind, so ``admit`` finds one by two plain lookups and builds no key.  Each
 admission then reads only the live ``used_kbps``, scores the candidates that
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from enum import Enum
+from math import inf
 
 from .model import (
     ClassRequirements,
@@ -107,8 +109,7 @@ class Route(_FrozenRecord):
     __hash__ = None  # it holds a live network, so unhashable
 
     home: OperatorNetwork
-    rate: float
-    in_bounds: bool
+    rate: float                           # kb/s at home; inf when the home fails the bounds
     served: AdmissionDecision             # the shared SERVED_HOME decision
     candidates: tuple[Candidate, ...]     # every other operator that meets the bounds, by id
 
@@ -123,12 +124,14 @@ class AdmissionTable:
     route's and each candidate's, holds a distinct ``slot`` numbered from 0
     in operator id order, so the listing order of the networks changes no
     decision, and ``slot_keys[slot]`` is the ``(home, serving, kind)`` it
-    counts for.  Raises ``ValueError`` when the price normalization or a
-    candidate's bandwidth ratio would divide by zero.
+    counts for.  Without ``cooperation`` no route lists a candidate.  Raises
+    ``ValueError`` when the price normalization or a candidate's bandwidth
+    ratio would divide by zero.
     """
 
     def __init__(self, networks: Iterable[OperatorNetwork], demand: DemandTable,
-                 requirements: Mapping[ServiceKind, ClassRequirements]):
+                 requirements: Mapping[ServiceKind, ClassRequirements],
+                 cooperation: bool = True):
         self.networks = tuple(networks)
         self.sp_max = max(net.sp for net in self.networks)
         if self.sp_max <= 0:
@@ -140,7 +143,7 @@ class AdmissionTable:
             routes = self.routes[home.id] = {}
             for kind, bounds in requirements.items():
                 candidates = []
-                for cand in in_id_order:
+                for cand in in_id_order if cooperation else ():
                     if cand.id == home.id or not meets_bounds(cand, bounds):
                         continue
                     rate = demand.rate(kind, cand.technology)
@@ -155,8 +158,8 @@ class AdmissionTable:
                 served = AdmissionDecision(Outcome.SERVED_HOME, serving_op=home.id,
                                            rate_kbps=rate, slot=len(slot_keys))
                 slot_keys.append((home.id, home.id, kind))
-                routes[kind] = Route(
-                    home, rate, meets_bounds(home, bounds), served, tuple(candidates))
+                routes[kind] = Route(home, rate if meets_bounds(home, bounds) else inf,
+                                     served, tuple(candidates))
         self.slot_keys: tuple[tuple[int, int, ServiceKind], ...] = tuple(slot_keys)
 
     def __iter__(self):
@@ -189,7 +192,7 @@ def candidate_score(cand: Candidate, qos_weights, w_qos: float, w_price: float) 
 
 def select_serving_operator(request: ServiceRequest, table: AdmissionTable, route: Route
                             ) -> AdmissionDecision:
-    """Pick the best cooperating operator (home excluded), or block if none is feasible.
+    """Pick the best cooperating operator (home excluded), or block if none has room.
 
     ``route`` is ``table.routes[request.home_op][request.service_class.kind]``,
     which the caller has already looked up.  A ranking decides something only
@@ -221,13 +224,12 @@ def select_serving_operator(request: ServiceRequest, table: AdmissionTable, rout
     return BLOCKED if best is None else best.served
 
 
-def admit(request: ServiceRequest, table: AdmissionTable,
-          cooperation: bool) -> AdmissionDecision:
+def admit(request: ServiceRequest, table: AdmissionTable) -> AdmissionDecision:
     """Home-first admission; never mutates network state, the engine applies the outcome."""
     route = table.routes[request.home_op][request.service_class.kind]
     home = route.home
-    if route.in_bounds and home.capacity_kbps - home.used_kbps >= route.rate:
+    if home.capacity_kbps - home.used_kbps >= route.rate:
         return route.served
-    if not cooperation:
+    if not route.candidates:
         return BLOCKED
     return select_serving_operator(request, table, route)

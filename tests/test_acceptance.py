@@ -105,8 +105,7 @@ def test_criterion_3_reference_transfer_picks_op3():
         service_class=scenario.service_class(ServiceKind.CONVERSATIONAL),
         w_qos=0.7, w_price=0.3, price_paid=networks[0].sp)
     decision = admit(request,
-                     AdmissionTable(networks, scenario.demand, scenario.requirements),
-                     cooperation=True)
+                     AdmissionTable(networks, scenario.demand, scenario.requirements))
     oracle_outcome, oracle_serving = oracle_admit(
         request, networks, scenario.demand, scenario.requirements, True)
     objectives = {op: hand_scored(request, networks, op)[2] for op in (2, 3)}
@@ -196,8 +195,7 @@ def test_criterion_7_selection_is_scale_invariant_and_matches_oracle():
     rooms = [0, 0, 0]  # transfer attempts by candidates with room: 0, 1, or 2 and more
     for _ in range(1000):
         request, networks, demand, requirements = random_instance(rng)
-        decision = admit(request, AdmissionTable(networks, demand, requirements),
-                         cooperation=True)
+        decision = admit(request, AdmissionTable(networks, demand, requirements))
         outcome, serving = oracle_admit(request, networks, demand, requirements, True)
         if decision.outcome.value != outcome or decision.serving_op != serving:
             mismatches += 1
@@ -206,8 +204,7 @@ def test_criterion_7_selection_is_scale_invariant_and_matches_oracle():
         k = 10.0 ** rng.uniform(-2.0, 2.0)
         scaled = admit(request,
                        AdmissionTable([replace(net, w_u=net.w_u * k, w_op=net.w_op * k)
-                                       for net in networks], demand, requirements),
-                       cooperation=True)
+                                       for net in networks], demand, requirements))
         if scaled.serving_op != decision.serving_op or scaled.outcome != decision.outcome:
             scale_flips += 1
         if decision.outcome is Outcome.SERVED_TRANSFER:

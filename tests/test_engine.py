@@ -78,9 +78,10 @@ def _scripted_run(monkeypatch, scenario, arrival_times, service_uniforms=(), clo
     The times go through the engine's ``generate_arrival`` seam; each arrival
     still draws its home and profile (both 0 here) from the streams.  Served
     arrivals draw their service times from ``service_uniforms`` in admission
-    order.  The clock the engine passes to each draw is appended to ``clocks``
-    when it is given.  ``table`` is passed on to ``run_replication``.  Returns
-    the result and its session log.
+    order: ``RngStreams.from_seed`` returns those scripted streams.  The clock
+    the engine passes to each draw is appended to ``clocks`` when it is
+    given.  ``table`` is passed on to ``run_replication``.  Returns the result
+    and its session log.
     """
     times = list(arrival_times)
 
@@ -94,8 +95,8 @@ def _scripted_run(monkeypatch, scenario, arrival_times, service_uniforms=(), clo
     n = len(arrival_times)
     streams = _fake_streams(interarrivals=[0.0] * n, services=service_uniforms,
                             homes=[0] * n, profiles=[0.0] * n)
-    result, log = run_logged(run_replication, scenario, seed=0, streams=streams,
-                             table=table)
+    monkeypatch.setattr(engine.RngStreams, "from_seed", lambda seed: streams)
+    result, log = run_logged(run_replication, scenario, seed=0, table=table)
     assert times == []
     return result, log(result)
 
@@ -650,7 +651,7 @@ def test_occupancy_that_goes_negative_is_an_accounting_error(monkeypatch):
 def test_serving_a_full_network_is_an_accounting_error(monkeypatch):
     # Admission that always serves at home, room or not: the second session
     # that overlaps another overfills the 256 kbps network.
-    monkeypatch.setattr(engine, "admit", lambda request, table, cooperation:
+    monkeypatch.setattr(engine, "admit", lambda request, table:
                         table.routes[request.home_op][request.service_class.kind].served)
     with pytest.raises(CapacityAccountingError,
                        match=r"^operator 1 exceeded capacity at t=\d"):

@@ -143,8 +143,8 @@ def test_cooperating_block_leaves_no_network_that_passes_the_gate(scenario):
 
     # Wrapped where the engine looks it up, as the benchmark's tracer does; the
     # table yields the replication's own networks, at their occupancy right now.
-    def checked(request, table, cooperation):
-        decision = admit(request, table, cooperation)
+    def checked(request, table):
+        decision = admit(request, table)
         if decision.outcome is Outcome.BLOCKED:
             kind = request.service_class.kind
             bounds = scenario.requirements[kind]

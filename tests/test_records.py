@@ -210,7 +210,7 @@ def test_routes_and_candidates_are_frozen_unhashable_records():
         f"Candidate(net={candidate.net!r}, rate=256.0, sp_norm={0.1 / 0.9!r}, "
         f"cs_norm={0.1 / 0.9!r}, served=AdmissionDecision(outcome=<Outcome.SERVED_TRANSFER: "
         "'served_transfer'>, serving_op=2, rate_kbps=256.0, slot=0))")
-    assert repr(route) == (f"Route(home={route.home!r}, rate=256.0, in_bounds=True, "
+    assert repr(route) == (f"Route(home={route.home!r}, rate=256.0, "
                            f"served={route.served!r}, candidates={route.candidates!r})")
     for record in (route, candidate):
         name = model.fields(type(record))[0][0]

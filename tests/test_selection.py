@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import FrozenInstanceError
 
@@ -36,9 +37,16 @@ def _ops(scenario=None):
     return {net.id: net for net in scenario.operators}
 
 
-def _table(networks, requirements=None):
+def _table(networks, requirements=None, cooperation=True):
     scenario = _scenario()
-    return AdmissionTable(networks, scenario.demand, requirements or scenario.requirements)
+    return AdmissionTable(networks, scenario.demand, requirements or scenario.requirements,
+                          cooperation)
+
+
+def _tables_by_mode(networks, demand, requirements):
+    """One table over ``networks`` per cooperation mode, keyed by the mode."""
+    return {cooperation: AdmissionTable(networks, demand, requirements, cooperation)
+            for cooperation in (True, False)}
 
 
 def _request(home, kind=ServiceKind.CONVERSATIONAL, price=None):
@@ -57,8 +65,8 @@ def _admits_alone(net, kind=ServiceKind.CONVERSATIONAL, bounds=None):
     requirements = dict(_scenario().requirements)
     if bounds is not None:
         requirements[kind] = bounds
-    decision = admit(_request(home=net.id, kind=kind), _table([net], requirements),
-                     cooperation=False)
+    decision = admit(_request(home=net.id, kind=kind),
+                     _table([net], requirements, cooperation=False))
     return decision.outcome is not Outcome.BLOCKED
 
 
@@ -133,7 +141,7 @@ def test_reference_transfer_picks_op3():
 def test_home_first_skips_scoring(monkeypatch):
     scenario = _scenario()
     _no_scoring(monkeypatch)
-    decision = admit(_request(home=2), _table(scenario.operators), cooperation=True)
+    decision = admit(_request(home=2), _table(scenario.operators))
     assert decision.outcome is Outcome.SERVED_HOME
     assert decision.serving_op == 2
 
@@ -141,9 +149,51 @@ def test_home_first_skips_scoring(monkeypatch):
 def test_no_cooperation_blocks_when_home_fails():
     scenario = _scenario()
     request = _request(home=1, kind=ServiceKind.INTERACTIVE)
-    decision = admit(request, _table(scenario.operators), cooperation=False)
+    decision = admit(request, _table(scenario.operators, cooperation=False))
     assert decision.outcome is Outcome.BLOCKED
     assert decision.serving_op is None
+
+
+def _no_selection(monkeypatch):
+    def selected(*args):
+        raise AssertionError("select_serving_operator was called")
+
+    monkeypatch.setattr(selection, "select_serving_operator", selected)
+
+
+def test_a_non_cooperating_table_lists_no_candidates(monkeypatch):
+    ops = [replace(net, used_kbps=net.capacity_kbps) if net.id == 1 else net
+           for net in _scenario().operators]
+    table = _table(ops, cooperation=False)
+    assert all(route.candidates == () for routes in table.routes.values()
+               for route in routes.values())
+    # Only the home decisions hold a slot: no transfer decision was built.
+    assert all(home == serving for home, serving, _ in table.slot_keys)
+    # Op2 and Op3 have room, so a cooperating table moves the client.
+    assert admit(_request(home=1), _table(ops)).outcome is Outcome.SERVED_TRANSFER
+    _no_selection(monkeypatch)
+    assert admit(_request(home=1), table) is BLOCKED
+
+
+def test_a_cooperating_route_without_candidates_blocks_without_selection(monkeypatch):
+    solo = replace(_ops()[1], used_kbps=_ops()[1].capacity_kbps)
+    table = _table([solo])
+    assert table.routes[1][ServiceKind.CONVERSATIONAL].candidates == ()
+    _no_selection(monkeypatch)
+    assert admit(_request(home=1), table) is BLOCKED
+
+
+def test_a_home_outside_its_bounds_is_never_served_at_home():
+    # UMTS fails the interactive BER bound, so no spare capacity serves its client at home.
+    umts = replace(_ops()[1], capacity_kbps=1e300, used_kbps=0.0)
+    kind = ServiceKind.INTERACTIVE
+    for cooperation in (True, False):
+        table = _table([umts], cooperation=cooperation)
+        route = table.routes[1][kind]
+        assert route.rate == math.inf
+        # The shared served decision keeps the demand rate.
+        assert route.served.rate_kbps == _scenario().demand.rate(kind, umts.technology)
+        assert admit(_request(home=1, kind=kind), table) is BLOCKED
 
 
 def test_forced_route_between_wlans_for_loss_sensitive_class():
@@ -152,7 +202,7 @@ def test_forced_route_between_wlans_for_loss_sensitive_class():
     # Saturate Op2 so its own non-real-time client must be exchanged.
     ops[1] = replace(ops[1], used_kbps=ops[1].capacity_kbps)
     table = _table(ops)
-    decision = admit(_request(home=2, kind=ServiceKind.INTERACTIVE), table, cooperation=True)
+    decision = admit(_request(home=2, kind=ServiceKind.INTERACTIVE), table)
     assert decision.outcome is Outcome.SERVED_TRANSFER
     assert decision.serving_op == 3
     # The UMTS operator fails the BER gate whatever its load, so it is no candidate.
@@ -161,7 +211,7 @@ def test_forced_route_between_wlans_for_loss_sensitive_class():
     ops = list(scenario.operators)
     ops[2] = replace(ops[2], used_kbps=ops[2].capacity_kbps)
     table = _table(ops)
-    decision = admit(_request(home=3, kind=ServiceKind.INTERACTIVE), table, cooperation=True)
+    decision = admit(_request(home=3, kind=ServiceKind.INTERACTIVE), table)
     assert decision.outcome is Outcome.SERVED_TRANSFER
     assert decision.serving_op == 2
     assert [c.net.id for c in table.routes[3][ServiceKind.INTERACTIVE].candidates] == [2]
@@ -173,7 +223,7 @@ def test_blocked_when_no_candidate_is_feasible(monkeypatch):
     # Scoring runs only for a candidate that passes the gate: here neither does.
     _no_scoring(monkeypatch)
     request, table = _request(home=1), _table(ops)
-    decision = admit(request, table, cooperation=True)
+    decision = admit(request, table)
     assert decision.outcome is Outcome.BLOCKED
     assert decision is BLOCKED
     route = table.routes[1][request.service_class.kind]
@@ -198,7 +248,7 @@ def test_the_only_candidate_with_room_wins_unscored(monkeypatch, home, kind, ful
     request, table = _request(home=home, kind=kind), _table(ops)
     route = table.routes[home][kind]
     assert route.candidates[-1].net.id == 3
-    assert admit(request, table, cooperation=True) is route.candidates[-1].served
+    assert admit(request, table) is route.candidates[-1].served
     assert select_serving_operator(request, table, route) is route.candidates[-1].served
 
 
@@ -220,7 +270,7 @@ def test_two_candidates_with_room_score_the_user_once(monkeypatch, networks):
         monkeypatch.setattr(selection, score.__name__, counted(score.__name__, score))
     scenario = _scenario()
     request, table = _request(home=1), _table(ops)
-    decision = admit(request, table, cooperation=True)
+    decision = admit(request, table)
     others = sorted(net.id for net in ops if net.id != 1)
     # The user once, then each candidate in id order, the first one included.
     assert calls == ["user_score", *(step for op in others
@@ -257,7 +307,7 @@ def test_unknown_home_operator_raises():
     scenario = _scenario()
     stray = _request(home=9, price=0.9)
     with pytest.raises(KeyError):
-        admit(stray, _table(scenario.operators), True)
+        admit(stray, _table(scenario.operators))
 
 
 def test_weight_rescaling_never_changes_the_winner():
@@ -265,13 +315,11 @@ def test_weight_rescaling_never_changes_the_winner():
     checked = 0
     for _ in range(200):
         request, networks, demand, requirements = random_instance(rng)
-        base = admit(request, AdmissionTable(networks, demand, requirements),
-                     cooperation=True)
+        base = admit(request, AdmissionTable(networks, demand, requirements))
         k = 10.0 ** rng.uniform(-2.0, 2.0)
         scaled_nets = [replace(net, w_u=net.w_u * k, w_op=net.w_op * k)
                        for net in networks]
-        scaled = admit(request, AdmissionTable(scaled_nets, demand, requirements),
-                       cooperation=True)
+        scaled = admit(request, AdmissionTable(scaled_nets, demand, requirements))
         assert scaled.outcome == base.outcome
         assert scaled.serving_op == base.serving_op
         if base.outcome is Outcome.SERVED_TRANSFER:
@@ -285,9 +333,9 @@ def test_matches_brute_force_oracle():
     rooms = set()  # transfer attempts by candidates with room: 0, 1, or 2 and more
     for _ in range(500):
         request, networks, demand, requirements = random_instance(rng)
+        tables = _tables_by_mode(networks, demand, requirements)
         cooperation = rng.random() < 0.8
-        decision = admit(request, AdmissionTable(networks, demand, requirements),
-                         cooperation)
+        decision = admit(request, tables[cooperation])
         outcome, serving = oracle_admit(request, networks, demand,
                                         requirements, cooperation)
         assert decision.outcome.value == outcome
@@ -307,13 +355,13 @@ def test_one_table_follows_live_occupancy():
     outcomes = set()
     for _ in range(300):
         request, networks, demand, requirements = random_instance(rng)
-        table = AdmissionTable(networks, demand, requirements)
+        tables = _tables_by_mode(networks, demand, requirements)
         for _ in range(4):
             for net in networks:
                 net.used_kbps = rng.choice((0.0, net.capacity_kbps,
                                             rng.uniform(0.0, net.capacity_kbps)))
             cooperation = rng.random() < 0.8
-            decision = admit(request, table, cooperation)
+            decision = admit(request, tables[cooperation])
             outcome, serving = oracle_admit(request, networks, demand,
                                             requirements, cooperation)
             assert decision.outcome.value == outcome
@@ -326,14 +374,14 @@ def test_shared_decisions_are_read_only():
     ops = list(_scenario().operators)
     ops[1] = replace(ops[1], used_kbps=ops[1].capacity_kbps)  # Op2 full: its client moves
     table = _table(ops)
-    home = admit(_request(home=3), table, cooperation=True)
-    assert admit(_request(home=3), table, cooperation=True) is home
+    home = admit(_request(home=3), table)
+    assert admit(_request(home=3), table) is home
     moved = _request(home=2, kind=ServiceKind.INTERACTIVE)
-    transfer = admit(moved, table, cooperation=True)
+    transfer = admit(moved, table)
     assert transfer.outcome is Outcome.SERVED_TRANSFER
-    assert admit(moved, table, cooperation=True) is transfer
-    blocked = admit(_request(home=1, kind=ServiceKind.INTERACTIVE), table,
-                    cooperation=False)
+    assert admit(moved, table) is transfer
+    blocked = admit(_request(home=1, kind=ServiceKind.INTERACTIVE),
+                    _table(ops, cooperation=False))
     assert blocked is BLOCKED
     for decision in (home, transfer, blocked):
         with pytest.raises(FrozenInstanceError):
@@ -348,12 +396,14 @@ def test_admit_returns_only_prebuilt_decisions():
     outcomes = set()
     for _ in range(500):
         request, networks, demand, requirements = random_instance(rng)
-        table = AdmissionTable(networks, demand, requirements)
-        route = table.routes[request.home_op][request.service_class.kind]
-        for cand in route.candidates:
+        tables = _tables_by_mode(networks, demand, requirements)
+        kind = request.service_class.kind
+        for cand in tables[True].routes[request.home_op][kind].candidates:
             assert cand.served.outcome is Outcome.SERVED_TRANSFER
             assert (cand.served.serving_op, cand.served.rate_kbps) == (cand.net.id, cand.rate)
-        decision = admit(request, table, cooperation=rng.random() < 0.8)
+        table = tables[rng.random() < 0.8]
+        route = table.routes[request.home_op][kind]
+        decision = admit(request, table)
         prebuilt = (route.served, BLOCKED, *(cand.served for cand in route.candidates))
         assert any(decision is shared for shared in prebuilt)
         outcomes.add(decision.outcome)
@@ -393,8 +443,7 @@ def test_served_decisions_carry_the_serving_rate():
     outcomes = set()
     for _ in range(300):
         request, networks, demand, requirements = random_instance(rng)
-        decision = admit(request, AdmissionTable(networks, demand, requirements),
-                         cooperation=True)
+        decision = admit(request, AdmissionTable(networks, demand, requirements))
         if decision.outcome is Outcome.BLOCKED:
             assert decision.rate_kbps is None
             continue
