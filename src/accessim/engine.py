@@ -11,10 +11,10 @@ A served session is the plain tuple ``(request, serving_op, rate_kbps,
 start_s, duration_s)``, in ``model.Session``'s field order: ``Session`` is its
 named form, and ``analytics.accrue`` books either one at the departure.
 An experiment's replications share one ``AdmissionTable``; each resets its
-networks' ``used_kbps`` first, so each depends on its seed alone.  A served
-arrival counts as ``tally[decision.slot] += 1``, one entry per shared served
-decision of the table, so the loop neither branches on the outcome nor builds
-a key; the per-operator and exchange counts are read off the tally at the end.
+networks' ``used_kbps`` first, so each depends on its seed alone.  Every
+arrival counts as ``tally[decision.slot] += 1``, one entry per shared decision
+of the table, blocked ones included, so the loop builds no key; the blocked,
+per-operator and exchange counts are read off the tally at the end.
 
 Everything an arrival draws from is bound once per replication by
 ``arrival_draws``, and ``generate_arrival(clock, draws)`` makes three draws
@@ -57,7 +57,7 @@ from .model import (
     _FrozenRecord,
     replace,
 )
-from .selection import BLOCKED, AdmissionTable, admit
+from .selection import AdmissionTable, admit
 
 
 class CapacityAccountingError(RuntimeError):
@@ -231,9 +231,9 @@ def run_replication(scenario: Scenario, seed, table: AdmissionTable | None = Non
     network's scenario ``used_kbps`` is background load: it takes capacity for
     the whole run and is never released.
 
-    Each served arrival adds one to its decision's ``slot`` of a tally; the
-    result's ``served_home_by_op`` (every operator, zeros included) and
-    ``exchange`` (positive counts only) are read off it after the drain.
+    Each arrival adds one to its decision's ``slot`` of a tally; the result's
+    ``blocked_by_home``, ``served_home_by_op`` (every operator, zeros included)
+    and ``exchange`` (positive counts only) are read off it after the drain.
     """
     if tape is None:
         streams = RngStreams.from_seed(seed)
@@ -256,12 +256,9 @@ def run_replication(scenario: Scenario, seed, table: AdmissionTable | None = Non
     billing = scenario.billing
     service_lambda = 1.0 / scenario.mean_service_s
     heappush, heappop = heapq.heappush, heapq.heappop
-    # Every blocked decision is the one shared BLOCKED.
-    blocked = BLOCKED
 
     op_ids = [net.id for net in world]
-    blocked_by_home = {i: 0 for i in op_ids}
-    # Served arrivals per shared served decision, by its slot.
+    # Arrivals per shared decision, by its slot.
     tally = [0] * len(table.slot_keys)
     ledgers = {i: OperatorLedger() for i in op_ids}
 
@@ -288,10 +285,9 @@ def run_replication(scenario: Scenario, seed, table: AdmissionTable | None = Non
             continue
 
         decision = admit(request, table)
-        if decision is blocked:
-            blocked_by_home[request.home_op] += 1
-        else:
-            serving_op = decision.serving_op
+        tally[decision.slot] += 1
+        serving_op = decision.serving_op
+        if serving_op is not None:
             serving = by_id[serving_op]
             rate = decision.rate_kbps
             serving.used_kbps += rate
@@ -304,7 +300,6 @@ def run_replication(scenario: Scenario, seed, table: AdmissionTable | None = Non
             session = (request, serving_op, rate, t, duration)
             heappush(heap, (t + duration, seq, session, serving))
             seq += 1
-            tally[decision.slot] += 1
         t, request = generate_arrival(t, draws)
 
     for net, start in zip(world, scenario.operators):
@@ -312,10 +307,13 @@ def run_replication(scenario: Scenario, seed, table: AdmissionTable | None = Non
             raise CapacityAccountingError(
                 f"operator {net.id} did not drain to its background load "
                 f"{start.used_kbps}: {net.used_kbps}")
+    blocked_by_home = {i: 0 for i in op_ids}
     served_home_by_op = {i: 0 for i in op_ids}
     exchange = {}
     for (home, serving, kind), n in zip(table.slot_keys, tally):
-        if home == serving:
+        if serving is None:
+            blocked_by_home[home] += n
+        elif home == serving:
             served_home_by_op[home] += n
         elif n:
             exchange[home, serving, kind] = n

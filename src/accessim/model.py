@@ -539,7 +539,41 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if max(scenario.replications, 1) > MAX_EXPECTED_ARRIVALS / per_replication:
             v.append(f"too many expected arrivals: {scenario.replications!r} replications x "
                      f"{per_replication:.3g} arrivals, above {MAX_EXPECTED_ARRIVALS}")
+        elif _money_overflows(scenario):  # its bound counts on the cap, so not past it
+            top = max(price for net in scenario.operators for price in (net.sp, net.cs))
+            v.append(f"money out of range: prices up to {top!r} could sum past the float "
+                     "range in a report")
     return v
+
+
+def _money_overflows(scenario: Scenario) -> bool:
+    """Whether twice the largest money total a report cell can hold passes the float range.
+
+    Read off ``analytics.accrue``: a session books its units (1 under
+    per-session billing, else its kBytes) at the home's ``sp`` into the
+    home's income and, when transferred, at the serving ``cs`` into both the
+    home's ``cost_paid`` and the server's ``income_guests``, so at most
+    ``max sp + 2 max cs`` per unit over all ledgers, which bounds every money
+    cell, a profit and a global sum too.  Its kBytes, ``rate * duration / 8``
+    cut at the horizon, are at most the largest demand rate times
+    ``duration_s / 8``.  A mean sums every replication before it divides, so
+    the total runs over all of an experiment's sessions, no more than its
+    arrivals; the arrival cap holds their expected count, over every
+    replication, to ``MAX_EXPECTED_ARRIVALS``, and a Poisson count reaches
+    twice its cap with probability below ``exp(-0.38 * MAX_EXPECTED_ARRIVALS)``.
+    The total is doubled again for rounding and the 5% margin each side of a
+    chart's axis.  False while a price, a rate or the billing is reported
+    already; ``duration_s`` is checked by the caller.
+    """
+    ops = scenario.operators
+    rates = [rate for rates in scenario.demand.values() for rate in rates.values()]
+    prices = [price for net in ops for price in (net.sp, net.cs)]
+    if not (rates and prices and scenario.billing in ("volume", "per_session")
+            and all(0 < x <= sys.float_info.max for x in (*rates, *prices))):
+        return False
+    per_unit = max(net.sp for net in ops) + 2.0 * max(net.cs for net in ops)
+    units = 1.0 if scenario.billing == "per_session" else max(rates) * scenario.duration_s / 8.0
+    return not _is_finite(2.0 * per_unit * units * 2.0 * MAX_EXPECTED_ARRIVALS)
 
 
 def ensure_valid(scenario: Scenario) -> Scenario:

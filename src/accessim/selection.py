@@ -24,15 +24,15 @@ by the highest access price among the networks.
 Everything but the networks' occupancy is constant during a run, so an
 ``AdmissionTable`` compiles it once per experiment: which candidates meet
 the bounds (none without cooperation), their normalized prices and every
-served decision; a home outside its bounds gets an infinite rate.  Its
-``routes`` map a home operator's id to that home's ``Route`` per service
-kind, so ``admit`` finds one by two plain lookups and builds no key.  Each
-admission then reads only the live ``used_kbps``, scores the candidates that
-have room when at least two do, and returns a shared decision, so it
-allocates none.  Each shared served decision holds a ``slot``, its index in
-the table's ``slot_keys``, which give the ``(home, serving, kind)`` it
-counts for: the engine tallies a served arrival with one list increment and
-derives its per-operator and exchange counts from that tally after the run.
+decision; a home outside its bounds gets an infinite rate.  Its ``routes``
+map a home operator's id to that home's ``Route`` per service kind, so
+``admit`` finds one by two plain lookups and builds no key.  Each admission
+then reads only the live ``used_kbps``, scores the candidates that have room
+when at least two do, and returns a shared decision, so it allocates none.
+Each shared decision holds a ``slot``, its index in the table's
+``slot_keys``, which give the ``(home, serving, kind)`` it counts for
+(``serving`` is None for a block): the engine tallies every arrival with one
+list increment and derives its outcome counts from that tally after the run.
 The table's ``Route`` and ``Candidate`` records and every
 ``AdmissionDecision``, like the engine's shared ``ServiceRequest``, are
 read-only records.
@@ -74,10 +74,6 @@ class AdmissionDecision(_FrozenRecord):
     slot: int | None = None  # index into the table's slot_keys; None unless the table built it
 
 
-# Every blocked request, at home or after a failed transfer, gets this one decision.
-BLOCKED = AdmissionDecision(Outcome.BLOCKED)
-
-
 def meets_bounds(net: OperatorNetwork, req: ClassRequirements) -> bool:
     """The static part of the gate: offered jitter, delay and BER within the class bounds."""
     return (net.jitter_ms <= req.jitter_req
@@ -111,6 +107,7 @@ class Route(_FrozenRecord):
     home: OperatorNetwork
     rate: float                           # kb/s at home; inf when the home fails the bounds
     served: AdmissionDecision             # the shared SERVED_HOME decision
+    blocked: AdmissionDecision            # the shared blocked decision
     candidates: tuple[Candidate, ...]     # every other operator that meets the bounds, by id
 
 
@@ -120,11 +117,12 @@ class AdmissionTable:
     Only ``used_kbps`` changes during a run.  The table holds the network
     objects themselves, so each decision reads their occupancy live; iterating
     the table yields the networks.  ``routes[home_id][kind]`` is a home's
-    ``Route`` for a service kind.  Every served decision the table builds, a
-    route's and each candidate's, holds a distinct ``slot`` numbered from 0
-    in operator id order, so the listing order of the networks changes no
-    decision, and ``slot_keys[slot]`` is the ``(home, serving, kind)`` it
-    counts for.  Without ``cooperation`` no route lists a candidate.  Raises
+    ``Route`` for a service kind.  Every decision the table builds, a route's
+    served and blocked ones and each candidate's, holds a distinct ``slot``
+    numbered from 0 in operator id order, so the listing order of the networks
+    changes no decision; ``slot_keys[slot]`` is the ``(home, serving, kind)``
+    it counts for, ``serving`` None when blocked.  Without ``cooperation`` no
+    route lists a candidate.  Raises
     ``ValueError`` when the price normalization or a candidate's bandwidth
     ratio would divide by zero.
     """
@@ -158,9 +156,11 @@ class AdmissionTable:
                 served = AdmissionDecision(Outcome.SERVED_HOME, serving_op=home.id,
                                            rate_kbps=rate, slot=len(slot_keys))
                 slot_keys.append((home.id, home.id, kind))
+                blocked = AdmissionDecision(Outcome.BLOCKED, slot=len(slot_keys))
+                slot_keys.append((home.id, None, kind))
                 routes[kind] = Route(home, rate if meets_bounds(home, bounds) else inf,
-                                     served, tuple(candidates))
-        self.slot_keys: tuple[tuple[int, int, ServiceKind], ...] = tuple(slot_keys)
+                                     served, blocked, tuple(candidates))
+        self.slot_keys: tuple[tuple[int, int | None, ServiceKind], ...] = tuple(slot_keys)
 
     def __iter__(self):
         return iter(self.networks)
@@ -221,7 +221,7 @@ def select_serving_operator(request: ServiceRequest, table: AdmissionTable, rout
         obj = transfer_objective(home, s_u, s_t, p_norm, cand.cs_norm)
         if obj < best_obj - TIE_EPS:
             best, best_obj = cand, obj
-    return BLOCKED if best is None else best.served
+    return route.blocked if best is None else best.served
 
 
 def admit(request: ServiceRequest, table: AdmissionTable) -> AdmissionDecision:
@@ -231,5 +231,5 @@ def admit(request: ServiceRequest, table: AdmissionTable) -> AdmissionDecision:
     if home.capacity_kbps - home.used_kbps >= route.rate:
         return route.served
     if not route.candidates:
-        return BLOCKED
+        return route.blocked
     return select_serving_operator(request, table, route)

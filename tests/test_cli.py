@@ -236,6 +236,21 @@ def test_a_probability_too_large_for_a_float_exits_2_without_partial_outputs(tmp
         f"non-finite number: profile_mix[0].probability = {10**400!r}"]
     assert not out.exists()
 
+def test_prices_whose_money_could_overflow_exit_2_without_partial_outputs(tmp_path):
+    # Valid but for its prices, whose sweep once wrote nan and inf profit cells and exited 0.
+    doc = json.loads(Path(CALIBRATED).read_text())
+    for op in doc["operators"]:
+        op["sp"] = op["cs"] = 1e306
+    bad = tmp_path / "huge-money.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    proc = run_cli("sweep", "--scenario", str(bad), "--replications", "2", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "money out of range: prices up to 1e+306 could sum past the float range in a report"]
+    assert not out.exists()
+
+
 def test_unreadable_scenario_exits_1(tmp_path):
     proc = run_cli("run", "--scenario", str(tmp_path / "missing.json"),
                    "--out", str(tmp_path / "out"))

@@ -327,9 +327,11 @@ def test_count_conservation_across_seeds():
 @pytest.mark.parametrize("cooperation", [True, False], ids=["on", "off"])
 @pytest.mark.parametrize("name", ["default.json", "calibrated.json"])
 def test_served_counts_equal_the_sessions_key_by_key(name, cooperation, replayed):
-    # The loop tallies each served arrival by its decision's slot and reads the
+    # The loop tallies every arrival by its decision's slot and reads the blocked,
     # per-operator and exchange counts off the tally; the sessions it accrued
-    # must give the same counts, key by key, with no zero exchange entry.
+    # must give the same served counts, key by key, with no zero exchange entry,
+    # and each home's blocks are its clients drawn before the horizon less its
+    # clients served.
     scenario = replace(load_scenario(SCENARIO_DIR / name), cooperation=cooperation,
                        replications=5)
     op_ids = [net.id for net in scenario.operators]
@@ -337,10 +339,19 @@ def test_served_counts_equal_the_sessions_key_by_key(name, cooperation, replayed
               for seed in replication_seeds(scenario)} if replayed else None)
     report, log = run_logged(run_experiment, scenario, tapes)
     for result in report.results:
-        served_home_by_op, exchange = served_counts(log(result), op_ids)
+        sessions = log(result)
+        served_home_by_op, exchange = served_counts(sessions, op_ids)
         assert result.served_home_by_op == served_home_by_op, result.seed
         assert result.exchange == exchange, result.seed
         assert 0 not in result.exchange.values()
+        drawn = oracle_arrivals(scenario, result.seed, 2000)
+        assert drawn[-1][0] >= scenario.duration_s
+        blocked_by_home = dict.fromkeys(op_ids, 0)
+        for t, request in drawn:
+            blocked_by_home[request.home_op] += t < scenario.duration_s
+        for session in sessions:
+            blocked_by_home[session.request.home_op] -= 1
+        assert result.blocked_by_home == blocked_by_home, result.seed
     assert any(result.exchange for result in report.results) is cooperation
 
 

@@ -172,6 +172,26 @@ def test_duplicate_ids_and_bad_prices_reported():
     assert any("non-positive price" in v for v in violations)
 
 
+@pytest.mark.parametrize("billing", ["volume", "per_session"])
+def test_prices_whose_report_totals_could_overflow_are_one_violation(billing):
+    scenario = replace(load_scenario(SCENARIO_DIR / "calibrated.json"), billing=billing)
+
+    def priced(price):
+        return replace(scenario, operators=tuple(replace(net, sp=price, cs=price)
+                                                 for net in scenario.operators))
+
+    # Prices of 1e160 keep every total finite; only a deviation squared in the
+    # summary's stddev overflows there, which is a separate, known fault.
+    assert validate_scenario(priced(1e160)) == []
+    assert validate_scenario(priced(1e306)) == [
+        "money out of range: prices up to 1e+306 could sum past the float range in a report"]
+    # Volume billing also multiplies by the horizon: one of 1e300 s, with arrivals
+    # sparse enough for the arrival cap, trips the bound at a price of 1.
+    long = replace(priced(1.0), duration_s=1e300, mean_interarrival_s=1e296)
+    assert validate_scenario(long) == ([] if billing == "per_session" else [
+        "money out of range: prices up to 1.0 could sum past the float range in a report"])
+
+
 def test_non_positive_operator_ids_are_all_reported():
     s = _with_operator(default_scenario(), 0, id=0)
     s = _with_operator(s, 2, id=-2)

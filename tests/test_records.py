@@ -210,8 +210,8 @@ def test_routes_and_candidates_are_frozen_unhashable_records():
         f"Candidate(net={candidate.net!r}, rate=256.0, sp_norm={0.1 / 0.9!r}, "
         f"cs_norm={0.1 / 0.9!r}, served=AdmissionDecision(outcome=<Outcome.SERVED_TRANSFER: "
         "'served_transfer'>, serving_op=2, rate_kbps=256.0, slot=0))")
-    assert repr(route) == (f"Route(home={route.home!r}, rate=256.0, "
-                           f"served={route.served!r}, candidates={route.candidates!r})")
+    assert repr(route) == (f"Route(home={route.home!r}, rate=256.0, served={route.served!r}, "
+                           f"blocked={route.blocked!r}, candidates={route.candidates!r})")
     for record in (route, candidate):
         name = model.fields(type(record))[0][0]
         before = getattr(record, name)
@@ -233,14 +233,15 @@ def test_value_records_compare_hash_and_print_as_dataclasses_did():
     decision = selection.AdmissionDecision(selection.Outcome.SERVED_TRANSFER, serving_op=3,
                                            rate_kbps=1024.0)
     ledger = model.OperatorLedger(income_own=100.0)
+    blocked = engine.admission_table(default_scenario()).routes[1][kind].blocked
     assert repr(service_class) == ("ServiceClass(kind=<ServiceKind.INTERACTIVE: 'interactive'>, "
                                    "qos_weights=(0.16, 0.04, 0.16, 0.64))")
     assert repr(request) == (f"ServiceRequest(home_op=2, service_class={service_class!r}, "
                              "w_qos=0.7, w_price=0.3, price_paid=0.1)")
     assert repr(decision) == ("AdmissionDecision(outcome=<Outcome.SERVED_TRANSFER: "
                               "'served_transfer'>, serving_op=3, rate_kbps=1024.0, slot=None)")
-    assert repr(selection.BLOCKED) == ("AdmissionDecision(outcome=<Outcome.BLOCKED: 'blocked'>, "
-                                       "serving_op=None, rate_kbps=None, slot=None)")
+    assert repr(blocked) == ("AdmissionDecision(outcome=<Outcome.BLOCKED: 'blocked'>, "
+                             "serving_op=None, rate_kbps=None, slot=7)")
     assert repr(ledger) == ("OperatorLedger(income_own=100.0, income_transferred=0.0, "
                             "income_guests=0.0, cost_paid=0.0)")
 
@@ -254,8 +255,9 @@ def test_value_records_compare_hash_and_print_as_dataclasses_did():
     assert decision == selection.AdmissionDecision(selection.Outcome.SERVED_TRANSFER, 3, 1024.0)
     assert len({decision, selection.AdmissionDecision(selection.Outcome.SERVED_TRANSFER, 3,
                                                       1024.0)}) == 1
-    assert decision != selection.BLOCKED
-    assert selection.BLOCKED == selection.AdmissionDecision(selection.Outcome.BLOCKED)
+    assert decision != blocked
+    assert blocked == selection.AdmissionDecision(selection.Outcome.BLOCKED, slot=7)
+    assert blocked != selection.AdmissionDecision(selection.Outcome.BLOCKED)
     assert ledger == model.OperatorLedger(100.0, 0.0, 0.0, 0.0)
     assert ledger != model.OperatorLedger(income_own=100.0, cost_paid=1.0)
     assert ledger != (100.0, 0.0, 0.0, 0.0)
@@ -273,7 +275,8 @@ def test_value_records_compare_hash_and_print_as_dataclasses_did():
 def test_shared_records_are_read_only_and_the_ledger_is_written_in_place():
     scenario = default_scenario()
     request = scenario.arrival_requests[0][0]
-    shared = (request, request.service_class, selection.BLOCKED)
+    route = engine.admission_table(scenario).routes[1][request.service_class.kind]
+    shared = (request, request.service_class, route.blocked)
     for record in shared:
         assert type(record).__name__ in PER_ARRIVAL
         name = model.fields(type(record))[0][0]

@@ -13,7 +13,6 @@ from accessim.model import (
     replace,
 )
 from accessim.selection import (
-    BLOCKED,
     AdmissionTable,
     Outcome,
     admit,
@@ -167,20 +166,22 @@ def test_a_non_cooperating_table_lists_no_candidates(monkeypatch):
     table = _table(ops, cooperation=False)
     assert all(route.candidates == () for routes in table.routes.values()
                for route in routes.values())
-    # Only the home decisions hold a slot: no transfer decision was built.
-    assert all(home == serving for home, serving, _ in table.slot_keys)
+    # Only the home and blocked decisions hold a slot: no transfer decision was built.
+    assert all(serving in (home, None) for home, serving, _ in table.slot_keys)
     # Op2 and Op3 have room, so a cooperating table moves the client.
     assert admit(_request(home=1), _table(ops)).outcome is Outcome.SERVED_TRANSFER
     _no_selection(monkeypatch)
-    assert admit(_request(home=1), table) is BLOCKED
+    route = table.routes[1][ServiceKind.CONVERSATIONAL]
+    assert admit(_request(home=1), table) is route.blocked
 
 
 def test_a_cooperating_route_without_candidates_blocks_without_selection(monkeypatch):
     solo = replace(_ops()[1], used_kbps=_ops()[1].capacity_kbps)
     table = _table([solo])
-    assert table.routes[1][ServiceKind.CONVERSATIONAL].candidates == ()
+    route = table.routes[1][ServiceKind.CONVERSATIONAL]
+    assert route.candidates == ()
     _no_selection(monkeypatch)
-    assert admit(_request(home=1), table) is BLOCKED
+    assert admit(_request(home=1), table) is route.blocked
 
 
 def test_a_home_outside_its_bounds_is_never_served_at_home():
@@ -193,7 +194,7 @@ def test_a_home_outside_its_bounds_is_never_served_at_home():
         assert route.rate == math.inf
         # The shared served decision keeps the demand rate.
         assert route.served.rate_kbps == _scenario().demand.rate(kind, umts.technology)
-        assert admit(_request(home=1, kind=kind), table) is BLOCKED
+        assert admit(_request(home=1, kind=kind), table) is route.blocked
 
 
 def test_forced_route_between_wlans_for_loss_sensitive_class():
@@ -224,10 +225,10 @@ def test_blocked_when_no_candidate_is_feasible(monkeypatch):
     _no_scoring(monkeypatch)
     request, table = _request(home=1), _table(ops)
     decision = admit(request, table)
-    assert decision.outcome is Outcome.BLOCKED
-    assert decision is BLOCKED
     route = table.routes[1][request.service_class.kind]
-    assert select_serving_operator(request, table, route) is BLOCKED
+    assert decision.outcome is Outcome.BLOCKED
+    assert decision is route.blocked
+    assert select_serving_operator(request, table, route) is route.blocked
 
 
 def _five_operators():
@@ -380,9 +381,9 @@ def test_shared_decisions_are_read_only():
     transfer = admit(moved, table)
     assert transfer.outcome is Outcome.SERVED_TRANSFER
     assert admit(moved, table) is transfer
-    blocked = admit(_request(home=1, kind=ServiceKind.INTERACTIVE),
-                    _table(ops, cooperation=False))
-    assert blocked is BLOCKED
+    lone = _table(ops, cooperation=False)
+    blocked = admit(_request(home=1, kind=ServiceKind.INTERACTIVE), lone)
+    assert blocked is lone.routes[1][ServiceKind.INTERACTIVE].blocked
     for decision in (home, transfer, blocked):
         with pytest.raises(FrozenInstanceError):
             decision.serving_op = 3
@@ -404,7 +405,7 @@ def test_admit_returns_only_prebuilt_decisions():
         table = tables[rng.random() < 0.8]
         route = table.routes[request.home_op][kind]
         decision = admit(request, table)
-        prebuilt = (route.served, BLOCKED, *(cand.served for cand in route.candidates))
+        prebuilt = (route.served, route.blocked, *(cand.served for cand in route.candidates))
         assert any(decision is shared for shared in prebuilt)
         outcomes.add(decision.outcome)
     assert outcomes == set(Outcome)
@@ -413,8 +414,9 @@ def test_admit_returns_only_prebuilt_decisions():
 @pytest.mark.parametrize("networks", [default_scenario().operators, _five_operators()],
                          ids=["default", "five-operators"])
 def test_every_served_decision_holds_one_distinct_slot(networks):
-    # The engine tallies a served arrival at its decision's slot and reads the
-    # slot's (home, serving, kind) back, so each must name exactly its decision.
+    # The engine tallies every arrival at its decision's slot and reads the
+    # slot's (home, serving, kind) back, so each must name exactly its decision:
+    # served at home, transferred, or blocked, whose key names no serving operator.
     scenario = default_scenario()
     table = AdmissionTable(networks, scenario.demand, scenario.requirements)
     slots = []
@@ -422,17 +424,19 @@ def test_every_served_decision_holds_one_distinct_slot(networks):
         assert list(routes) == list(scenario.requirements)
         for kind, route in routes.items():
             assert table.slot_keys[route.served.slot] == (home_id, home_id, kind)
-            slots.append(route.served.slot)
+            assert table.slot_keys[route.blocked.slot] == (home_id, None, kind)
+            assert route.blocked.outcome is Outcome.BLOCKED
+            slots += route.served.slot, route.blocked.slot
             for cand in route.candidates:
                 assert table.slot_keys[cand.served.slot] == (home_id, cand.net.id, kind)
                 slots.append(cand.served.slot)
     assert sorted(table.routes) == sorted(net.id for net in networks)
     assert sorted(slots) == list(range(len(table.slot_keys)))
-    assert BLOCKED.slot is None
     # Numbered in id order, so the listing order changes no decision.
     reordered = AdmissionTable(networks[::-1], scenario.demand, scenario.requirements)
     assert reordered.slot_keys == table.slot_keys
     assert all(reordered.routes[home_id][kind].served == route.served
+               and reordered.routes[home_id][kind].blocked == route.blocked
                for home_id, routes in table.routes.items() for kind, route in routes.items())
 
 
