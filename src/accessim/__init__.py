@@ -45,7 +45,6 @@ from .engine import (
 )
 from .analytics import (
     BlockingStats,
-    ExchangeMatrix,
     accrue,
     blocking_stats,
     exchange_matrix,

@@ -11,7 +11,6 @@ from .model import (
     OperatorLedger,
     OperatorNetwork,
     ReplicationResult,
-    ServiceKind,
     Session,
     _FrozenRecord,
 )
@@ -60,32 +59,18 @@ def accrue(session: Session | tuple, networks: Mapping[int, OperatorNetwork],
 # --------------------------------------------------------------------------
 # exchange direction
 
-class ExchangeMatrix(_FrozenRecord):
-    """Transferred-session counts by (home, serving, service kind), summed over replications."""
+def exchange_matrix(results: Iterable[ReplicationResult]) -> dict[tuple, int]:
+    """Transferred arrivals by (home, serving, kind), summed over replications.
 
-    op_ids: tuple[int, ...]
-    counts: dict[tuple[int, int, ServiceKind], int]
-
-    def count(self, from_op, to_op, kind):
-        return self.counts.get((from_op, to_op, ServiceKind(kind)), 0)
-
-    def row_total(self, from_op, kind):
-        return sum(self.count(from_op, to_op, kind) for to_op in self.op_ids)
-
-    def row_percentages(self, from_op, kind):
-        """Share of each destination within one (home, kind) row; zeros when the row is empty."""
-        total = self.row_total(from_op, kind)
-        return {to_op: 100.0 * self.count(from_op, to_op, kind) / total if total else 0.0
-                for to_op in self.op_ids if to_op != from_op}
-
-
-def exchange_matrix(results: Iterable[ReplicationResult], op_ids) -> ExchangeMatrix:
-    """Sum the exchange counts of replications whose operators are ``op_ids``."""
-    counts: dict[tuple[int, int, ServiceKind], int] = {}
+    Every transfer key of the replications' ``counts`` is present, zeros included.
+    """
+    transfers = {}
     for result in results:
-        for key, n in result.exchange.items():
-            counts[key] = counts.get(key, 0) + n
-    return ExchangeMatrix(op_ids=tuple(op_ids), counts=counts)
+        for key, n in result.counts.items():
+            home, serving, _ = key
+            if serving is not None and serving != home:
+                transfers[key] = transfers.get(key, 0) + n
+    return transfers
 
 
 # --------------------------------------------------------------------------
@@ -102,7 +87,8 @@ over the replications.
 """
 
 
-def _row(arrivals, blocked, served_home, served_transferred, ledgers) -> ScopeRow:
+def _row(blocked, served_home, served_transferred, ledgers) -> ScopeRow:
+    arrivals = blocked + served_home + served_transferred
     return ScopeRow(arrivals, blocked, blocked / arrivals if arrivals else 0.0,
                     served_home, served_transferred,
                     sum(ledger.income_own for ledger in ledgers),
@@ -117,18 +103,17 @@ def scope_rows(result: ReplicationResult, op_ids) -> dict[str, ScopeRow]:
 
     An operator's row counts its own clients (a block or a transfer belongs
     to the home operator) and holds its own ledger.  Each of its clients was
-    blocked, served at home or transferred, so their sum is its arrivals.
+    blocked, served at home or transferred, so their sum is its arrivals; the
+    global counts are the column sums of the operators'.
     """
     ledgers = result.ledgers
-    transferred = dict.fromkeys(op_ids, 0)
-    for (home, _, _), n in result.exchange.items():
-        transferred[home] += n
-    rows = {"global": _row(result.arrivals, result.blocked, result.served_home,
-                           result.served_transferred, tuple(ledgers.values()))}
-    for op in op_ids:
-        blocked, served_home = result.blocked_by_home[op], result.served_home_by_op[op]
-        rows[f"op{op}"] = _row(blocked + served_home + transferred[op], blocked, served_home,
-                               transferred[op], (ledgers[op],))
+    # Per home: blocked, served at home, transferred.
+    homes = {op: [0, 0, 0] for op in op_ids}
+    for (home, serving, _), n in result.counts.items():
+        homes[home][0 if serving is None else 1 if serving == home else 2] += n
+    rows = {"global": _row(*map(sum, zip(*homes.values())), tuple(ledgers.values()))}
+    for op, counts in homes.items():
+        rows[f"op{op}"] = _row(*counts, (ledgers[op],))
     return rows
 
 

@@ -186,13 +186,15 @@ def cmd_compare(scenario: Scenario, grid, args, out: Path) -> int:
                                      "blocking_mean", "blocking_stddev", "blocking_ci95",
                                      *(f"blocking_op{op}_mean" for op in ids),
                                      *(f"profit_op{op}_mean" for op in ids)), rows)
-    # Where the cooperating cells' transfers went; an operator's own column reads 0.
-    matrix = analytics.exchange_matrix(cooperating, op_ids=ids)
+    # Where the cooperating cells' transfers went, as shares of each (home, kind)
+    # row; an operator's own column, and every column of an empty row, reads 0.
+    transfers = analytics.exchange_matrix(cooperating)
     rows = []
     for from_op in ids:
         for kind in ServiceKind:
-            shares = matrix.row_percentages(from_op, kind)
-            rows.append((from_op, kind.value, *(shares.get(to_op, 0.0) for to_op in ids)))
+            row = [transfers.get((from_op, to_op, kind), 0) for to_op in ids]
+            total = sum(row)
+            rows.append((from_op, kind.value, *(100.0 * n / total if total else 0.0 for n in row)))
     _write_csv(out / "exchange.csv",
                ("from_operator", "service_class", *(f"to_op{op}" for op in ids)), rows)
     return 0

@@ -13,8 +13,8 @@ named form, and ``analytics.accrue`` books either one at the departure.
 An experiment's replications share one ``AdmissionTable``; each resets its
 networks' ``used_kbps`` first, so each depends on its seed alone.  Every
 arrival counts as ``tally[decision.slot] += 1``, one entry per shared decision
-of the table, blocked ones included, so the loop builds no key; the blocked,
-per-operator and exchange counts are read off the tally at the end.
+of the table, blocked ones included, so the loop builds no key; the result's
+``counts`` pairs the tally with the table's ``slot_keys``, zeros included.
 
 Everything an arrival draws from is bound once per replication by
 ``arrival_draws``, and ``generate_arrival(clock, draws)`` makes three draws
@@ -95,14 +95,18 @@ def arrival_draws(scenario: Scenario, streams: RngStreams) -> tuple:
         k            ``n.bit_length()``, as ``randrange(n)`` uses
         uniform      the profile stream's ``random``
         cums         cumulative profile probabilities in mix order, a list
-                     whose last entry is infinity
+                     that is infinity from the last profile of positive
+                     probability on
         requests     ``scenario.arrival_requests`` as they are
     """
     n = len(scenario.operators)
-    cums = list(accumulate(p.probability for p in scenario.profile_mix))
-    # A draw above every cumulative probability, which rounding allows, takes
-    # the last profile.  Probabilities are non-negative, so cums stays sorted.
-    cums[-1] = inf
+    mix = scenario.profile_mix
+    cums = list(accumulate(p.probability for p in mix))
+    # A draw above every cumulative probability, which rounding allows, takes the
+    # last profile of positive probability, never a later one of probability 0.
+    # Probabilities are non-negative, so cums stays sorted.
+    last = max(i for i, p in enumerate(mix) if p.probability > 0)
+    cums[last:] = [inf] * (len(cums) - last)
     return (streams.interarrival.random, 1.0 / scenario.mean_interarrival_s,
             streams.home_assignment.getrandbits, n, n.bit_length(), streams.profile.random,
             cums, scenario.arrival_requests)
@@ -209,7 +213,7 @@ def admission_table(scenario: Scenario) -> AdmissionTable:
 
 def run_replication(scenario: Scenario, seed, table: AdmissionTable | None = None,
                     tape: Tape | None = None) -> ReplicationResult:
-    """Simulate one replication and return its raw counts, exchange and ledgers.
+    """Simulate one replication and return its slot counts and ledgers.
 
     ``table`` is the experiment's ``admission_table(scenario)``, or None to
     build one.  With a ``tape``, the seed's ``record_tape``, the replication
@@ -232,8 +236,7 @@ def run_replication(scenario: Scenario, seed, table: AdmissionTable | None = Non
     the whole run and is never released.
 
     Each arrival adds one to its decision's ``slot`` of a tally; the result's
-    ``blocked_by_home``, ``served_home_by_op`` (every operator, zeros included)
-    and ``exchange`` (positive counts only) are read off it after the drain.
+    ``counts`` maps each of the table's ``slot_keys`` to its entry, zeros included.
     """
     if tape is None:
         streams = RngStreams.from_seed(seed)
@@ -257,10 +260,9 @@ def run_replication(scenario: Scenario, seed, table: AdmissionTable | None = Non
     service_lambda = 1.0 / scenario.mean_service_s
     heappush, heappop = heapq.heappush, heapq.heappop
 
-    op_ids = [net.id for net in world]
     # Arrivals per shared decision, by its slot.
     tally = [0] * len(table.slot_keys)
-    ledgers = {i: OperatorLedger() for i in op_ids}
+    ledgers = {net.id: OperatorLedger() for net in world}
 
     heap = []
     seq = 0
@@ -307,19 +309,8 @@ def run_replication(scenario: Scenario, seed, table: AdmissionTable | None = Non
             raise CapacityAccountingError(
                 f"operator {net.id} did not drain to its background load "
                 f"{start.used_kbps}: {net.used_kbps}")
-    blocked_by_home = {i: 0 for i in op_ids}
-    served_home_by_op = {i: 0 for i in op_ids}
-    exchange = {}
-    for (home, serving, kind), n in zip(table.slot_keys, tally):
-        if serving is None:
-            blocked_by_home[home] += n
-        elif home == serving:
-            served_home_by_op[home] += n
-        elif n:
-            exchange[home, serving, kind] = n
-    return ReplicationResult(
-        seed=seed, blocked_by_home=blocked_by_home, served_home_by_op=served_home_by_op,
-        exchange=exchange, ledgers=ledgers)
+    return ReplicationResult(seed=seed, counts=dict(zip(table.slot_keys, tally)),
+                             ledgers=ledgers)
 
 
 def replication_seeds(scenario: Scenario):

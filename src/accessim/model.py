@@ -266,32 +266,32 @@ class OperatorLedger(_Record):
 class ReplicationResult(_FrozenRecord):
     """Raw outcome of a single replication; ``analytics.scope_rows`` derives its metrics.
 
-    Each count is stored once, per operator; the totals are derived from it.
-    Every arrival ends blocked, served at home or transferred, so the arrivals
-    are the sum of those three counts.
+    ``counts`` maps every slot key of the replication's admission table,
+    ``(home, serving, kind)`` with ``serving`` None for a block, to the
+    arrivals that took that decision, zeros included.  Every arrival lands in
+    exactly one slot, so each total below is one sum over it.
     """
 
     seed: int
-    blocked_by_home: dict[int, int]
-    served_home_by_op: dict[int, int]
-    exchange: dict[tuple[int, int, ServiceKind], int]  # transfers by (home, serving, kind)
+    counts: dict[tuple[int, int | None, ServiceKind], int]
     ledgers: dict[int, OperatorLedger]
 
     @property
     def arrivals(self):
-        return self.blocked + self.served_home + self.served_transferred
+        return sum(self.counts.values())
 
     @property
     def blocked(self):
-        return sum(self.blocked_by_home.values())
+        return sum(n for (_, serving, _), n in self.counts.items() if serving is None)
 
     @property
     def served_home(self):
-        return sum(self.served_home_by_op.values())
+        return sum(n for (home, serving, _), n in self.counts.items() if serving == home)
 
     @property
     def served_transferred(self):
-        return sum(self.exchange.values())
+        return sum(n for (home, serving, _), n in self.counts.items()
+                   if serving is not None and serving != home)
 
     @property
     def sessions(self):

@@ -32,7 +32,7 @@ when at least two do, and returns a shared decision, so it allocates none.
 Each shared decision holds a ``slot``, its index in the table's
 ``slot_keys``, which give the ``(home, serving, kind)`` it counts for
 (``serving`` is None for a block): the engine tallies every arrival with one
-list increment and derives its outcome counts from that tally after the run.
+list increment, and a replication's ``counts`` pairs that tally with the keys.
 The table's ``Route`` and ``Candidate`` records and every
 ``AdmissionDecision``, like the engine's shared ``ServiceRequest``, are
 read-only records.

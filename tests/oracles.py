@@ -7,6 +7,7 @@ the other.  ``oracle_arrivals`` keeps the plain arrival generator the
 engine's compiled one must reproduce draw for draw.
 """
 
+import math
 import random
 
 from accessim.engine import RngStreams
@@ -132,14 +133,17 @@ def oracle_arrivals(scenario, seed, count):
     Per arrival: ``expovariate`` on the interarrival stream, ``randrange`` on
     the home-assignment stream, and one uniform on the profile stream matched
     by a linear scan for the first cumulative probability above it (the last
-    profile when rounding leaves the draw above all).
+    profile of positive probability when rounding leaves the draw above all).
     """
     streams = RngStreams.from_seed(seed)
+    mix = scenario.profile_mix
+    last = max(i for i, profile in enumerate(mix) if profile.probability > 0)
     cumulative = []
     acc = 0.0
-    for profile in scenario.profile_mix:
+    for i, profile in enumerate(mix):
         acc += profile.probability
-        cumulative.append((acc, scenario.service_class(profile.service), profile))
+        cumulative.append((math.inf if i >= last else acc,
+                           scenario.service_class(profile.service), profile))
     arrivals = []
     clock = 0.0
     for _ in range(count):

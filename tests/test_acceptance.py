@@ -84,14 +84,14 @@ def test_criterion_1_no_loss_sensitive_sessions_on_umts(default_on_reports, sess
 
 def test_criterion_2_forced_exchange_routes_between_wlans(default_on_reports):
     results = [r for report in default_on_reports.values() for r in report.results]
-    matrix = exchange_matrix(results, op_ids=(1, 2, 3))
-    total_2 = matrix.row_total(2, INT)
-    total_3 = matrix.row_total(3, INT)
-    ok = (total_2 > 0 and matrix.count(2, 3, INT) == total_2
-          and total_3 > 0 and matrix.count(3, 2, INT) == total_3)
+    transfers = exchange_matrix(results)
+    total_2, total_3 = (sum(n for (home, _, kind), n in transfers.items()
+                            if home == op and kind is INT) for op in (2, 3))
+    to_3, to_2 = transfers.get((2, 3, INT), 0), transfers.get((3, 2, INT), 0)
+    ok = total_2 > 0 and to_3 == total_2 and total_3 > 0 and to_2 == total_3
     _verdict(ok, 2,
-             f"interactive transfers went Op2->Op3 {matrix.count(2, 3, INT)}/{total_2} "
-             f"and Op3->Op2 {matrix.count(3, 2, INT)}/{total_3} (required: 100%)")
+             f"interactive transfers went Op2->Op3 {to_3}/{total_2} "
+             f"and Op3->Op2 {to_2}/{total_3} (required: 100%)")
 
 
 def test_criterion_3_reference_transfer_picks_op3():

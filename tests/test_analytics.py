@@ -1,13 +1,12 @@
+import csv
 import math
 import random
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
-from accessim import run_grid
+from accessim import cli, run_grid
 from accessim.analytics import (
-    ExchangeMatrix,
     ScopeStats,
     accrue,
     arrivals_mean,
@@ -139,51 +138,65 @@ def test_per_session_billing_charges_flat_units():
     assert ledgers[3].income_guests == pytest.approx(0.2)
 
 
-def test_exchange_matrix_row_percentages():
-    matrix = ExchangeMatrix(op_ids=(1, 2, 3),
-                            counts={(1, 3, CONV): 3, (1, 2, CONV): 1})
-    assert matrix.row_total(1, CONV) == 4
-    assert matrix.row_percentages(1, CONV) == {2: 25.0, 3: 75.0}
-    assert matrix.row_percentages(1, INT) == {2: 0.0, 3: 0.0}
-    assert matrix.row_percentages(2, CONV) == {1: 0.0, 3: 0.0}
-    assert matrix.count(1, 3, CONV) == 3
-    assert matrix.count(3, 1, CONV) == 0
-
-
-def _result(seed, arrivals_per_op, blocked_by_home=None, exchange=None, ledgers=None):
+def _result(seed, arrivals_per_op, blocked=None, transfers=None, ledgers=None):
     """A replication in which each of three homes has ``arrivals_per_op`` arrivals:
-    those neither blocked nor transferred are served at home."""
+    its ``blocked`` ones, its ``transfers`` by (home, serving, kind) and the rest
+    served at home; blocked and home-served arrivals are conversational."""
     ids = (1, 2, 3)
-    blocked_by_home = blocked_by_home or {i: 0 for i in ids}
-    exchange = exchange or {}
-    transferred = {i: sum(n for (home, _, _), n in exchange.items() if home == i) for i in ids}
-    result = ReplicationResult(
-        seed=seed,
-        blocked_by_home=blocked_by_home,
-        served_home_by_op={i: arrivals_per_op - blocked_by_home[i] - transferred[i]
-                           for i in ids},
-        exchange=exchange,
-        ledgers=ledgers or {i: OperatorLedger() for i in ids},
-    )
+    blocked = blocked or {}
+    transfers = transfers or {}
+    counts = {}
+    for home in ids:
+        moved = sum(n for (from_op, _, _), n in transfers.items() if from_op == home)
+        counts[home, None, CONV] = blocked.get(home, 0)
+        counts[home, home, CONV] = arrivals_per_op - blocked.get(home, 0) - moved
+    result = ReplicationResult(seed=seed, counts=counts | transfers,
+                               ledgers=ledgers or {i: OperatorLedger() for i in ids})
     _, *homes = scope_rows(result, ids).values()
     assert [row.arrivals for row in homes] == [arrivals_per_op] * len(ids)
     return result
 
 
-def test_exchange_matrix_aggregates_replications():
+def _exchange_shares(out, results, ids):
+    """The cells of the exchange.csv that ``cli.cmd_compare`` writes to ``out`` for
+    cooperating ``results`` over operators ``ids``, by (home, kind value) and
+    destination."""
+    base = default_scenario()
+    scenario = replace(base, operators=tuple(replace(base.operators[0], id=i) for i in ids))
+    grid = {(scenario.mean_interarrival_s, True): MetricsReport(scenario=scenario,
+                                                                results=results)}
+    assert cli.cmd_compare(scenario, grid, None, out) == 0
+    with open(out / "exchange.csv", newline="") as fh:
+        return {(int(row.pop("from_operator")), row.pop("service_class")):
+                {int(column.removeprefix("to_op")): cell for column, cell in row.items()}
+                for row in csv.DictReader(fh)}
+
+
+def test_exchange_matrix_row_percentages(tmp_path):
+    result = _result(0, 4, transfers={(1, 3, CONV): 3, (1, 2, CONV): 1})
+    transfers = exchange_matrix([result])
+    assert sum(n for (home, _, kind), n in transfers.items() if (home, kind) == (1, CONV)) == 4
+    shares = _exchange_shares(tmp_path, [result], (1, 2, 3))
+    assert shares[1, "conversational"] == {1: "0", 2: "25", 3: "75"}
+    assert shares[1, "interactive"] == {1: "0", 2: "0", 3: "0"}
+    assert shares[2, "conversational"] == {1: "0", 2: "0", 3: "0"}
+    assert transfers[1, 3, CONV] == 3
+    assert transfers.get((3, 1, CONV), 0) == 0
+
+
+def test_exchange_matrix_aggregates_replications(tmp_path):
     results = [
-        _result(0, 3, exchange={(1, 3, CONV): 2, (2, 3, INT): 1}),
-        _result(1, 3, exchange={(1, 3, CONV): 1, (1, 2, CONV): 1}),
+        _result(0, 3, transfers={(1, 3, CONV): 2, (2, 3, INT): 1, (2, 1, CONV): 0}),
+        _result(1, 3, transfers={(1, 3, CONV): 1, (1, 2, CONV): 1}),
     ]
-    matrix = exchange_matrix(results, op_ids=(1, 2, 3))
-    assert matrix.count(1, 3, CONV) == 3
-    assert matrix.count(1, 2, CONV) == 1
-    assert matrix.count(2, 3, INT) == 1
-    assert matrix.row_percentages(1, CONV) == {2: 25.0, 3: 75.0}
+    # Transfer keys only, summed, a zero one included; no block and no home service.
+    assert exchange_matrix(results) == {(1, 3, CONV): 3, (1, 2, CONV): 1, (2, 3, INT): 1,
+                                        (2, 1, CONV): 0}
+    assert _exchange_shares(tmp_path, results, (1, 2, 3))[1, "conversational"] == {
+        1: "0", 2: "25", 3: "75"}
 
 
-
-def test_exchange_rows_beyond_three_operators_match_a_brute_force_sum():
+def test_exchange_rows_beyond_three_operators_match_a_brute_force_sum(tmp_path):
     # Six operators, random counts summed over two replications, and one empty
     # row (operator 6's interactive clients never move); kinds asked both ways.
     rng = random.Random(27)
@@ -192,18 +205,25 @@ def test_exchange_rows_beyond_three_operators_match_a_brute_force_sum():
                      for home in ids for to in ids for kind in ServiceKind
                      if to != home and (home, kind) != (6, INT) and rng.random() < 0.7}
                     for _ in range(2)]
-    matrix = exchange_matrix([SimpleNamespace(exchange=counts) for counts in replications],
-                             op_ids=ids)
-    assert matrix.row_total(6, INT) == 0
+    results = [ReplicationResult(seed=seed, counts=counts,
+                                 ledgers={op: OperatorLedger() for op in ids})
+               for seed, counts in enumerate(replications)]
+    transfers = exchange_matrix(results)
+    assert transfers == {key: sum(counts.get(key, 0) for counts in replications)
+                         for key in set().union(*replications)}
+    shares = _exchange_shares(tmp_path, results, ids)
+    assert set(shares) == {(home, kind.value) for home in ids for kind in ServiceKind}
+    assert shares[6, "interactive"] == dict.fromkeys(ids, "0")
     for home in ids:
         for kind in (*ServiceKind, *(kind.value for kind in ServiceKind)):
             row = {to: sum(counts.get((home, to, ServiceKind(kind)), 0)
                            for counts in replications) for to in ids if to != home}
-            total = sum(n for (f, _, k), n in matrix.counts.items() if f == home and k == kind)
+            total = sum(n for (f, _, k), n in transfers.items() if f == home and k == kind)
             assert total == sum(row.values())
-            assert matrix.row_total(home, kind) == total
-            assert matrix.row_percentages(home, kind) == {
-                to: 100.0 * n / total if total else 0.0 for to, n in row.items()}
+            # Each share as exchange.csv prints a float: 10 significant digits.
+            assert shares[home, ServiceKind(kind).value] == {
+                to: f"{100.0 * row.get(to, 0) / total if total else 0.0:.10g}" for to in ids}
+
 
 def test_scope_stats_population_moments():
     stats = ScopeStats(values=(0.1, 0.2, 0.3))
@@ -228,7 +248,7 @@ def test_blocking_stats_means_and_attribution():
     report = MetricsReport(
         scenario=default_scenario(),
         results=[
-            _result(0, 10, blocked_by_home={1: 6, 2: 0, 3: 0}),
+            _result(0, 10, blocked={1: 6, 2: 0, 3: 0}),
             _result(1, 10),
         ],
     )

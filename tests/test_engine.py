@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from accessim import analytics, engine
-from accessim.analytics import scope_rows
+from accessim.analytics import exchange_matrix, scope_rows
 from accessim.engine import (
     CapacityAccountingError,
     RngStreams,
@@ -212,7 +213,9 @@ def test_busy_network_blocks_second_arrival(monkeypatch):
     assert result.arrivals == 2
     assert result.served_home == 1
     assert result.blocked == 1
-    assert result.blocked_by_home[1] == 1
+    conversational, interactive = ServiceKind.CONVERSATIONAL, ServiceKind.INTERACTIVE
+    assert result.counts == {(1, 1, conversational): 1, (1, None, conversational): 1,
+                             (1, 1, interactive): 0, (1, None, interactive): 0}
 
 
 def test_session_volume_truncates_at_horizon(monkeypatch):
@@ -311,13 +314,13 @@ def test_count_conservation_across_seeds():
         assert r.arrivals == r.blocked + r.served_home + r.served_transferred
         _, *ops = scope_rows(r, [net.id for net in scenario.operators]).values()
         assert sum(row.arrivals for row in ops) == r.arrivals
-        assert sum(r.blocked_by_home.values()) == r.blocked
-        assert sum(r.served_home_by_op.values()) == r.served_home
+        assert sum(row.blocked for row in ops) == r.blocked
+        assert sum(row.served_home for row in ops) == r.served_home
         assert sum(row.served_transferred for row in ops) == r.served_transferred
         # A transfer counts for the client's home, so each home's clients balance.
         for row in ops:
             assert row.arrivals == row.blocked + row.served_home + row.served_transferred
-        assert sum(r.exchange.values()) == r.served_transferred
+        assert sum(exchange_matrix([r]).values()) == r.served_transferred
         served = log(r)
         assert served
         assert sum(s.serving_op == s.request.home_op for s in served) == r.served_home
@@ -327,32 +330,31 @@ def test_count_conservation_across_seeds():
 @pytest.mark.parametrize("cooperation", [True, False], ids=["on", "off"])
 @pytest.mark.parametrize("name", ["default.json", "calibrated.json"])
 def test_served_counts_equal_the_sessions_key_by_key(name, cooperation, replayed):
-    # The loop tallies every arrival by its decision's slot and reads the blocked,
-    # per-operator and exchange counts off the tally; the sessions it accrued
-    # must give the same served counts, key by key, with no zero exchange entry,
-    # and each home's blocks are its clients drawn before the horizon less its
-    # clients served.
+    # The loop tallies every arrival by its decision's slot and returns the tally
+    # as counts, one key per slot of the table, zeros included.  Each served key
+    # counts the sessions it accrued with that key, and each route's blocked key
+    # counts that route's arrivals drawn before the horizon less its sessions.
     scenario = replace(load_scenario(SCENARIO_DIR / name), cooperation=cooperation,
                        replications=5)
-    op_ids = [net.id for net in scenario.operators]
+    slot_keys = admission_table(scenario).slot_keys
     tapes = ({seed: record_tape(scenario, seed, scenario.mean_interarrival_s)
               for seed in replication_seeds(scenario)} if replayed else None)
     report, log = run_logged(run_experiment, scenario, tapes)
     for result in report.results:
-        sessions = log(result)
-        served_home_by_op, exchange = served_counts(sessions, op_ids)
-        assert result.served_home_by_op == served_home_by_op, result.seed
-        assert result.exchange == exchange, result.seed
-        assert 0 not in result.exchange.values()
+        assert tuple(result.counts) == slot_keys, result.seed
+        served = served_counts(log(result))
+        assert served == Counter({key: n for key, n in result.counts.items()
+                                  if key[1] is not None}), result.seed
         drawn = oracle_arrivals(scenario, result.seed, 2000)
         assert drawn[-1][0] >= scenario.duration_s
-        blocked_by_home = dict.fromkeys(op_ids, 0)
-        for t, request in drawn:
-            blocked_by_home[request.home_op] += t < scenario.duration_s
-        for session in sessions:
-            blocked_by_home[session.request.home_op] -= 1
-        assert result.blocked_by_home == blocked_by_home, result.seed
-    assert any(result.exchange for result in report.results) is cooperation
+        routes = Counter((request.home_op, request.service_class.kind)
+                         for t, request in drawn if t < scenario.duration_s)
+        for (home, _, kind), n in served.items():
+            routes[home, kind] -= n
+        for (home, serving, kind), n in result.counts.items():
+            if serving is None:
+                assert n == routes[home, kind], (result.seed, home, kind)
+    assert any(result.served_transferred for result in report.results) is cooperation
 
 
 @pytest.mark.parametrize("replayed", [False, True], ids=["live", "replayed"])
@@ -374,10 +376,9 @@ def test_the_engine_books_each_session_as_a_plain_tuple(monkeypatch, cooperation
     result = run_replication(scenario, seed, tape=tape)
     assert len(booked) == result.served_home + result.served_transferred > 0
     assert all(type(session) is tuple and len(session) == 5 for session in booked)
-    served_home_by_op, exchange = served_counts(
-        [Session._make(session) for session in booked], [net.id for net in scenario.operators])
-    assert (served_home_by_op, exchange) == (result.served_home_by_op, result.exchange)
-    assert bool(exchange) is cooperation
+    served = served_counts([Session._make(session) for session in booked])
+    assert served == Counter({key: n for key, n in result.counts.items() if key[1] is not None})
+    assert any(home != serving for home, serving, _ in served) is cooperation
 
 
 def test_each_home_counts_every_arrival_drawn_for_it(monkeypatch):
@@ -523,7 +524,7 @@ def test_a_draw_equal_to_a_cumulative_probability_takes_the_next_profile():
         assert _profiles_drawn(probabilities, _DRAWS) == [0, 0, 1, 1], probabilities
 
 
-def test_a_draw_above_the_last_cumulative_probability_takes_the_last_profile():
+def test_a_draw_above_the_last_cumulative_probability_takes_the_last_positive_profile():
     # The mix sums to 1 - 1e-12, within WEIGHT_SUM_TOL, so a uniform in
     # [1 - 1e-12, 1) lies above every cumulative probability.
     scenario = _two_profile_scenario(0.5 - 1e-12)
@@ -532,8 +533,9 @@ def test_a_draw_above_the_last_cumulative_probability_takes_the_last_profile():
     requests = _requests_drawn(scenario, [last, (last + 1.0) / 2, 0.9999999999999999])
     assert [r.service_class.kind for r in requests] == [ServiceKind.INTERACTIVE] * 3
     assert [(r.w_qos, r.w_price) for r in requests] == [(0.2, 0.8)] * 3
-    # It takes the last profile even when that profile's probability is 0.
-    assert _profiles_drawn((0.5, 0.5 - 1e-12, 0.0), _DRAWS) == [0, 0, 1, 2]
+    # Never a profile of probability 0 after it, however many follow.
+    for probabilities in [(0.5, 0.5 - 1e-12, 0.0), (0.5, 0.5 - 1e-12, 0.0, 0.0)]:
+        assert _profiles_drawn(probabilities, _DRAWS) == [0, 0, 1, 1], probabilities
 
 
 def test_home_draw_rejects_raw_bits_at_or_above_the_operator_count():
@@ -567,8 +569,9 @@ def test_unlimited_capacity_leaves_only_structural_blocking():
         # Without exchange the UMTS operator still cannot carry loss-sensitive
         # sessions, so exactly its interactive home arrivals are lost.
         assert r.served_transferred == 0
-        assert r.blocked == r.blocked_by_home[1]
-        assert r.blocked_by_home[2] == 0 and r.blocked_by_home[3] == 0
+        _, op1, op2, op3 = scope_rows(r, [1, 2, 3]).values()
+        assert r.blocked == op1.blocked
+        assert op2.blocked == 0 and op3.blocked == 0
         served = log(r)
         assert served
         assert all(s.request.service_class.kind is ServiceKind.CONVERSATIONAL
@@ -622,7 +625,7 @@ def test_initial_load_is_background_the_run_drains_back_to():
     for r in report.results:
         assert r.arrivals == r.blocked + r.served_home + r.served_transferred
         # A network whose background load fills it serves no one, home or guest.
-        assert r.served_home_by_op[3] == 0
+        assert all(r.counts[3, 3, kind] == 0 for kind in ServiceKind)
         sessions = log(r)
         assert sessions
         assert all(s.serving_op != 3 for s in sessions)

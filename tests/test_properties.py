@@ -12,6 +12,7 @@ Python does.
 
 import json
 import math
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -119,17 +120,19 @@ def test_valid_scenarios_run_and_conserve_arrivals_and_money(scenario):
     for result in report.results:
         assert result.arrivals == (result.blocked + result.served_home
                                    + result.served_transferred)
-        # The tallied counts are the accrued sessions', key by key.
-        served_home_by_op, exchange = served_counts(log(result), op_ids)
-        assert result.served_home_by_op == served_home_by_op
-        assert result.exchange == exchange
-        assert 0 not in result.exchange.values()
+        # The tallied counts are the accrued sessions', key by key, and hold one
+        # key per slot of the admission table.
+        assert tuple(result.counts) == engine.admission_table(scenario).slot_keys
+        assert served_counts(log(result)) == Counter(
+            {key: n for key, n in result.counts.items() if key[1] is not None})
         overall, *operators = scope_rows(result, op_ids).values()
         for row in operators:
             assert row.arrivals == row.blocked + row.served_home + row.served_transferred
-        # The operator rows partition the global one: every count sums exactly.
+        # The operator rows partition the global one, and the global one holds the
+        # result's totals: every count sums exactly.
         for count in ("arrivals", "blocked", "served_home", "served_transferred"):
             assert sum(getattr(row, count) for row in operators) == getattr(overall, count)
+            assert getattr(overall, count) == getattr(result, count)
         guests = sum(ledger.income_guests for ledger in result.ledgers.values())
         paid = sum(ledger.cost_paid for ledger in result.ledgers.values())
         assert math.isclose(guests, paid, rel_tol=1e-9, abs_tol=1e-9)

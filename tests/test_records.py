@@ -34,16 +34,17 @@ SCHEMA = {"ClassRequirements", "OperatorNetwork", "TrafficProfile", "Scenario"}
 PER_ARRIVAL = {"ServiceRequest", "ServiceClass", "AdmissionDecision", "Route", "Candidate"}
 SLOT_CLASSES = {"OperatorLedger"}
 CONVERTED = {"ReplicationResult", "MetricsReport", "RngStreams",
-             "ExchangeMatrix", "ScopeStats", "BlockingStats", "Series"}
+             "ScopeStats", "BlockingStats", "Series"}
 NATIVE = {"Tape"}  # written on the base from the start, to the same contract
 
 # The sampled records by name, in the order of _samples.  Their test cases were
 # once numbered by position: the records numbered then keep those numbers as
 # their ids, so a list of test ids goes on naming the same records, and a record
-# sampled since has its own name as its id.
-NUMBERED = ("ClassRequirements", "OperatorNetwork", "TrafficProfile", "Scenario",
-            "ReplicationResult", "MetricsReport", "RngStreams", "ExchangeMatrix",
-            "ScopeStats", "BlockingStats", "Series")
+# sampled since has its own name as its id.  Number 7 was ExchangeMatrix, since
+# deleted, and stays unused.
+NUMBERED = {"ClassRequirements": 0, "OperatorNetwork": 1, "TrafficProfile": 2, "Scenario": 3,
+            "ReplicationResult": 4, "MetricsReport": 5, "RngStreams": 6,
+            "ScopeStats": 8, "BlockingStats": 9, "Series": 10}
 SAMPLED = (*NUMBERED, "Tape")
 
 
@@ -86,11 +87,11 @@ def _samples():
                               requirements={interactive: requirements},
                               profile_mix=(profile,), replications=2)
     ledger = model.OperatorLedger(income_own=2.5)
-    result = model.ReplicationResult(seed=3, blocked_by_home={1: 1}, served_home_by_op={1: 1},
-                                     exchange={}, ledgers={1: ledger})
+    result = model.ReplicationResult(seed=3, counts={(1, None, conversational): 1,
+                                                     (1, 1, conversational): 1},
+                                     ledgers={1: ledger})
     report = model.MetricsReport(scenario=scenario, results=[result])
     streams = engine.RngStreams.from_seed(7)
-    matrix = analytics.ExchangeMatrix(op_ids=(1, 2), counts={(1, 2, conversational): 3})
     stats = analytics.ScopeStats(values=(1.0, 3.0))
     blocking = analytics.BlockingStats(overall=stats, per_operator={1: stats})
     series = charts.Series(label="a", points=((1.0, 2.0),))
@@ -111,16 +112,15 @@ def _samples():
                    f"'interactive'>: {requirements!r}}}, profile_mix=({profile!r},), "
                    "mean_interarrival_s=2.5, mean_service_s=240.0, duration_s=1200.0, "
                    "replications=2, base_seed=42, cooperation=True, billing='volume')", False),
-        (result, "ReplicationResult(seed=3, blocked_by_home={1: 1}, served_home_by_op={1: 1}, "
-                 "exchange={}, ledgers={1: OperatorLedger("
+        (result, "ReplicationResult(seed=3, counts={(1, None, <ServiceKind.CONVERSATIONAL: "
+                 "'conversational'>): 1, (1, 1, <ServiceKind.CONVERSATIONAL: "
+                 "'conversational'>): 1}, ledgers={1: OperatorLedger("
                  "income_own=2.5, income_transferred=0.0, income_guests=0.0, cost_paid=0.0)})",
          False),
         (report, f"MetricsReport(scenario={scenario!r}, results=[{result!r}])", False),
         (streams, f"RngStreams(interarrival={streams.interarrival!r}, "
                   f"service_time={streams.service_time!r}, profile={streams.profile!r}, "
                   f"home_assignment={streams.home_assignment!r})", True),
-        (matrix, "ExchangeMatrix(op_ids=(1, 2), counts={(1, 2, <ServiceKind.CONVERSATIONAL: "
-                 "'conversational'>): 3})", False),
         (stats, "ScopeStats(values=(1.0, 3.0))", True),
         (blocking, "BlockingStats(overall=ScopeStats(values=(1.0, 3.0)), "
                    "per_operator={1: ScopeStats(values=(1.0, 3.0))})", False),
@@ -145,7 +145,7 @@ def test_samples_cover_every_schema_and_converted_record():
 
 
 @pytest.mark.parametrize("sample", SAMPLED, ids=lambda sample: (
-    str(NUMBERED.index(sample)) if sample in NUMBERED else sample))
+    str(NUMBERED[sample]) if sample in NUMBERED else sample))
 def test_records_keep_what_a_dataclass_or_named_tuple_gave_them(sample):
     record, printed, hashable = _samples()[sample]
     cls = type(record)
@@ -319,8 +319,9 @@ def test_converted_records_keep_keywords_defaults_and_replace():
     assert (stats.mean, replace(stats, values=(2.0,)).mean) == (2.0, 2.0)
     demand = model.DemandTable({"interactive": {"WLAN": 1024.0}})
     assert demand.rate(model.ServiceKind.INTERACTIVE, model.Technology.WLAN) == 1024.0
-    matrix = analytics.ExchangeMatrix(op_ids=(1, 2), counts={(1, 2, "interactive"): 3})
-    assert matrix.count(1, 2, "interactive") == 3
+    result = model.ReplicationResult(3, {(1, None, "interactive"): 2, (1, 2, "interactive"): 1},
+                                     {})
+    assert (result.blocked, replace(result, seed=4).served_transferred) == (2, 1)
     streams = engine.RngStreams.from_seed(7)
     assert replace(streams, profile=None).interarrival is streams.interarrival
 
