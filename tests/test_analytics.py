@@ -157,6 +157,24 @@ def _result(seed, arrivals_per_op, blocked=None, transfers=None, ledgers=None):
     return result
 
 
+def test_scope_rows_split_each_home_s_counts_by_the_serving_key():
+    # Blocks, home service and transfers over both kinds, with zero keys, and
+    # operator 3 holding zeros only; a transfer belongs to its home's row.
+    counts = {(1, None, CONV): 2, (1, None, INT): 1, (1, 1, CONV): 5, (1, 1, INT): 0,
+              (1, 2, CONV): 3, (1, 3, INT): 1, (2, None, CONV): 0, (2, 2, INT): 4,
+              (2, 1, INT): 2, (3, None, CONV): 0, (3, 3, CONV): 0, (3, 2, INT): 0}
+    result = ReplicationResult(seed=0, counts=counts, ledgers=_ledgers())
+    rows = scope_rows(result, (1, 2, 3))
+    assert list(rows) == ["global", "op1", "op2", "op3"]
+    triples = {name: (row.arrivals, row.blocked, row.served_home, row.served_transferred)
+               for name, row in rows.items()}
+    assert triples == {"global": (18, 3, 9, 6), "op1": (12, 3, 5, 4), "op2": (6, 0, 4, 2),
+                       "op3": (0, 0, 0, 0)}
+    assert (rows["op1"].blocking_probability, rows["op3"].blocking_probability) == (0.25, 0.0)
+    assert (result.arrivals, result.blocked, result.served_home,
+            result.served_transferred) == triples["global"]
+
+
 def _exchange_shares(out, results, ids):
     """The cells of the exchange.csv that ``cli.cmd_compare`` writes to ``out`` for
     cooperating ``results`` over operators ``ids``, by (home, kind value) and
